@@ -15,6 +15,7 @@ from qitbench.errors import (
     ScopeError,
     UnsupportedSchemeError,
 )
+from qitbench.engine import closed_terms
 from qitbench.schema import (
     PiType,
     SelfType,
@@ -254,13 +255,70 @@ def test_ground_term_omega_table(fixtures):
     assert constant.branches.entries == ()
 
 
-def test_ground_term_errors(fixtures):
-    decl = parse_decl(read_fixture(fixtures, "bag.qit"))
-    with pytest.raises(ScopeError):
-        parse_ground_term("mystery", decl)
-    with pytest.raises(DeclSyntaxError):
-        parse_ground_term("cons(a)", decl)
-    with pytest.raises(ScopeError):
-        parse_ground_term("cons(c, nil)", decl)
-    with pytest.raises(DeclSyntaxError):
-        parse_ground_term("a::b", decl)
+# (fixture, generators, input, error class, line, col)
+GROUND_TERM_ERRORS = [
+    ("bag.qit", (), "mystery", ScopeError, 1, 1),
+    ("bag.qit", (), "cons(a)", DeclSyntaxError, 1, 1),
+    ("bag.qit", (), "cons(c, nil)", ScopeError, 1, 6),
+    ("bag.qit", (), "a::b", DeclSyntaxError, 1, 4),
+    ("bag.qit", (), "a", DeclSyntaxError, 1, 1),
+    ("bag.qit", (), "3", DeclSyntaxError, 1, 1),
+    ("bag.qit", (), "cons(nil, nil)", ScopeError, 1, 6),
+    ("bag.qit", (), "cons(a, a)", DeclSyntaxError, 1, 9),
+    ("bag.qit", (), "nil(nil)", DeclSyntaxError, 1, 1),
+    ("bag.qit", (), "nil::[]", ScopeError, 1, 1),
+    ("bag.qit", (), "cons(3, nil)", ScopeError, 1, 1),
+    ("omega_tree.qit", (), "node(a, {leaf; 5 -> leaf})", DeclSyntaxError, 1, 9),
+    ("omega_tree.qit", (), "node(a, g . f)", ScopeError, 1, 9),
+    ("omega_tree.qit", (), "[]", ScopeError, 1, 1),
+    ("wreductions.qit", ("v", "w"), "mk(v)", DeclSyntaxError, 1, 1),
+    ("wreductions.qit", ("v", "w"), "mk(i0, i1)", DeclSyntaxError, 1, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "name, generators, text, exc, line, col",
+    GROUND_TERM_ERRORS,
+    ids=[row[2] for row in GROUND_TERM_ERRORS],
+)
+def test_ground_term_errors(fixtures, name, generators, text, exc, line, col):
+    decl = parse_decl(read_fixture(fixtures, name))
+    with pytest.raises(exc) as err:
+        parse_ground_term(text, decl, generators=generators)
+    assert type(err.value) is exc
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def surface(t) -> str:
+    """A closed term in the surface syntax.  In the fixtures
+    every parameter entry precedes the recursive ones, so an operator
+    ``c(v1,...)`` prints as ``c(v1, ..., branches)``."""
+    if isinstance(t, Var):
+        return t.name
+    head, _, params = t.op.partition("(")
+    args = [v for v in params.rstrip(")").split(",") if v]
+    if isinstance(t.branches, OmegaTable):
+        entries = ", ".join(f"{i} -> {surface(b)}" for i, b in t.branches.entries)
+        args.append(f"{{{surface(t.branches.default)}; {entries}}}")
+    else:
+        args.extend(surface(b) for b in t.branches)
+    return f"{head}({', '.join(args)})"
+
+
+@pytest.mark.parametrize(
+    "name, size, probe, generators",
+    [
+        ("bag.qit", 6, 2, ()),
+        ("omega_tree.qit", 5, 2, ()),
+        ("omega_tree.qit", 5, 3, ()),
+        ("wreductions.qit", 5, 2, ("v", "w")),
+    ],
+)
+def test_ground_term_round_trip(fixtures, name, size, probe, generators):
+    decl = parse_decl(read_fixture(fixtures, name))
+    sig, _ = elaborate(decl, probe=probe)
+    terms = closed_terms(sig, size, probe=probe, generators=generators)
+    assert terms
+    for t in terms:
+        text = surface(t)
+        assert parse_ground_term(text, decl, probe=probe, generators=generators) == t, text
