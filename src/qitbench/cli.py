@@ -3,8 +3,8 @@
 Commands: check | elaborate | eq | enumerate | sat | rec | separate | selftest.
 Structured results go to stdout (JSON under ``--format=json``), diagnostics
 to stderr as JSON objects with source spans.  Exit codes: 0 success,
-1 usage or IO, 2 semantic error in the input, 3 unknown/not found,
-4 separated, 5 a check reported a failure.
+1 usage or IO, 2 semantic error in the input, 3 unknown/not found or a
+budget overrun, 4 separated, 5 a check reported a failure.
 """
 
 from __future__ import annotations
@@ -17,7 +17,13 @@ from typing import Any
 from .encodings import one_point_algebra
 from .engine import check_equations_hold, find_separator, new_qw, replay_merges
 from .equations import sat_check
-from .errors import BudgetExceededError, ReplayError, SchemaError, WorkbenchError
+from .errors import (
+    BudgetExceededError,
+    ConditionalUnsupportedError,
+    ReplayError,
+    SchemaError,
+    WorkbenchError,
+)
 from .initiality import (
     RecTarget,
     check_comp,
@@ -34,7 +40,6 @@ from .schema import (
     parse_decl,
     parse_ground_term,
 )
-from .errors import ConditionalUnsupportedError
 from .terms import (
     FiniteAlgebra,
     Signature,
@@ -190,12 +195,7 @@ def cmd_eq(args) -> int:
         _emit(args, payload, ["proved", f"  derivation steps: {len(decision.steps)}"])
         return EXIT_OK
     if args.carrier_bound > 0:
-        try:
-            alg = find_separator(sig, system, t1, t2, args.carrier_bound, probe=args.probe)
-        except BudgetExceededError as exc:
-            payload = {"verdict": "unknown", "note": str(exc)}
-            _emit(args, payload, ["unknown", f"  note: {exc}"])
-            return EXIT_UNKNOWN
+        alg = find_separator(sig, system, t1, t2, args.carrier_bound, probe=args.probe)
         if alg is not None:
             payload = {
                 "verdict": "separated",
@@ -399,9 +399,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
-    except SchemaError as exc:
-        _diag(exc)
-        return EXIT_SEMANTIC
+    except BudgetExceededError as exc:
+        _emit(args, {"verdict": "unknown", "note": str(exc)}, ["unknown", f"  note: {exc}"])
+        return EXIT_UNKNOWN
     except WorkbenchError as exc:
         _diag(exc)
         return EXIT_SEMANTIC

@@ -14,6 +14,7 @@ from typing import Any, Callable, Iterable
 
 from .equations import EquationSystem, make_system
 from .errors import WorkbenchError
+from .schema import perm_repr
 from .terms import (
     FiniteAlgebra,
     Node,
@@ -97,10 +98,6 @@ def bag_of(elements: Iterable[Any] = ("a", "b")) -> EncodedInstance:
 
 
 # -- unordered countably branching trees ---------------------------------------------
-
-
-def perm_repr(table: tuple) -> str:
-    return "{" + ",".join(f"{i}->{j}" for i, j in sorted(table)) + "}"
 
 
 def omega_tree_of(

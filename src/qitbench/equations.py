@@ -130,16 +130,6 @@ def sat_check(alg: Any, system: EquationSystem, *, env_budget: int = 200_000) ->
     return SatReport(True)
 
 
-class _FirstProjection:
-    """Environment view exposing only the carrier component of pairs."""
-
-    def __init__(self, env):
-        self._env = env
-
-    def __getitem__(self, k):
-        return self._env[k][0]
-
-
 def lift(
     family: Callable[[Any], Iterable],
     step: Callable[[str, Any, Any], Any],

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from .engine import ClassId, GenLeaf, OmegaTable, QWState
-from .equations import EquationSystem, SatReport, sat_check
+from .equations import EquationSystem, SatReport, _lift_pair, sat_check
 from .errors import (
     BudgetExceededError,
     CoherenceError,
@@ -33,8 +33,8 @@ from .terms import (
     Term,
     Var,
     _interp,
-    branch_assignments,
     count_opnodes,
+    enumerate_opnodes,
     eval_alg,
     map_branches,
 )
@@ -130,12 +130,9 @@ def _opnode_branches_json(s: OpNode) -> Any:
 def _fragment_opnodes(
     state: QWState, classes: tuple[ClassId, ...], budget: int
 ):
-    carrier = tuple(classes)
-    if count_opnodes(state.signature, len(carrier), state.probe) > budget:
+    if count_opnodes(state.signature, len(classes), state.probe) > budget:
         raise BudgetExceededError("operator layer enumeration exceeds the budget")
-    for opname, arity in state.signature.ops:
-        for branches in branch_assignments(arity, carrier, state.probe):
-            yield OpNode(opname, branches)
+    yield from enumerate_opnodes(state.signature, classes, state.probe)
 
 
 def check_rec_hom(
@@ -289,8 +286,8 @@ def check_coherence(
     for eq in sorted(state.system.equations, key=lambda e: e.name):
         for env in itertools.product(options, repeat=eq.var_count):
             try:
-                li, lv = _lift_with_index(family, step, env, eq.lhs, intro_alg)
-                ri, rv = _lift_with_index(family, step, env, eq.rhs, intro_alg)
+                li, lv = _lift_pair(family, step, env, eq.lhs, intro_alg)
+                ri, rv = _lift_pair(family, step, env, eq.rhs, intro_alg)
             except FiberMismatchError as exc:
                 return CoherenceReport(False, eq.name, str(exc))
             pending.append((eq.name, li, lv, ri, rv))
@@ -303,22 +300,6 @@ def check_coherence(
                 False, name, f"values differ in the common fiber: {lv!r} vs {rv!r}"
             )
     return CoherenceReport(True)
-
-
-def _lift_with_index(family, step, env, t, intro_alg):
-    if isinstance(t, Var):
-        idx, val = env[t.name]
-        if val not in family(idx):
-            raise FiberMismatchError(f"leaf value {val!r} outside the fiber over {idx!r}")
-        return idx, val
-    pairs = map_branches(lambda b: _lift_with_index(family, step, env, b, intro_alg), t.branches)
-    idxs = map_branches(lambda p: p[0], pairs)
-    vals = map_branches(lambda p: p[1], pairs)
-    idx = intro_alg(t.op, idxs)
-    val = step(t.op, idxs, vals)
-    if val not in family(idx):
-        raise FiberMismatchError(f"step value {val!r} outside the fiber over {idx!r}")
-    return idx, val
 
 
 def dep_target(

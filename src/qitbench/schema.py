@@ -108,6 +108,15 @@ class PatCompose:
 
 
 @dataclass(frozen=True)
+class PatTable:
+    """A countable branch map ``{default; i -> t, ...}``."""
+
+    default: Any
+    entries: tuple  # ((index, pattern), ...)
+    pos: SrcPos = _pos_field()
+
+
+@dataclass(frozen=True)
 class Binder:
     name: str
     type: Any
@@ -385,10 +394,10 @@ def _parse_ctor(cur: _Cursor, decl_name: str):
         cur.expect_sym("->")
     # target: the declared type (element constructor) or an equation
     target_tok = cur.peek()
-    first = _parse_pattern(cur, decl_name)
+    first = _parse_pattern(cur)
     if cur.at_sym("=="):
         cur.next()
-        rhs = _parse_pattern(cur, decl_name)
+        rhs = _parse_pattern(cur)
         _expect_line_end(cur)
         return EqualityCtor(name_tok.text, tuple(telescope), first, rhs, _pos(name_tok))
     if isinstance(first, PatName) and first.name == decl_name:
@@ -430,9 +439,9 @@ def _parse_binder(cur: _Cursor, decl_name: str) -> Binder:
             break
         j += 1
     if is_condition:
-        lhs = _parse_pattern(cur, decl_name)
+        lhs = _parse_pattern(cur)
         eq_tok = cur.expect_sym("==")
-        rhs = _parse_pattern(cur, decl_name)
+        rhs = _parse_pattern(cur)
         body: Any = ConditionType(lhs, rhs, _pos(eq_tok))
     else:
         body = _parse_type(cur, decl_name)
@@ -470,10 +479,23 @@ def _parse_type_atom(cur: _Cursor, decl_name: str):
     return ConstType(t.text, _pos(t))
 
 
-def _parse_pattern(cur: _Cursor, decl_name: str):
+def _parse_pattern(cur: _Cursor):
+    """A pattern, where ``x :: t`` stands for ``cons(x, t)``."""
+    head = _parse_pattern_atom(cur)
+    if cur.at_sym("::"):
+        tok = cur.next()
+        return PatApply("cons", (head, _parse_pattern(cur)), _pos(tok))
+    return head
+
+
+def _parse_pattern_atom(cur: _Cursor):
     t = cur.next()
     if t.kind == "int":
         return PatName(int(t.text), _pos(t))
+    if t.kind == "sym" and t.text == "[]":
+        return PatApply("nil", (), _pos(t))
+    if t.kind == "sym" and t.text == "{":
+        return _parse_pattern_table(cur, t)
     if t.kind != "name":
         raise DeclSyntaxError(f"expected a pattern, found {t.text!r}", t.line, t.col)
     head = t.text
@@ -485,7 +507,7 @@ def _parse_pattern(cur: _Cursor, decl_name: str):
         cur.next()
         args: list[Any] = []
         while not cur.at_sym(")"):
-            args.append(_parse_pattern(cur, decl_name))
+            args.append(_parse_pattern(cur))
             if cur.at_sym(","):
                 cur.next()
         cur.expect_sym(")")
@@ -493,11 +515,27 @@ def _parse_pattern(cur: _Cursor, decl_name: str):
     return PatName(head, _pos(t))
 
 
+def _parse_pattern_table(cur: _Cursor, open_tok: _Tok) -> PatTable:
+    default = _parse_pattern(cur)
+    entries: list[tuple[int, Any]] = []
+    if cur.at_sym(";"):
+        cur.next()
+        while not cur.at_sym("}"):
+            i = cur.next()
+            if i.kind != "int":
+                raise DeclSyntaxError("table entries are indexed by numbers", i.line, i.col)
+            cur.expect_sym("->")
+            entries.append((int(i.text), _parse_pattern(cur)))
+            if cur.at_sym(","):
+                cur.next()
+    cur.expect_sym("}")
+    return PatTable(default, tuple(entries), _pos(open_tok))
+
+
 # -- validation ----------------------------------------------------------------------
 
 
 def _validate_decl(decl: QITDecl) -> None:
-    names = set()
     set_names = {n for n, _ in decl.enums} | {n for n, _ in decl.perms}
     if len(set_names) != len(decl.enums) + len(decl.perms):
         raise DeclSyntaxError("duplicate parameter set name")
@@ -526,7 +564,6 @@ def _validate_decl(decl: QITDecl) -> None:
                 if isinstance(b.type, ConditionType):
                     _validate_pattern(decl, binders, b.type.lhs)
                     _validate_pattern(decl, binders, b.type.rhs)
-    _ = names
 
 
 def _validate_type(decl: QITDecl, ctor, tp, *, allow_condition: bool) -> None:
@@ -592,7 +629,11 @@ def _validate_pattern(decl: QITDecl, binders: dict, pat) -> None:
         for a in pat.args:
             _validate_pattern(decl, binders, a)
         return
-    raise DeclSyntaxError(f"unrecognised pattern form {pat!r}")
+    raise DeclSyntaxError(
+        "not an equation pattern (branch tables belong to ground terms)",
+        pat.pos.line,
+        pat.pos.col,
+    )
 
 
 # -- positivity and classification ------------------------------------------------------
@@ -748,24 +789,9 @@ def _op_name(ctor: str, combo: tuple) -> str:
     return f"{ctor}({','.join(_value_repr(v) for v in combo)})"
 
 
-def elaborate(decl: QITDecl, *, probe: int = 2) -> tuple[Signature, EquationSystem]:
-    """Compile a declaration to its signature and equation system.
-
-    Operators are element constructors at each choice of parameters, with
-    parameter entries stripped and the remaining entries giving the arity.
-    Equations are equality constructors at each choice of parameters, with
-    the self-typed binders becoming the equation's variables (countable
-    families truncated to the probed indices plus one default variable).
-    """
-    check_positivity(decl)
-    cls = classify(decl)
-    if cls.conditional:
-        raise ConditionalUnsupportedError(
-            "conditional equality constructors cannot be compiled to equations"
-        )
-
-    ops: list[tuple[str, Arity]] = []
-    ctor_shapes: dict[str, tuple[tuple[_Slot, ...], Arity]] = {}
+def _ctor_shapes(decl: QITDecl) -> dict[str, tuple[tuple[_Slot, ...], Arity]]:
+    """Each element constructor's classified telescope and operator arity."""
+    shapes: dict[str, tuple[tuple[_Slot, ...], Arity]] = {}
     for ctor in decl.element_ctors:
         slots = tuple(_classify_entry(decl, b) for b in ctor.telescope)
         omega_slots = [s for s in slots if s.kind == "selfomega"]
@@ -783,10 +809,32 @@ def elaborate(decl: QITDecl, *, probe: int = 2) -> tuple[Signature, EquationSyst
             for s in self_like:
                 width += 1 if s.kind == "self" else len(s.values)
             arity = Arity(width)
-        ctor_shapes[ctor.name] = (slots, arity)
+        shapes[ctor.name] = (slots, arity)
+    return shapes
+
+
+def elaborate(decl: QITDecl, *, probe: int = 2) -> tuple[Signature, EquationSystem]:
+    """Compile a declaration to its signature and equation system.
+
+    Operators are element constructors at each choice of parameters, with
+    parameter entries stripped and the remaining entries giving the arity.
+    Equations are equality constructors at each choice of parameters, with
+    the self-typed binders becoming the equation's variables (countable
+    families truncated to the probed indices plus one default variable).
+    """
+    check_positivity(decl)
+    cls = classify(decl)
+    if cls.conditional:
+        raise ConditionalUnsupportedError(
+            "conditional equality constructors cannot be compiled to equations"
+        )
+
+    shapes = _ctor_shapes(decl)
+    ops: list[tuple[str, Arity]] = []
+    for name, (slots, arity) in shapes.items():
         params = [s.values for s in slots if s.kind == "param"]
         for combo in itertools.product(*params):
-            ops.append((_op_name(ctor.name, combo), arity))
+            ops.append((_op_name(name, combo), arity))
     sig = Signature(tuple(ops))
 
     eqs = []
@@ -809,31 +857,43 @@ def elaborate(decl: QITDecl, *, probe: int = 2) -> tuple[Signature, EquationSyst
         for combo in itertools.product(*(s.values for s in params)):
             env = dict(zip((s.binder for s in params), combo))
             name = _op_name(ctor.name, combo)
-            lhs = _pattern_term(decl, ctor_shapes, env, var_blocks, ctor.lhs, probe)
-            rhs = _pattern_term(decl, ctor_shapes, env, var_blocks, ctor.rhs, probe)
+            lhs = _pattern_term(decl, shapes, env, var_blocks, ctor.lhs, probe)
+            rhs = _pattern_term(decl, shapes, env, var_blocks, ctor.rhs, probe)
             eqs.append((name, var_count, lhs, rhs))
     return sig, make_system(sig, eqs, probe=probe)
+
+
+def _is_value(decl: QITDecl, pat) -> bool:
+    """A numeral or a declared enumeration value."""
+    return isinstance(pat, PatName) and (
+        isinstance(pat.name, int) or any(pat.name in vs for _, vs in decl.enums)
+    )
 
 
 def _resolve_value(decl: QITDecl, env: dict, pat) -> Any:
     """A pattern argument standing for a parameter value."""
     if isinstance(pat, PatName):
-        if isinstance(pat.name, int):
-            return pat.name
         if pat.name in env:
             return env[pat.name]
-        for _, vs in decl.enums:
-            if pat.name in vs:
-                return pat.name
-    raise ScopeError(
-        "expected a parameter value here",
-        getattr(pat, "pos", SrcPos()).line,
-        getattr(pat, "pos", SrcPos()).col,
-    )
+        if _is_value(decl, pat):
+            return pat.name
+    raise ScopeError("expected a parameter value here", pat.pos.line, pat.pos.col)
 
 
-def _pattern_term(decl, ctor_shapes, env, var_blocks, pat, probe: int) -> Term:
-    """Translate an endpoint pattern into a term over integer variables."""
+def _block(var_blocks: dict, pat, kind: str):
+    """The variable block of a bare binder name, if it has this kind."""
+    if isinstance(pat, PatName) and pat.name in var_blocks:
+        block = var_blocks[pat.name]
+        if block[1].kind == kind:
+            return block
+    return None
+
+
+def _pattern_term(decl, shapes, env, var_blocks, pat, probe: int) -> Term:
+    """Translate a pattern into a term.  ``var_blocks`` maps the names that
+    stand for variables (an equation's recursive binders, a ground term's
+    generators) to their first variable and slot; ``env`` gives the
+    parameter binders' values."""
     if isinstance(pat, PatName) and pat.name in var_blocks:
         offset, slot = var_blocks[pat.name]
         if slot.kind != "self":
@@ -849,14 +909,12 @@ def _pattern_term(decl, ctor_shapes, env, var_blocks, pat, probe: int) -> Term:
     if isinstance(pat, PatApply) and head in var_blocks:
         offset, slot = var_blocks[head]
         if slot.kind == "selffun":
-            idx_vals = tuple(_resolve_value(decl, env, a) for a in pat.args)
-            key = idx_vals if len(idx_vals) > 1 else (idx_vals[0],)
-            flat = tuple(v if isinstance(v, tuple) else (v,) for v in slot.values)
-            if key not in flat:
+            key = tuple(_resolve_value(decl, env, a) for a in pat.args)
+            if key not in slot.values:
                 raise ScopeError(
-                    f"{head!r} has no branch at {idx_vals!r}", pat.pos.line, pat.pos.col
+                    f"{head!r} has no branch at {key!r}", pat.pos.line, pat.pos.col
                 )
-            return Var(offset + flat.index(key))
+            return Var(offset + slot.values.index(key))
         if slot.kind == "selfomega":
             if len(pat.args) != 1:
                 raise ScopeError(
@@ -870,62 +928,63 @@ def _pattern_term(decl, ctor_shapes, env, var_blocks, pat, probe: int) -> Term:
                     pat.pos.col,
                 )
             return Var(offset + i)
-        raise ScopeError(f"{head!r} cannot be indexed", pat.pos.line, pat.pos.col)
-    if head is not None and head in ctor_shapes:
-        slots, arity = ctor_shapes[head]
-        args = tuple(pat.args) if isinstance(pat, PatApply) else ()
-        if len(args) != len(slots):
-            raise ScopeError(
-                f"{head!r} expects {len(slots)} arguments, got {len(args)}",
-                pat.pos.line if hasattr(pat, "pos") else 0,
-                pat.pos.col if hasattr(pat, "pos") else 0,
-            )
+    if head in shapes:
+        slots, arity = shapes[head]
         combo = []
         branches: list[Term] = []
         omega_branch = None
-        for slot, arg in zip(slots, args):
+        for slot, args in _slot_args(pat, head, slots, var_blocks):
             if slot.kind == "param":
-                combo.append(_resolve_value(decl, env, arg))
-            elif slot.kind == "self":
-                branches.append(_pattern_term(decl, ctor_shapes, env, var_blocks, arg, probe))
-            elif slot.kind == "selffun":
-                branches.extend(
-                    _family_branches(decl, env, var_blocks, arg, slot, probe)
-                )
-            else:  # selfomega
-                omega_branch = _omega_branches(decl, env, var_blocks, arg, probe)
+                value = _resolve_value(decl, env, args[0])
+                if value not in slot.values:
+                    raise ScopeError(
+                        f"{head!r} takes one of {list(slot.values)} here", pat.pos.line, pat.pos.col
+                    )
+                combo.append(value)
+            elif slot.kind == "selfomega":
+                omega_branch = _omega_branches(decl, shapes, env, var_blocks, args[0], probe)
+            elif slot.kind == "selffun" and (block := _block(var_blocks, args[0], "selffun")):
+                offset, family = block
+                if len(family.values) != len(slot.values):
+                    pos = args[0].pos
+                    raise ScopeError("expected a branch family of matching shape", pos.line, pos.col)
+                branches.extend(Var(offset + i) for i in range(len(slot.values)))
+            else:
+                branches.extend(_pattern_term(decl, shapes, env, var_blocks, a, probe) for a in args)
         opname = _op_name(head, tuple(combo))
         if arity.is_omega:
             return Node(opname, omega_branch)
         return Node(opname, tuple(branches))
-    raise ScopeError(
-        "pattern is not a term of the declared type",
-        getattr(pat, "pos", SrcPos()).line,
-        getattr(pat, "pos", SrcPos()).col,
-    )
+    if isinstance(pat, PatTable) or _is_value(decl, pat):
+        raise DeclSyntaxError("expected a term here", pat.pos.line, pat.pos.col)
+    what = "pattern" if head is None else repr(head)
+    raise ScopeError(f"{what} is not a term of the declared type", pat.pos.line, pat.pos.col)
 
 
-def _family_branches(decl, env, var_blocks, arg, slot: _Slot, probe: int) -> list[Term]:
-    """A finite branch family used whole: the matching block of variables."""
-    if isinstance(arg, PatName) and arg.name in var_blocks:
-        offset, aslot = var_blocks[arg.name]
-        if aslot.kind == "selffun" and len(aslot.values) == len(slot.values):
-            return [Var(offset + i) for i in range(len(slot.values))]
-    raise ScopeError(
-        "expected a branch family of matching shape here",
-        getattr(arg, "pos", SrcPos()).line,
-        getattr(arg, "pos", SrcPos()).col,
-    )
+def _slot_args(pat, head: str, slots: tuple[_Slot, ...], var_blocks: dict):
+    """Pair each telescope slot with its arguments: a finite branch family
+    takes one family binder or one term per branch, any other slot one
+    argument.  A miscount is raised last, after errors inside arguments."""
+    args = pat.args if isinstance(pat, PatApply) else ()
+    i = 0
+    for slot in slots:
+        first = args[i] if i < len(args) else None
+        flattened = slot.kind == "selffun" and not _block(var_blocks, first, "selffun")
+        width = len(slot.values) if flattened else 1
+        if i + width <= len(args):
+            yield slot, args[i : i + width]
+        i += width
+    if i != len(args):
+        raise DeclSyntaxError(
+            f"{head!r} expects {i} arguments, got {len(args)}", pat.pos.line, pat.pos.col
+        )
 
 
-def _omega_branches(decl, env, var_blocks, arg, probe: int):
-    """A countable branch family used whole, possibly permuted."""
-    if isinstance(arg, PatName) and arg.name in var_blocks:
-        offset, aslot = var_blocks[arg.name]
-        if aslot.kind == "selfomega":
-            return omega_table(
-                [(i, Var(offset + i)) for i in range(probe)], Var(offset + probe)
-            )
+def _omega_branches(decl, shapes, env, var_blocks, arg, probe: int):
+    """A countable branch map: a family binder used whole or composed with
+    a permutation parameter, a table, or one term at every index."""
+    block = _block(var_blocks, arg, "selfomega")
+    table: dict = {}  # a family used whole is composed with the identity
     if isinstance(arg, PatCompose):
         if arg.fun not in var_blocks or arg.perm not in env:
             raise ScopeError(
@@ -933,8 +992,8 @@ def _omega_branches(decl, env, var_blocks, arg, probe: int):
                 arg.pos.line,
                 arg.pos.col,
             )
-        offset, aslot = var_blocks[arg.fun]
-        if aslot.kind != "selfomega":
+        block = var_blocks[arg.fun]
+        if block[1].kind != "selfomega":
             raise ScopeError(
                 f"{arg.fun!r} is not a countable branch family", arg.pos.line, arg.pos.col
             )
@@ -945,15 +1004,26 @@ def _omega_branches(decl, env, var_blocks, arg, probe: int):
                 arg.pos.line,
                 arg.pos.col,
             )
+    if block is not None:
+        offset = block[0]
         return omega_table(
             [(i, Var(offset + table.get(i, i))) for i in range(probe)],
             Var(offset + probe),
         )
-    raise ScopeError(
-        "expected a countable branch family here",
-        getattr(arg, "pos", SrcPos()).line,
-        getattr(arg, "pos", SrcPos()).col,
-    )
+    if isinstance(arg, PatTable):
+        if any(i >= probe for i, _ in arg.entries):
+            raise DeclSyntaxError(
+                f"table entries must stay below the probe depth {probe}",
+                arg.pos.line,
+                arg.pos.col,
+            )
+        entries = [
+            (i, _pattern_term(decl, shapes, env, var_blocks, t, probe))
+            for i, t in arg.entries
+        ]
+        default = _pattern_term(decl, shapes, env, var_blocks, arg.default, probe)
+        return omega_table(entries, default)
+    return omega_table([], _pattern_term(decl, shapes, env, var_blocks, arg, probe))
 
 
 # -- ground terms in the surface syntax ----------------------------------------------------
@@ -968,170 +1038,23 @@ def parse_ground_term(
 ) -> Term:
     """Parse a closed term written with the declaration's constructors.
 
-    Parameter arguments are written inline (``cons(a, nil)``), finite
-    branch families are flattened into consecutive arguments, and
-    countable branch families take one argument: either a term (the
-    constant family) or ``{default; i -> term, ...}``.  List-shaped sugar
-    ``a::b::[]`` is accepted when the declaration has ``cons``/``nil``
-    constructors."""
-    generators = tuple(generators)
+    A ground term is an equation endpoint without binders.  Parameter
+    arguments are written inline (``cons(a, nil)``), finite branch
+    families are flattened into consecutive arguments, and countable
+    branch families take one argument: either a term (the constant family)
+    or ``{default; i -> term, ...}``.  ``x :: t`` and ``[]`` stand for
+    ``cons(x, t)`` and ``nil``.  Generators are leaves."""
+    shapes = _ctor_shapes(decl)
     cur = _Cursor(_lex(text))
     cur.skip_ends()
-    shapes = {c.name: tuple(_classify_entry(decl, b) for b in c.telescope) for c in decl.element_ctors}
-    term = _parse_gterm(cur, decl, shapes, generators, probe)
+    pat = _parse_pattern(cur)
     cur.skip_ends()
     if not cur.done():
         t = cur.peek()
         raise DeclSyntaxError(f"unexpected {t.text!r} after the term", t.line, t.col)
-    return term
-
-
-def _parse_gterm(cur: _Cursor, decl, shapes, generators, probe: int) -> Term:
-    head = _parse_gatom(cur, decl, shapes, generators, probe)
-    if cur.at_sym("::"):
-        tok = cur.next()
-        tail = _parse_gterm(cur, decl, shapes, generators, probe)
-        value = head
-        if not isinstance(value, _GValue):
-            raise DeclSyntaxError("the left of '::' must be an element value", tok.line, tok.col)
-        return _build_ctor(decl, shapes, "cons", [value, tail], tok, probe)
-    if isinstance(head, _GValue):
-        raise DeclSyntaxError(
-            f"{head.value!r} is not a term here", head.pos.line, head.pos.col
-        )
-    return head
-
-
-@dataclass(frozen=True)
-class _GValue:
-    value: Any
-    pos: SrcPos
-
-
-def _parse_gatom(cur: _Cursor, decl, shapes, generators, probe: int):
-    if cur.at_sym("[]"):
-        tok = cur.next()
-        return _build_ctor(decl, shapes, "nil", [], tok, probe)
-    tok = cur.next()
-    if tok.kind == "int":
-        return _GValue(int(tok.text), _pos(tok))
-    if tok.kind != "name":
-        raise DeclSyntaxError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
-    name = tok.text
-    if cur.at_sym("("):
-        cur.next()
-        args: list[Any] = []
-        while not cur.at_sym(")"):
-            args.append(_parse_garg(cur, decl, shapes, generators, probe))
-            if cur.at_sym(","):
-                cur.next()
-        cur.expect_sym(")")
-        return _build_ctor(decl, shapes, name, args, tok, probe)
-    if name in generators:
-        return Var(name)
-    if name in shapes:
-        return _build_ctor(decl, shapes, name, [], tok, probe)
-    enum_values = {v for _, vs in decl.enums for v in vs}
-    if name in enum_values:
-        return _GValue(name, _pos(tok))
-    raise ScopeError(f"unknown name {name!r} in term", tok.line, tok.col)
-
-
-def _parse_garg(cur: _Cursor, decl, shapes, generators, probe: int):
-    if cur.at_sym("{"):
-        tok = cur.next()
-        default = _parse_gterm(cur, decl, shapes, generators, probe)
-        entries: list[tuple[int, Term]] = []
-        if cur.at_sym(";"):
-            cur.next()
-            while not cur.at_sym("}"):
-                i = cur.next()
-                if i.kind != "int":
-                    raise DeclSyntaxError("table entries are indexed by numbers", i.line, i.col)
-                cur.expect_sym("->")
-                entries.append((int(i.text), _parse_gterm(cur, decl, shapes, generators, probe)))
-                if cur.at_sym(","):
-                    cur.next()
-        cur.expect_sym("}")
-        return _GTable(entries, default, _pos(tok))
-    return _parse_gterm_or_value(cur, decl, shapes, generators, probe)
-
-
-def _parse_gterm_or_value(cur, decl, shapes, generators, probe: int):
-    head = _parse_gatom(cur, decl, shapes, generators, probe)
-    if cur.at_sym("::"):
-        tok = cur.next()
-        tail = _parse_gterm(cur, decl, shapes, generators, probe)
-        if not isinstance(head, _GValue):
-            raise DeclSyntaxError("the left of '::' must be an element value", tok.line, tok.col)
-        return _build_ctor(decl, shapes, "cons", [head, tail], tok, probe)
-    return head
-
-
-@dataclass(frozen=True)
-class _GTable:
-    entries: list
-    default: Term
-    pos: SrcPos
-
-
-def _build_ctor(decl, shapes, name: str, args: list, tok: _Tok, probe: int) -> Term:
-    if name not in shapes:
-        raise ScopeError(f"unknown constructor {name!r}", tok.line, tok.col)
-    slots = shapes[name]
-    expected = 0
-    for s in slots:
-        expected += len(s.values) if s.kind == "selffun" else 1
-    if len(args) != expected:
-        raise DeclSyntaxError(
-            f"{name!r} expects {expected} arguments, got {len(args)}", tok.line, tok.col
-        )
-    combo = []
-    branches: list[Term] = []
-    omega_branch = None
-    i = 0
-    for s in slots:
-        if s.kind == "param":
-            a = args[i]
-            i += 1
-            if not isinstance(a, _GValue) or a.value not in s.values:
-                raise ScopeError(
-                    f"argument {i} of {name!r} must be one of {list(s.values)}",
-                    tok.line,
-                    tok.col,
-                )
-            combo.append(a.value)
-        elif s.kind == "self":
-            a = args[i]
-            i += 1
-            branches.append(_require_term(a, tok))
-        elif s.kind == "selffun":
-            for _ in s.values:
-                branches.append(_require_term(args[i], tok))
-                i += 1
-        else:  # selfomega
-            a = args[i]
-            i += 1
-            if isinstance(a, _GTable):
-                if any(j >= probe for j, _ in a.entries):
-                    raise DeclSyntaxError(
-                        f"table entries must stay below the probe depth {probe}",
-                        a.pos.line,
-                        a.pos.col,
-                    )
-                omega_branch = omega_table(a.entries, a.default)
-            else:
-                omega_branch = omega_table([], _require_term(a, tok))
-    opname = _op_name(name, tuple(combo))
-    if omega_branch is not None:
-        return Node(opname, omega_branch)
-    return Node(opname, tuple(branches))
-
-
-def _require_term(a, tok: _Tok) -> Term:
-    if isinstance(a, (_GValue, _GTable)):
-        raise DeclSyntaxError("expected a subterm here", tok.line, tok.col)
-    return a
+    # a generator is a block of one variable, named by the generator itself
+    var_blocks = {g: (g, _Slot(g, "self")) for g in generators}
+    return _pattern_term(decl, shapes, {}, var_blocks, pat, probe)
 
 
 # -- pretty printer -----------------------------------------------------------------------

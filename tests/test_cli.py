@@ -170,6 +170,18 @@ def test_selftest_corrupted_algebra(capsys, fixtures):
     assert report["recursion_hom"]["verdict"] == "counterexample"
 
 
+def test_budget_overrun_is_unknown(capsys, fixtures):
+    code, out, err = run(
+        capsys, "selftest", str(fixtures / "omega_tree.qit"),
+        "--size-bound", "5", "--format", "json",
+    )
+    assert code == EXIT_UNKNOWN
+    payload = json.loads(out)
+    assert payload["verdict"] == "unknown"
+    assert "exceed the budget" in payload["note"]
+    assert err == ""
+
+
 def test_algebra_loader_round_trip(fixtures, bag):
     obj = json.loads((fixtures / "length_algebra.json").read_text())
     alg = algebra_from_json(obj, bag.signature, 2)
