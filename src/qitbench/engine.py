@@ -12,7 +12,11 @@ re-derives the whole merge log.
 
 Stages are the concrete counterpart of the construction's ordinal
 indexing: a class's stage is the least nesting depth among its members,
-and the round budget plays the role of the stage cutoff.  Saturation
+and the round budget plays the role of the stage cutoff.  Stages and each
+class's canonical member (the one its representative is built from) are
+computed for the state's current version and cached until the next
+payload or merge; folds such as recursion run over the canonical
+members.  Saturation
 reports budget exhaustion as a normal outcome; equality answers are only
 ever "proved" or "unknown".
 """
@@ -20,8 +24,8 @@ ever "proved" or "unknown".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Iterator
 
 from .equations import EquationSystem, sat_check
 from .errors import (
@@ -41,8 +45,10 @@ from .terms import (
     Term,
     Var,
     branch_assignments,
+    branch_values,
     eval_alg,
     map_branches,
+    node_key,
     probe_key,
     table_algebra,
     term_key,
@@ -157,13 +163,14 @@ class QWState:
         self.max_instances = max_instances
         self._parent: list[int] = []
         self._rank: list[int] = []
-        self._stage: list[int] = []  # valid at roots
         self._payloads: list[Payload] = []
         self._members: dict[int, list[int]] = {}
         self._memo: dict[Any, int] = {}
         self._proof: dict[int, tuple[int, Justification]] = {}
         self._log: list[tuple] = []
-        self._dirty = False
+        self._version = 0
+        self._saturated_version = 0
+        self._extracted: _Extraction | None = None
 
     # -- union-find ---------------------------------------------------------
 
@@ -185,8 +192,8 @@ class QWState:
         self._parent[rb] = ra
         if self._rank[ra] == self._rank[rb]:
             self._rank[ra] += 1
-        self._stage[ra] = min(self._stage[ra], self._stage[rb])
         self._members[ra].extend(self._members.pop(rb))
+        self._version += 1
         return True
 
     def _proof_link(self, a: int, b: int, just: Justification) -> None:
@@ -228,7 +235,6 @@ class QWState:
             return self._find(hit)
         idx = len(self._payloads)
         if isinstance(payload, GenLeaf):
-            stage = 1
             stored = payload
         else:
             canon = key[2]
@@ -236,19 +242,15 @@ class QWState:
                 stored = ENode(
                     payload.op, OmegaTable(canon[1], canon[2])
                 )
-                roots = [v for _, v in canon[1]] + [canon[2]]
             else:
                 stored = ENode(payload.op, canon)
-                roots = list(canon)
-            stage = 1 + max((self._stage[self._find(r)] for r in roots), default=0)
         self._payloads.append(stored)
         self._parent.append(idx)
         self._rank.append(0)
-        self._stage.append(stage)
         self._members[idx] = [idx]
         self._memo[key] = idx
         self._log.append(("intern", idx, stored))
-        self._dirty = True
+        self._version += 1
         return idx
 
     def _lookup(self, payload: Payload) -> int | None:
@@ -308,8 +310,20 @@ class QWState:
     def same_class(self, a: ClassId, b: ClassId) -> bool:
         return self._live_root(a) == self._live_root(b)
 
+    @property
+    def version(self) -> int:
+        """Counts new payloads and merges; every carrier-derived cache is
+        keyed on it."""
+        return self._version
+
+    @property
+    def stale(self) -> bool:
+        """Whether payloads or merges arrived after the last ``saturate()``
+        finished."""
+        return self._version != self._saturated_version
+
     def stage_of(self, c: ClassId) -> int:
-        return self._stage[self._live_root(c)]
+        return self._extraction().stage[self._live_root(c)]
 
     def coerce(self, c: ClassId, stage: int) -> ClassId:
         """Stage coercion is the identity on payloads; only upward moves
@@ -455,20 +469,20 @@ class QWState:
             round_merges += self._rebuild()
             merges += round_merges
             if round_merges == 0 and len(self._payloads) == size_before:
-                self._dirty = False
+                self._saturated_version = self._version
                 return SaturationResult(
                     True, rounds, merges, len(self._payloads) - before_all
                 )
         # budget exhausted: the state is as saturated as budgeted; only new
         # interned material makes it stale again
-        self._dirty = False
+        self._saturated_version = self._version
         return SaturationResult(False, rounds, merges, len(self._payloads) - before_all)
 
     # -- equality -----------------------------------------------------------
 
     def decide_eq(self, a: ClassId, b: ClassId) -> Decision:
         """Proved with a replayable derivation, or a sound Unknown."""
-        if self._dirty:
+        if self.stale:
             self.saturate()
         ra, rb = self._live_root(a), self._live_root(b)
         if ra != rb:
@@ -503,41 +517,79 @@ class QWState:
         steps.extend(reversed(back))
         return steps
 
-    # -- representatives and enumeration -------------------------------------
+    # -- extraction, folds and enumeration -------------------------------------
 
-    def _member_cost(self, mid: int, cost: dict[int, int]) -> int | None:
-        p = self._payloads[mid]
-        if isinstance(p, GenLeaf):
-            return 1
-        total = 1
-        if isinstance(p.branches, OmegaTable):
-            droot = self._find(p.branches.default)
-            parts = [droot]
-            for _, v in p.branches.entries:
+    def _child_roots(self, p: ENode) -> Any:
+        """Branch map of the payload's child class roots as a term built
+        from it has them: a countable map drops entries whose class is the
+        default's."""
+        b = p.branches
+        if isinstance(b, OmegaTable):
+            droot = self._find(b.default)
+            entries = []
+            for i, v in b.entries:
                 r = self._find(v)
-                if r != droot:  # would normalise away in the built term
-                    parts.append(r)
-        else:
-            parts = [self._find(v) for v in p.branches]
-        for r in parts:
-            c = cost.get(r)
-            if c is None:
-                return None
-            total += c
-        return total
+                if r != droot:
+                    entries.append((i, r))
+            return OmegaTable(tuple(entries), droot)
+        return tuple(self._find(v) for v in b)
 
-    def _extraction_costs(self) -> dict[int, int]:
+    def _extraction(self) -> _Extraction:
+        ex = self._extracted
+        if ex is None or ex.version != self._version:
+            ex = self._extracted = self._extract()
+        return ex
+
+    def _extract(self) -> _Extraction:
+        """Costs and stages are least fixpoints over the members: a class's
+        cost is the least 1 + sum of child costs, its stage the least 1 + max
+        of child stages.  Then, in order of cost, each class chooses among
+        its least-cost members the one whose term is least under
+        ``term_key``; such a member's children all cost less, so their keys
+        are already known."""
+        rows = []
+        for root, mids in self._members.items():
+            for mid in mids:
+                p = self._payloads[mid]
+                kids = None if isinstance(p, GenLeaf) else self._child_roots(p)
+                flat = () if kids is None else tuple(branch_values(kids))
+                rows.append((root, p, kids, flat))
         cost: dict[int, int] = {}
+        stage: dict[int, int] = {}
         changed = True
         while changed:
             changed = False
-            for root, mids in self._members.items():
-                for mid in mids:
-                    c = self._member_cost(mid, cost)
-                    if c is not None and c < cost.get(root, c + 1):
-                        cost[root] = c
+            for root, _, _, flat in rows:
+                c = s = 0
+                for r in flat:
+                    rc = cost.get(r)
+                    if rc is None:
+                        break
+                    c += rc
+                    s = max(s, stage[r])
+                else:
+                    if c + 1 < cost.get(root, c + 2):
+                        cost[root] = c + 1
                         changed = True
-        return cost
+                    if s + 1 < stage.get(root, s + 2):
+                        stage[root] = s + 1
+                        changed = True
+        if len(cost) != len(self._members):
+            raise WorkbenchError("class has no well-founded representative")
+        key: dict[int, tuple] = {}
+        chosen: dict[int, tuple[Payload, Any]] = {}
+        rows.sort(key=lambda row: cost[row[0]])
+        for root, p, kids, flat in rows:
+            if 1 + sum(cost[r] for r in flat) != cost[root]:
+                continue
+            if kids is None:
+                k = term_key(Var(p.name))
+            else:
+                k = node_key(p.op, map_branches(key.__getitem__, kids, normalize=True))
+            if root not in key or k < key[root]:
+                key[root] = k
+                chosen[root] = (p, kids)
+        return _Extraction(self._version, stage, key, chosen)
 
     def canonical(self, c: ClassId) -> ClassId:
         """Canonical handle for the class (stable until the next merge)."""
@@ -545,38 +597,40 @@ class QWState:
 
     def representative(self, c: ClassId) -> Term:
         """Least member term under the canonical order (size, then shape)."""
-        cost = self._extraction_costs()
-        memo: dict[int, Term] = {}
-        return self._build_rep(self._live_root(c), cost, memo)
+        return self._extraction().rep(self._live_root(c))
 
     def representatives(self, classes: Iterable[ClassId]) -> dict[ClassId, Term]:
         """Representatives for many classes with shared extraction work."""
-        cost = self._extraction_costs()
-        memo: dict[int, Term] = {}
-        return {
-            c: self._build_rep(self._live_root(c), cost, memo) for c in classes
-        }
+        ex = self._extraction()
+        return {c: ex.rep(self._live_root(c)) for c in classes}
 
-    def _build_rep(self, root: int, cost: dict[int, int], memo: dict[int, Term]) -> Term:
-        if root in memo:
-            return memo[root]
-        if root not in cost:
-            raise WorkbenchError("class has no well-founded representative")
-        candidates = []
-        for mid in self._members[root]:
-            if self._member_cost(mid, cost) != cost[root]:
-                continue
-            p = self._payloads[mid]
-            if isinstance(p, GenLeaf):
-                candidates.append(Var(p.name))
+    def fold(
+        self, leaf: Callable[[str], Any], step: Callable[[str, Any], Any]
+    ) -> dict[int, Any]:
+        """Value of every class root, computed bottom up over the members
+        representatives are built from and memoised within the call:
+        ``leaf(name)`` on a generator leaf, ``step(op, values)`` on an
+        operator layer, with ``values`` the branch map of its children's
+        values.  Countable maps drop entries whose class is the default's,
+        as the representative does, so each value is the representative
+        evaluated in the algebra that ``leaf`` and ``step`` describe."""
+        chosen = self._extraction().chosen
+        values: dict[int, Any] = {}
+
+        def value(root: int) -> Any:
+            if root in values:
+                return values[root]
+            p, kids = chosen[root]
+            if kids is None:
+                v = leaf(p.name)
             else:
-                build = lambda v: self._build_rep(self._find(v), cost, memo)
-                candidates.append(
-                    Node(p.op, map_branches(build, p.branches, normalize=True))
-                )
-        best = min(candidates, key=term_key)
-        memo[root] = best
-        return best
+                v = step(p.op, map_branches(value, kids))
+            values[root] = v
+            return v
+
+        for root in sorted(self._members):
+            value(root)
+        return values
 
     def enumerate_classes(
         self, size_bound: int, *, class_budget: int = 100_000
@@ -592,28 +646,21 @@ class QWState:
                 f"{self.class_count} classes exceed the budget of {class_budget}"
             )
         self.saturate()
-        roots = sorted({self._find(i) for i in ids})
-        reps = self.representatives([ClassId(r) for r in roots])
-        out = [(c, t) for c, t in reps.items()]
-        out.sort(key=lambda pair: term_key(pair[1]))
-        return out
+        ex = self._extraction()
+        roots = sorted({self._find(i) for i in ids}, key=ex.key.__getitem__)
+        return [(ClassId(r), ex.rep(r)) for r in roots]
 
     # -- export ---------------------------------------------------------------
 
     def export_json(self) -> dict:
-        cost = self._extraction_costs()
-        memo: dict[int, Term] = {}
+        ex = self._extraction()
         classes = []
         for root in sorted(self._members):
             classes.append(
                 {
                     "id": root,
-                    "stage": self._stage[root],
-                    "representative": term_to_json(
-                        self._build_rep(root, cost, memo)
-                    )
-                    if root in cost
-                    else None,
+                    "stage": ex.stage[root],
+                    "representative": term_to_json(ex.rep(root)),
                     "members": [
                         _payload_to_json(self._payloads[m])
                         for m in self._members[root]
@@ -630,6 +677,31 @@ class QWState:
             "classes": classes,
             "proof_forest": edges,
         }
+
+
+@dataclass
+class _Extraction:
+    """What the carrier determines at one version, per class root: its
+    stage, its representative's ``term_key``, the chosen member with the
+    branch map of its child roots (None for a generator leaf), and the
+    representative terms built so far."""
+
+    version: int
+    stage: dict[int, int]
+    key: dict[int, tuple]
+    chosen: dict[int, tuple[Payload, Any]]
+    reps: dict[int, Term] = field(default_factory=dict)
+
+    def rep(self, root: int) -> Term:
+        t = self.reps.get(root)
+        if t is None:
+            p, kids = self.chosen[root]
+            if kids is None:
+                t = Var(p.name)
+            else:
+                t = Node(p.op, map_branches(self.rep, kids, normalize=True))
+            self.reps[root] = t
+        return t
 
 
 def _payload_to_json(p: Payload) -> dict:

@@ -1,11 +1,13 @@
 """Executable initiality for a constructed carrier.
 
-Recursion into a finite algebra picks each class's canonical
-representative and evaluates it; a dynamic check confirms the value does
+Recursion into a finite algebra is one memoised fold over the carrier:
+each class takes the step of its canonical member (the one its
+representative is built from) over its children's values, which equals
+evaluating the representative.  A dynamic check confirms the value does
 not depend on the member chosen.  Homomorphism and uniqueness are checked
 exhaustively over a bounded fragment of classes, and dependent
-elimination runs through the algebra on (class, value) pairs, guarded by
-a coherence premise over the equations.
+elimination is the same fold through the algebra on (class, value) pairs,
+guarded by a coherence premise over the equations.
 
 All checks here are bounded: they quantify over enumerated fragments, not
 the whole carrier, and say so in their reports.
@@ -30,12 +32,10 @@ from .errors import (
 from .terms import (
     FiniteAlgebra,
     OpNode,
-    Term,
     Var,
     _interp,
     count_opnodes,
     enumerate_opnodes,
-    eval_alg,
     map_branches,
 )
 
@@ -76,13 +76,21 @@ def _validate_target(state: QWState, target: RecTarget) -> None:
 def _all_values(
     state: QWState, algebra: Any, gen_env: Mapping | None
 ) -> dict[int, Any]:
-    """Value of every class: evaluate the canonical representative."""
-    if state._dirty:
+    """Value of every class: the canonical representative evaluated, as
+    one fold over the carrier."""
+    if state.stale:
         state.saturate()
-    roots = state.roots()
-    reps = state.representatives(roots)
     env = dict(gen_env) if gen_env else {}
-    return {c.index: eval_alg(reps[c], env, algebra) for c in roots}
+
+    def leaf(name: str) -> Any:
+        try:
+            return env[name]
+        except KeyError:
+            raise UnboundVariableError(
+                f"variable {name!r} outside the environment"
+            ) from None
+
+    return state.fold(leaf, lambda op, values: _interp(algebra, op, values))
 
 
 def qw_rec(
@@ -151,7 +159,7 @@ def check_rec_hom(
 
     Evaluation here is deliberately ungated so a corrupted target shows up
     as a counterexample rather than a refusal."""
-    if state._dirty:
+    if state.stale:
         state.saturate()
     fragment = tuple(classes) if classes is not None else state.roots()
     values = _all_values(state, target.algebra, gen_env)
@@ -266,7 +274,7 @@ def check_coherence(
     assignment of (class, value) pairs to its variables, lifting the two
     sides gives provably equal indices and equal values in the common
     fiber."""
-    if state._dirty:
+    if state.stale:
         state.saturate()
     fragment = tuple(classes) if classes is not None else state.roots()
     options = []
@@ -324,38 +332,37 @@ def _elim_values(
 ) -> dict[int, Any]:
     if not dep.coherence.ok:
         raise CoherenceError("refusing elimination: coherence premise not verified")
-    if state._dirty:
+    if state.stale:
         state.saturate()
-    roots = state.roots()
-    reps = state.representatives(roots)
     env = dict(gen_env) if gen_env else {}
-    memo: dict[int, Any] = {}
 
-    def elim_term(t: Term) -> tuple[ClassId, Any]:
-        if isinstance(t, Var):
-            cls = state.intern_term(t)
-            try:
-                val = env[t.name]
-            except KeyError:
-                raise UnboundVariableError(
-                    f"no dependent value supplied for generator {t.name!r}"
-                ) from None
-            return cls, val
-        pairs = map_branches(elim_term, t.branches)
+    def leaf(name: str) -> tuple[ClassId, Any]:
+        cls = state.intern_term(Var(name))
+        try:
+            val = env[name]
+        except KeyError:
+            raise UnboundVariableError(
+                f"no dependent value supplied for generator {name!r}"
+            ) from None
+        return cls, val
+
+    def step(op: str, pairs: Any) -> tuple[ClassId, Any]:
         idxs = map_branches(lambda p: p[0], pairs)
         vals = map_branches(lambda p: p[1], pairs)
-        intro = state.lookup_intro(OpNode(t.op, idxs))
+        intro = state.lookup_intro(OpNode(op, idxs))
         if intro is None:
             raise WorkbenchError("representative layer unexpectedly not interned")
-        val = dep.step(t.op, idxs, vals)
+        val = dep.step(op, idxs, vals)
         if val not in dep.family(intro):
             raise FiberMismatchError(
                 f"elimination value {val!r} outside the fiber over {intro!r}"
             )
         return intro, val
 
-    for c in roots:
-        idx, val = elim_term(reps[c])
+    pairs = state.fold(leaf, step)
+    memo: dict[int, Any] = {}
+    for c in state.roots():
+        idx, val = pairs[c.index]
         if not state.same_class(idx, c):
             raise WorkbenchError(
                 "first projection of the pair recursion left its class"
@@ -402,7 +409,7 @@ def check_comp(
 ) -> CompReport:
     """The computation rule as a decided equality: eliminating an introduced
     class gives exactly the step applied to the branchwise eliminations."""
-    if state._dirty:
+    if state.stale:
         state.saturate()
     fragment = tuple(classes) if classes is not None else state.roots()
     values = _elim_values(state, dep, gen_env=gen_env)

@@ -240,15 +240,18 @@ def _payload_key(p: Any) -> tuple:
 def term_key(t: Term) -> tuple:
     """Total order key: by size, then leaf-before-node, then operator name,
     then branches pointwise. Deterministic representatives depend on it."""
-    size = term_size(t)
     if isinstance(t, Var):
-        return (size, 0, _payload_key(t.name))
-    b = t.branches
-    if isinstance(b, OmegaTable):
-        bkey = (1, tuple((i, term_key(v)) for i, v in b.entries), term_key(b.default))
-    else:
-        bkey = (0, tuple(term_key(v) for v in b))
-    return (size, 1, t.op, bkey)
+        return (1, 0, _payload_key(t.name))
+    return node_key(t.op, map_branches(term_key, t.branches))
+
+
+def node_key(op: str, keys: Any) -> tuple:
+    """:func:`term_key` of a node from its branches' keys; the size is read
+    off the children's keys, so no subtree is walked again."""
+    if isinstance(keys, OmegaTable):
+        size = 1 + keys.default[0] + sum(k[0] for _, k in keys.entries)
+        return (size, 1, op, (1, keys.entries, keys.default))
+    return (1 + sum(k[0] for k in keys), 1, op, (0, keys))
 
 
 def term_vars(t: Term) -> frozenset:

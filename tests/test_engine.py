@@ -18,7 +18,17 @@ from qitbench.errors import (
     UnboundVariableError,
     WorkbenchError,
 )
-from qitbench.terms import Node, OpNode, Var, omega_table, term_size
+from qitbench.equations import make_system
+from qitbench.terms import (
+    Node,
+    OpNode,
+    Var,
+    node,
+    omega_table,
+    signature,
+    term_size,
+    term_to_json,
+)
 from qitbench.translate import from_w_reductions, from_w_suspension
 
 
@@ -66,6 +76,53 @@ def test_stage_takes_minimum_after_merge(bag):
     assert st.stage_of(ab) == 3
     st.saturate()
     assert st.stage_of(ab) == st.stage_of(ba) == 3
+
+
+def test_stage_is_least_fixpoint_after_merge():
+    # f(f(c)) joins the stage-1 class of z, so f(f(f(c))), whose only
+    # member is f over that class, sits at stage 2 rather than its
+    # interned depth 4
+    sig = signature([("z", 0), ("c", 0), ("f", 1)])
+    ffc = node("f", node("f", node("c")))
+    st = new_qw(sig, make_system(sig, [("ffc", 0, ffc, node("z"))]))
+    fffc = st.intern_term(node("f", ffc))
+    assert st.stage_of(fffc) == 4
+    assert st.saturate().fixpoint
+    assert st.stage_of(st.intern_term(ffc)) == 1
+    assert st.stage_of(fffc) == 2
+    assert st.coerce(fffc, 2) == fffc
+
+
+def test_version_moves_on_fresh_intern_and_merge_only(bag):
+    st = fresh(bag)
+    v0 = st.version
+    ab = st.intern_term(bag_term(["a", "b"]))
+    v1 = st.version
+    assert v1 > v0
+    assert st.intern_term(bag_term(["a", "b"])) == ab
+    assert st.version == v1
+    st.intern_term(bag_term(["b", "a"]))
+    v2 = st.version
+    assert v2 > v1
+    assert st.stale
+    st.saturate()  # merges the swap instances
+    v3 = st.version
+    assert v3 > v2 and not st.stale
+    st.saturate()
+    assert st.version == v3 and not st.stale
+
+
+def test_representative_follows_a_lesser_merged_member(bag):
+    st = fresh(bag)
+    ba = st.intern_term(bag_term(["b", "a"]))
+    assert st.representative(ba) == bag_term(["b", "a"])
+    st.intern_term(bag_term(["a", "b"]))
+    st.saturate()
+    assert st.representative(ba) == bag_term(["a", "b"])
+    snapshot = {c["id"]: c for c in st.export_json()["classes"]}
+    assert snapshot[st.canonical(ba).index]["representative"] == term_to_json(
+        bag_term(["a", "b"])
+    )
 
 
 def test_coerce_is_identity_upward(bag):
@@ -128,7 +185,9 @@ def test_decide_eq_swap_derivation(bag):
     st = fresh(bag)
     ab = st.intern_term(bag_term(["a", "b"]))
     ba = st.intern_term(bag_term(["b", "a"]))
+    assert st.stale
     decision = st.decide_eq(ab, ba)  # auto-saturates the stale state
+    assert not st.stale
     assert decision.proved
     kinds = {s.justification.kind for s in decision.steps}
     assert kinds == {"sqeq"}

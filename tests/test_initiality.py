@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 
 import pytest
 
+from qitbench.cli import algebra_from_json
 from qitbench.encodings import (
     NIL,
     bag_term,
@@ -12,11 +14,15 @@ from qitbench.encodings import (
     one_point_algebra,
     parity_algebra,
 )
-from qitbench.engine import new_qw
-from qitbench.equations import SatReport
+from qitbench.engine import ClassId, new_qw
+from qitbench.equations import SatReport, make_system
 from qitbench.errors import CoherenceError, StaleProofError, WorkbenchError
 from qitbench.initiality import (
+    CoherenceReport,
+    DepTarget,
     RecTarget,
+    _all_values,
+    _elim_values,
     check_coherence,
     check_comp,
     check_rec_hom,
@@ -27,7 +33,21 @@ from qitbench.initiality import (
     qw_rec,
     rec_target,
 )
-from qitbench.terms import FiniteAlgebra, branch_values
+from qitbench.schema import elaborate, parse_decl
+from qitbench.terms import (
+    FiniteAlgebra,
+    OmegaTable,
+    OpNode,
+    Var,
+    _interp,
+    branch_values,
+    eval_alg,
+    map_branches,
+    node,
+    omega_node,
+    signature,
+    term_key,
+)
 
 
 def build(inst, bound):
@@ -55,6 +75,15 @@ def test_qw_rec_one_point_everywhere(bag, omega_tree):
         st, classes = build(inst, bound)
         target = rec_target(one_point_algebra(), inst.system)
         assert {qw_rec(st, target, c) for c, _ in classes} == {"*"}
+
+
+def test_qw_rec_sees_classes_interned_after_an_earlier_call(bag):
+    st, _ = build(bag, 3)
+    target = rec_target(length_algebra(4), bag.system)
+    assert qw_rec(st, target, st.intern_term(bag_term(["a"]))) == 1
+    longer = st.intern_term(bag_term(["b", "a", "b"]))
+    assert qw_rec(st, target, longer) == 3
+    assert qw_rec(st, target, st.intern_term(bag_term(["a", "b", "b"]))) == 3
 
 
 def test_rec_target_refuses_violating_algebra(bag):
@@ -263,3 +292,91 @@ def test_comp_holds_on_every_builtin_dep_target(bag, bag_a):
         family, step = _multiset_family(st)
         dep = dep_target(st, family, step, classes=[c for c, _ in classes])
         assert check_comp(st, dep).ok
+
+
+# -- the fold against evaluating representatives ----------------------------------
+
+
+def _recording(op, branches):
+    # keeps the exact branch map it is handed, so any difference in the
+    # maps the fold passes shows up in the value
+    return (op, branches)
+
+
+class _Everything:
+    def __contains__(self, _value):
+        return True
+
+
+FOLD_CASES = [
+    pytest.param("bag.qit", 6, (), "length_algebra.json", id="bag-length"),
+    pytest.param("bag.qit", 6, (), "corrupted_length_algebra.json", id="bag-corrupted"),
+    pytest.param("bag.qit", 6, (), None, id="bag-recording"),
+    pytest.param("omega_tree.qit", 4, (), None, id="omega_tree-recording"),
+    pytest.param("wreductions.qit", 3, ("v", "w"), None, id="wreductions-recording"),
+]
+
+
+def _fold_case(fixtures, path, size, generators, algebra):
+    sig, system = elaborate(parse_decl((fixtures / path).read_text()), probe=2)
+    st = new_qw(sig, system, generators=generators)
+    classes = st.enumerate_classes(size)
+    assert [t for _, t in classes] == sorted((t for _, t in classes), key=term_key)
+    if algebra is None:
+        return st, _recording, {g: g for g in generators}
+    alg = algebra_from_json(json.loads((fixtures / algebra).read_text()), sig, 2)
+    return st, alg, {}
+
+
+@pytest.mark.parametrize("path,size,generators,algebra", FOLD_CASES)
+def test_fold_equals_evaluating_representatives(fixtures, path, size, generators, algebra):
+    st, alg, env = _fold_case(fixtures, path, size, generators, algebra)
+    expected = {
+        c.index: eval_alg(st.representative(c), env, alg) for c in st.roots()
+    }
+    assert _all_values(st, alg, env) == expected
+
+
+def test_fold_drops_entries_that_collapse_onto_the_default():
+    # s's entry 0 points at f(c); once f(c) joins leaf the stored layer
+    # still lists the entry, and no equation makes a layer without it
+    sig = signature([("leaf", 0), ("c", 0), ("f", 1), ("s", None)])
+    system = make_system(sig, [("fc", 0, node("f", node("c")), node("leaf"))])
+    st = new_qw(sig, system)
+    c = st.intern_term(omega_node("s", [(0, node("f", node("c")))], node("leaf")))
+    st.saturate()
+    assert st.representative(c) == omega_node("s", [], node("leaf"))
+    values = _all_values(st, _recording, {})
+    assert values == {
+        r.index: eval_alg(st.representative(r), {}, _recording) for r in st.roots()
+    }
+    assert values[st.canonical(c).index] == ("s", OmegaTable((), ("leaf", ())))
+
+
+@pytest.mark.parametrize("path,size,generators,algebra", FOLD_CASES)
+def test_elimination_equals_walking_representatives(
+    fixtures, path, size, generators, algebra
+):
+    st, alg, env = _fold_case(fixtures, path, size, generators, algebra)
+
+    def step(op, idxs, vals):
+        return op, idxs, _interp(alg, op, map_branches(lambda v: v[-1], vals))
+
+    # a forged coherence report: elimination runs whatever step it is given
+    dep = DepTarget(lambda c: _Everything(), step, CoherenceReport(True))
+    env = {g: ("leaf", v) for g, v in env.items()}
+
+    def walk(t):
+        if isinstance(t, Var):
+            return st.intern_term(t), env[t.name]
+        pairs = map_branches(walk, t.branches)
+        idxs = map_branches(lambda p: p[0], pairs)
+        vals = map_branches(lambda p: p[1], pairs)
+        return st.lookup_intro(OpNode(t.op, idxs)), step(t.op, idxs, vals)
+
+    expected = {}
+    for c in st.roots():
+        idx, val = walk(st.representative(c))
+        assert st.same_class(idx, c)
+        expected[c.index] = val
+    assert _elim_values(st, dep, gen_env=env) == expected

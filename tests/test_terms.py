@@ -283,5 +283,6 @@ def test_json_round_trip_bit_exact(t):
 @given(_terms(3), _terms(3))
 def test_term_key_total_order(a, b):
     ka, kb = term_key(a), term_key(b)
+    assert ka[0] == term_size(a) and kb[0] == term_size(b)
     assert (ka == kb) == (a == b)
     assert (ka < kb) or (kb < ka) or (ka == kb)
