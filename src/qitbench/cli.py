@@ -48,6 +48,7 @@ from .terms import (
     table_algebra,
     term_to_json,
 )
+from .translate import free_term, freeify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -136,6 +137,17 @@ def _load_algebra(args, sig: Signature) -> FiniteAlgebra:
     return one_point_algebra()
 
 
+def _find_separator(args, sig, system, generators, t1, t2):
+    """A separating algebra and the signature it interprets.  With
+    generators the search runs over the free extension (``freeify``), so
+    the algebra's ``inl(g)`` rows are the valuation of the generators."""
+    if generators:
+        sig, system = freeify(sig, system, generators)
+        t1, t2 = free_term(t1), free_term(t2)
+    alg = find_separator(sig, system, t1, t2, args.carrier_bound, probe=args.probe)
+    return alg, sig
+
+
 # -- commands ------------------------------------------------------------------
 
 
@@ -195,11 +207,11 @@ def cmd_eq(args) -> int:
         _emit(args, payload, ["proved", f"  derivation steps: {len(decision.steps)}"])
         return EXIT_OK
     if args.carrier_bound > 0:
-        alg = find_separator(sig, system, t1, t2, args.carrier_bound, probe=args.probe)
+        alg, alg_sig = _find_separator(args, sig, system, state.generators, t1, t2)
         if alg is not None:
             payload = {
                 "verdict": "separated",
-                "algebra": algebra_to_json(alg, sig, args.probe),
+                "algebra": algebra_to_json(alg, alg_sig, args.probe),
             }
             _emit(args, payload, ["separated", f"  carrier size: {len(alg.carrier)}"])
             return EXIT_SEPARATED
@@ -251,14 +263,14 @@ def cmd_rec(args) -> int:
 
 def cmd_separate(args) -> int:
     decl, sig, system, state = _load_pipeline(args)
-    t1 = parse_ground_term(args.term1, decl, probe=args.probe)
-    t2 = parse_ground_term(args.term2, decl, probe=args.probe)
-    alg = find_separator(sig, system, t1, t2, args.carrier_bound, probe=args.probe)
+    t1 = parse_ground_term(args.term1, decl, probe=args.probe, generators=state.generators)
+    t2 = parse_ground_term(args.term2, decl, probe=args.probe, generators=state.generators)
+    alg, alg_sig = _find_separator(args, sig, system, state.generators, t1, t2)
     if alg is None:
         payload = {"verdict": "not-found", "carrier_bound": args.carrier_bound}
         _emit(args, payload, ["not found within the carrier bound"])
         return EXIT_UNKNOWN
-    payload = {"verdict": "separated", "algebra": algebra_to_json(alg, sig, args.probe)}
+    payload = {"verdict": "separated", "algebra": algebra_to_json(alg, alg_sig, args.probe)}
     _emit(args, payload, ["separated", f"  carrier size: {len(alg.carrier)}"])
     return EXIT_OK
 

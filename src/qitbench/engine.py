@@ -6,9 +6,12 @@ are flattened bottom up, so every stored payload is either a generator
 leaf or a single operator layer over earlier classes.  Saturation rounds
 instantiate equations over existing classes (driven by matching, so an
 environment fires once one side's instance is present), merge the two
-sides, and restore congruence.  Every merge is recorded in a proof forest
-whose edges carry their justification, and an independent replay validator
-re-derives the whole merge log.
+sides, and restore congruence.  Matching reads each class's distinct
+canonical e-nodes (operator layers over canonical child classes, with
+congruent duplicates collapsed), indexed by head operator for the state's
+current version.  Every merge is recorded in a proof forest whose edges
+carry their justification, and an independent replay validator re-derives
+the whole merge log with its own scan over the payloads.
 
 Stages are the concrete counterpart of the construction's ordinal
 indexing: a class's stage is the least nesting depth among its members,
@@ -171,6 +174,7 @@ class QWState:
         self._version = 0
         self._saturated_version = 0
         self._extracted: _Extraction | None = None
+        self._enode_index: tuple[int, dict] | None = None
 
     # -- union-find ---------------------------------------------------------
 
@@ -237,13 +241,7 @@ class QWState:
         if isinstance(payload, GenLeaf):
             stored = payload
         else:
-            canon = key[2]
-            if isinstance(canon, tuple) and canon and canon[0] == "w":
-                stored = ENode(
-                    payload.op, OmegaTable(canon[1], canon[2])
-                )
-            else:
-                stored = ENode(payload.op, canon)
+            stored = ENode(payload.op, _branch_map(key[2]))
         self._payloads.append(stored)
         self._parent.append(idx)
         self._rank.append(0)
@@ -362,37 +360,40 @@ class QWState:
 
     # -- matching and saturation ---------------------------------------------
 
+    def _enodes(self) -> dict[int, dict[str, dict[Any, None]]]:
+        """Each class root's distinct canonical operator layers for the
+        current version: branch maps of child roots, grouped by head
+        operator.  Congruent duplicates among a class's payloads collapse to
+        one layer, and a countable map drops entries whose class is the
+        default's."""
+        if self._enode_index is None or self._enode_index[0] != self._version:
+            index: dict[int, dict[str, dict[Any, None]]] = {}
+            for root, mids in self._members.items():
+                by_op = index[root] = {}
+                for mid in mids:
+                    p = self._payloads[mid]
+                    if isinstance(p, ENode):
+                        canon = _branch_map(self._canon_branches(p.branches))
+                        by_op.setdefault(p.op, {})[canon] = None
+            self._enode_index = (self._version, index)
+        return self._enode_index[1]
+
     def _match(self, pattern: Term, root: int) -> list[dict[int, int]]:
         """Environments (variable -> class root) under which the pattern's
-        instance is this class, judged structurally against stored payloads."""
+        instance is this class, judged structurally against the class's
+        distinct canonical operator layers with the pattern's head."""
         if isinstance(pattern, Var):
             return [{pattern.name: root}]
         out: list[dict[int, int]] = []
-        for mid in self._members.get(root, ()):
-            p = self._payloads[mid]
-            if not isinstance(p, ENode) or p.op != pattern.op:
-                continue
+        for branches in self._enodes().get(root, {}).get(pattern.op, ()):
             if isinstance(pattern.branches, OmegaTable):
-                if not isinstance(p.branches, OmegaTable):
-                    continue
                 positions = sorted(
-                    set(pattern.branches.support())
-                    | {i for i, _ in p.branches.entries}
+                    set(pattern.branches.support()) | set(branches.support())
                 )
-                pairs = [
-                    (pattern.branches.at(i), self._find(p.branches.at(i)))
-                    for i in positions
-                ]
-                pairs.append(
-                    (pattern.branches.default, self._find(p.branches.default))
-                )
+                pairs = [(pattern.branches.at(i), branches.at(i)) for i in positions]
+                pairs.append((pattern.branches.default, branches.default))
             else:
-                if len(pattern.branches) != len(p.branches):
-                    continue
-                pairs = [
-                    (sub, self._find(b))
-                    for sub, b in zip(pattern.branches, p.branches)
-                ]
+                pairs = zip(pattern.branches, branches)
             envs: list[dict[int, int]] = [{}]
             for sub, broot in pairs:
                 next_envs = []
@@ -716,6 +717,13 @@ def _payload_to_json(p: Payload) -> dict:
             },
         }
     return {"op": p.op, "branches": list(p.branches)}
+
+
+def _branch_map(canon: Any) -> Any:
+    """The branch map a key from ``_canon_branches`` stands for."""
+    if canon and canon[0] == "w":
+        return OmegaTable(canon[1], canon[2])
+    return canon
 
 
 def _check_branch_shape(op: str, arity: Arity, branches: Any) -> None:

@@ -10,10 +10,13 @@ from .errors import DuplicateNameError, WorkbenchError
 from .terms import OMEGA, Arity, Node, Signature, Term, Var, map_branches, omega_table
 
 
-def _retag(t: Term) -> Term:
+def free_term(t: Term) -> Term:
+    """Re-code a term over ``freeify``'s signature: an operator ``op``
+    becomes ``inr(op)`` and a generator leaf ``g`` the constant ``inl(g)``;
+    equation variables (integers) stay."""
     if isinstance(t, Var):
-        return t
-    return Node(f"inr({t.op})", map_branches(_retag, t.branches, normalize=True))
+        return t if isinstance(t.name, int) else Node(f"inl({t.name})", ())
+    return Node(f"inr({t.op})", map_branches(free_term, t.branches, normalize=True))
 
 
 def freeify(
@@ -30,7 +33,7 @@ def freeify(
     ops += [(f"inr({name})", arity) for name, arity in sig.ops]
     new_sig = Signature(tuple(ops))
     eqs = [
-        (e.name, e.var_count, _retag(e.lhs), _retag(e.rhs)) for e in system.equations
+        (e.name, e.var_count, free_term(e.lhs), free_term(e.rhs)) for e in system.equations
     ]
     return new_sig, make_system(new_sig, eqs, probe=system.probe)
 

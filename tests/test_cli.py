@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -97,6 +98,54 @@ def test_separate_not_found_for_equal_terms(capsys, fixtures):
         capsys, "separate", str(fixtures / "bag.qit"), "a::b::[]", "b::a::[]"
     )
     assert code == EXIT_UNKNOWN
+
+
+def test_separator_output_without_generators_is_pinned(capsys, fixtures):
+    # the separator found over the declaration itself, as bytes: the free
+    # extension is searched only when --free is given
+    for argv in (
+        ("eq", str(fixtures / "bag.qit"), "a::[]", "b::[]", "--carrier-bound", "2"),
+        ("separate", str(fixtures / "bag.qit"), "a::[]", "b::[]"),
+    ):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code in (EXIT_OK, EXIT_SEPARATED)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "dfec126c02ba47bbcdce3e7772152ecc9b51d85e16e4a19fac3a93f0728e73c9"
+        )
+
+
+def _rows(payload, op):
+    return [r for r in payload["algebra"]["table"] if r["op"] == op]
+
+
+def test_eq_separates_over_generators(capsys, fixtures):
+    code, out, err = run(
+        capsys, "eq", str(fixtures / "bag.qit"), "a::v", "b::v",
+        "--free", "v", "--carrier-bound", "2", "--format", "json",
+    )
+    assert code == EXIT_SEPARATED
+    payload = json.loads(out)
+    assert payload["verdict"] == "separated"
+    # the algebra interprets the free extension: inl(v) is the valuation
+    assert [r["branches"] for r in _rows(payload, "inl(v)")] == [[]]
+    assert _rows(payload, "inr(cons(a))") and not _rows(payload, "cons(a)")
+
+
+def test_separate_over_generators(capsys, fixtures):
+    code, out, err = run(
+        capsys, "separate", str(fixtures / "bag.qit"), "a::v", "b::v",
+        "--free", "v", "--carrier-bound", "2", "--format", "json",
+    )
+    assert code == EXIT_OK
+    assert _rows(json.loads(out), "inl(v)")
+    # mk collapses to its first branch, so no algebra tells these apart
+    code, out, err = run(
+        capsys, "separate", str(fixtures / "wreductions.qit"), "mk(v, v)", "v",
+        "--free", "v", "--format", "json",
+    )
+    assert code == EXIT_UNKNOWN
+    assert json.loads(out) == {"carrier_bound": 3, "verdict": "not-found"}
+    assert err == ""
 
 
 def test_enumerate_deterministic_output(capsys, fixtures):

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
-import pytest
+import hashlib
+import json
 
-from qitbench.encodings import NIL, bag_term, cons
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from qitbench.encodings import NIL, bag_of, bag_term, cons, ordinal_notations
 from qitbench.engine import (
     ClassId,
+    SaturationResult,
     closed_terms,
     check_equations_hold,
     find_separator,
@@ -19,10 +25,12 @@ from qitbench.errors import (
     WorkbenchError,
 )
 from qitbench.equations import make_system
+from qitbench.schema import elaborate, parse_decl
 from qitbench.terms import (
     Node,
     OpNode,
     Var,
+    branch_values,
     node,
     omega_table,
     signature,
@@ -455,3 +463,185 @@ def test_export_json_shape(bag):
     assert len(snapshot["classes"]) == st.class_count
     assert all(e["tag"] in ("sqeq", "cong", "sqeta", "sqsigma") for e in snapshot["proof_forest"])
     assert any(e["tag"] == "sqeq" and "environment" in e for e in snapshot["proof_forest"])
+
+
+SUP_SIG = signature([("z", 0), ("a", 0), ("f", 1), ("s", None)])
+# s of a constant family at x is f(x)
+CONST_FAMILY = ("const", 1, Node("s", omega_table([], Var(0))), node("f", Var(0)))
+S_A_Z = Node("s", omega_table([(0, node("a"))], node("z")))
+
+
+def test_countable_pattern_reads_the_layers_own_entries():
+    # s({0 -> a}; z) is not a constant family, so the pattern s({}; x)
+    # must not match it at x = z: matching pairs every entry of the layer,
+    # not only the pattern's, with the pattern's branch there
+    st = new_qw(SUP_SIG, make_system(SUP_SIG, [CONST_FAMILY]))
+    layer = st.intern_term(S_A_Z)
+    assert st.saturate() == SaturationResult(True, 1, 0, 0)
+    assert not st.same_class(layer, st.intern_term(node("z")))
+
+
+def test_matching_sees_a_merge_made_earlier_in_the_round():
+    # "collapse" runs first and merges a into z; "const" then matches
+    # s({0 -> a}; z) as the constant family at z within the same round
+    collapse = ("collapse", 0, node("a"), node("z"))
+    st = new_qw(SUP_SIG, make_system(SUP_SIG, [collapse, CONST_FAMILY]))
+    layer = st.intern_term(S_A_Z)
+    assert st.saturate() == SaturationResult(True, 2, 3, 2)
+    assert st.same_class(layer, st.intern_term(node("f", node("z"))))
+    assert [e[3].kind for e in st.log if e[0] == "merge"] == ["sqeq", "sqeq", "cong"]
+
+
+# -- properties over random small systems -------------------------------------------
+
+SMALL_SIG = signature([("c", 0), ("d", 0), ("f", 1), ("g", 2)])
+
+
+def _sides(depth: int):
+    leaf = hst.one_of(
+        hst.builds(Var, hst.integers(0, 1)), hst.just(node("c")), hst.just(node("d"))
+    )
+    if depth == 0:
+        return leaf
+    sub = _sides(depth - 1)
+    return hst.one_of(
+        leaf,
+        hst.builds(lambda t: node("f", t), sub),
+        hst.builds(lambda t, u: node("g", t, u), sub, sub),
+    )
+
+
+def _var_count(t) -> int:
+    if isinstance(t, Var):
+        return t.name + 1
+    return max((_var_count(b) for b in t.branches), default=0)
+
+
+@hst.composite
+def _small_systems(draw):
+    pairs = draw(hst.lists(hst.tuples(_sides(2), _sides(2)), min_size=1, max_size=2))
+    eqs = [
+        (f"e{i}", max(_var_count(lhs), _var_count(rhs)), lhs, rhs)
+        for i, (lhs, rhs) in enumerate(pairs)
+    ]
+    return make_system(SMALL_SIG, eqs)
+
+
+def _small_state(system):
+    # one round instantiates over the ten seed classes only; more rounds
+    # can square the carrier per round under a two-variable equation
+    st = new_qw(SMALL_SIG, system, max_rounds=1)
+    st.enumerate_classes(3)
+    return st
+
+
+@settings(max_examples=30, deadline=500)
+@given(_small_systems())
+def test_stages_are_the_least_fixpoint_over_members(system):
+    st = _small_state(system)
+    stage: dict[ClassId, int] = {}
+    changed = True
+    while changed:
+        changed = False
+        for c in st.roots():
+            for p in st.members(c):
+                kids = [st.canonical(ClassId(i)) for i in branch_values(p.branches)]
+                if all(k in stage for k in kids):
+                    s = 1 + max((stage[k] for k in kids), default=0)
+                    if s < stage.get(c, s + 1):
+                        stage[c] = s
+                        changed = True
+    assert stage == {c: st.stage_of(c) for c in st.roots()}
+
+
+@settings(max_examples=15, deadline=500)
+@given(_small_systems())
+def test_proved_pairs_are_never_separated(system):
+    st = _small_state(system)
+    # an algebra separating two members of a class separates one of them
+    # from the class's first term, so those pairs cover every proved pair
+    terms = closed_terms(SMALL_SIG, 3)
+    first: dict[ClassId, tuple] = {}
+    for t in terms:
+        c = st.intern_term(t)
+        u, cu = first.setdefault(st.canonical(c), (t, c))
+        if u != t:
+            assert st.decide_eq(cu, c).proved
+            assert find_separator(SMALL_SIG, system, u, t, 2) is None
+
+
+# -- merge-log pins -----------------------------------------------------------------
+
+
+def _qit(fixtures, name):
+    return elaborate(parse_decl((fixtures / name).read_text()), probe=2)
+
+
+def _instance(inst):
+    return inst.signature, inst.system
+
+
+# Digests of the log and the snapshot after ``enumerate_classes``, and the
+# saturation result it ends with.  Matching, instantiation and rebuild must
+# leave every payload index, merge, class id and derivation where they are.
+PINNED_ENUMERATIONS = [
+    pytest.param(
+        lambda fx: _qit(fx, "bag.qit"), (), 6,
+        "e5df4639c1a01978c807e36c686f4b5e5705a9ec3aad877932da0378c15fd0bd",
+        "4976f7ba569f07977d5223b6c7402e914a910c60c56027475442616b1d5da3a6",
+        SaturationResult(True, 2, 42, 0),
+        id="bag.qit-6",
+    ),
+    pytest.param(
+        lambda fx: _instance(bag_of(("a", "b", "c"))), (), 6,
+        "f3797d334596807b1cb90970cda0c55ac2ad04855fb43aa6e6461ec02c6bb718",
+        "9afcdb7abfb5a1174deb7e4bc3186000dc583651e9dfca868d70c4d551de28e8",
+        SaturationResult(True, 2, 308, 0),
+        id="bag-abc-6",
+    ),
+    pytest.param(
+        lambda fx: _qit(fx, "omega_tree.qit"), (), 4,
+        "09724ca272e1535215488d0d969c45d96dd6c75539719997d22a83721d4ba6cd",
+        "0b67f144acbb1c9f265722d41505a12809a74c81945414dca111cf02c65fab1c",
+        SaturationResult(True, 2, 8, 0),
+        id="omega_tree.qit-4",
+    ),
+    pytest.param(
+        lambda fx: _instance(ordinal_notations()), (), 6,
+        "f744b037cd02faaa6fd8fa8339719189962651a621f4b27b9fce12423ecc062f",
+        "c07f22ae0a9380b93af9c28614a076586bd22de37342105ff9c9f55d7bb538db",
+        SaturationResult(True, 4, 672, 394),
+        id="ordinal-6",
+    ),
+    pytest.param(
+        lambda fx: _qit(fx, "wreductions.qit"), ("v", "w"), 3,
+        "6f8dc4f2d08dbe468339789f632da151e82d227fe68d8c4e72c3335a9275d6c3",
+        "2262e0759ca38f564f1ea790bb08d9c73cb77408d83c9984fadf89304bdbe27f",
+        SaturationResult(True, 2, 34, 30),
+        id="wreductions.qit-vw-3",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, generators, size, log_digest, export_digest, saturation",
+    PINNED_ENUMERATIONS,
+)
+def test_enumeration_merge_log_is_pinned(
+    fixtures, build, generators, size, log_digest, export_digest, saturation
+):
+    sig, system = build(fixtures)
+    st = new_qw(sig, system, generators=generators)
+    results = []
+    saturate = st.saturate
+
+    def recording_saturate(**kw):
+        results.append(saturate(**kw))
+        return results[-1]
+
+    st.saturate = recording_saturate
+    st.enumerate_classes(size)
+    assert results == [saturation]
+    assert hashlib.sha256(repr(st.log).encode()).hexdigest() == log_digest
+    snapshot = json.dumps(st.export_json(), sort_keys=True)
+    assert hashlib.sha256(snapshot.encode()).hexdigest() == export_digest

@@ -5,7 +5,7 @@ import pytest
 from qitbench.engine import new_qw
 from qitbench.errors import DuplicateNameError, WorkbenchError
 from qitbench.terms import OMEGA, Arity, Node, Var, omega_table
-from qitbench.translate import freeify, from_w_reductions, from_w_suspension
+from qitbench.translate import free_term, freeify, from_w_reductions, from_w_suspension
 
 
 def test_freeify_bag_ops(bag):
@@ -32,6 +32,17 @@ def test_freeify_equations_identical_modulo_tags(bag):
         assert old.name == new.name
         assert strip(new.lhs) == old.lhs
         assert strip(new.rhs) == old.rhs
+
+
+def test_free_term_recodes_generators_and_operators(bag):
+    ab = Node("cons(a)", (Node("cons(b)", (Var("v"),)),))
+    ba = Node("cons(b)", (Node("cons(a)", (Var("v"),)),))
+    assert free_term(ab) == Node(
+        "inr(cons(a))", (Node("inr(cons(b))", (Node("inl(v)", ()),)),)
+    )
+    sig, system = freeify(bag.signature, bag.system, ("v",))
+    st = new_qw(sig, system)
+    assert st.decide_eq(st.intern_term(free_term(ab)), st.intern_term(free_term(ba))).proved
 
 
 def test_freeify_duplicate_generator(bag):
