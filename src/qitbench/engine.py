@@ -459,6 +459,8 @@ class QWState:
                 for env in self._instance_envs(eq, roots):
                     instances += 1
                     if instances > self.max_instances:
+                        # as saturated as budgeted, like the round-budget exit below
+                        self._saturated_version = self._version
                         return SaturationResult(
                             False, rounds, merges, len(self._payloads) - before_all
                         )
@@ -873,15 +875,16 @@ def check_equations_hold(
 # -- separating algebras ---------------------------------------------------------
 
 
-def _interp_tables(
-    sig: Signature, carrier: tuple, probe: int
-) -> Iterator[dict]:
-    slots = []
-    for name, arity in sig.ops:
-        for branches in branch_assignments(arity, carrier, probe):
-            slots.append((name, probe_key(branches, probe)))
-    for outputs in itertools.product(carrier, repeat=len(slots)):
-        yield dict(zip(slots, outputs))
+def _cell_term(t: Term, env: tuple, bases: dict[str, int], probe: int) -> Any:
+    """A term over a separator table's cells: a leaf is its value under
+    ``env``, a node its operator's first cell and the branches that index
+    it, countable ones read as :func:`probe_key` reads them."""
+    if isinstance(t, Var):
+        return env[t.name]
+    branches = t.branches
+    if isinstance(branches, OmegaTable):
+        branches = [branches.at(i) for i in range(probe)] + [branches.default]
+    return (bases[t.op], tuple(_cell_term(b, env, bases, probe) for b in branches))
 
 
 def find_separator(
@@ -898,23 +901,104 @@ def find_separator(
     """Search for a finite algebra that satisfies the system yet evaluates
     the two closed terms differently.  Such an algebra certifies that the
     terms are distinct in the constructed carrier.  Returns the first hit
-    in canonical enumeration order, or None."""
+    in canonical table order, or None.
+
+    Carriers grow from one element; each table is filled depth first, one
+    cell at a time in canonical order (operators, then branch assignments)
+    with values ascending, so complete tables come in lexicographic order.
+    A branch is cut once the terms evaluate equal on the cells set so far
+    or an equation instance's sides differ: every completion agrees, so no
+    separator is cut.  A hit is re-checked with ``eval_alg`` and
+    ``sat_check``.  ``max_algebras`` bounds the cells assigned over all
+    carriers; ``env_budget`` bounds each carrier's equation instances
+    before they are compiled."""
     probe = system.probe if probe is None else probe
     validate_term(sig, t, var_domain=frozenset())
     validate_term(sig, u, var_domain=frozenset())
-    scanned = 0
+    eqs = sorted(system.equations, key=lambda e: e.name)
+    nodes = 0
     for m in range(1, carrier_bound + 1):
+        total = sum(m**e.var_count for e in eqs)
+        if total > env_budget:
+            raise BudgetExceededError(
+                f"{total} environments exceed the budget of {env_budget}"
+            )
         carrier = tuple(range(m))
-        for table in _interp_tables(sig, carrier, probe):
-            scanned += 1
-            if scanned > max_algebras:
-                raise BudgetExceededError(
-                    f"scanned {max_algebras} candidate algebras without an answer"
-                )
-            alg = table_algebra(sig, carrier, table, probe=probe)
-            if eval_alg(t, {}, alg) == eval_alg(u, {}, alg):
+        slots, bases = [], {}
+        for name, arity in sig.ops:
+            bases[name] = len(slots)
+            for branches in branch_assignments(arity, carrier, probe):
+                slots.append((name, probe_key(branches, probe)))
+        cells: list[int | None] = [None] * len(slots)
+
+        def value(c: Any) -> int | None:
+            # a cell's index within its operator is its branch values read
+            # as digits base m, as branch_assignments orders them
+            if c.__class__ is int:
+                return c
+            base, kids = c
+            i = 0
+            for k in kids:
+                v = value(k)
+                if v is None:
+                    return None
+                i = i * m + v
+            return cells[base + i]
+
+        def undetermined(pairs: list) -> list | None:
+            """The pairs not yet evaluated on both sides, or None once a
+            pair's sides differ."""
+            rest = []
+            for lhs, rhs in pairs:
+                lv = value(lhs)
+                rv = None if lv is None else value(rhs)
+                if rv is None:
+                    rest.append((lhs, rhs))
+                elif lv != rv:
+                    return None
+            return rest
+
+        tc, uc = _cell_term(t, (), bases, probe), _cell_term(u, (), bases, probe)
+        instances: dict[tuple, None] = {}
+        for e in eqs:
+            for env in itertools.product(carrier, repeat=e.var_count):
+                lhs = _cell_term(e.lhs, env, bases, probe)
+                rhs = _cell_term(e.rhs, env, bases, probe)
+                if lhs != rhs:
+                    instances[lhs, rhs] = None
+        root = undetermined(list(instances))
+        if root is None:
+            continue
+        # pending[k]: the instances still undetermined before cell k is set
+        pending = [root]
+        k = 0
+        while k >= 0:
+            v = 0 if cells[k] is None else cells[k] + 1
+            if v == m:
+                cells[k] = None
+                pending.pop()
+                k -= 1
                 continue
-            if sat_check(alg, system, env_budget=env_budget).satisfied:
+            if nodes >= max_algebras:
+                raise BudgetExceededError(
+                    f"assigned {max_algebras} table cells without an answer"
+                )
+            nodes += 1
+            cells[k] = v
+            tv = value(tc)
+            if tv is not None and tv == value(uc):
+                continue
+            rest = undetermined(pending[k])
+            if rest is None:
+                continue
+            if k + 1 < len(slots):
+                pending.append(rest)
+                k += 1
+                continue
+            alg = table_algebra(sig, carrier, dict(zip(slots, cells)), probe=probe)
+            if eval_alg(t, {}, alg) != eval_alg(u, {}, alg) and sat_check(
+                alg, system, env_budget=env_budget
+            ).satisfied:
                 return alg
     return None
 

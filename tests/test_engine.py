@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from qitbench.encodings import NIL, bag_of, bag_term, cons, ordinal_notations
+from qitbench.encodings import NIL, bag_of, bag_term, cons, omega_tree_of, ordinal_notations
 from qitbench.engine import (
     ClassId,
     SaturationResult,
@@ -24,16 +25,21 @@ from qitbench.errors import (
     UnboundVariableError,
     WorkbenchError,
 )
-from qitbench.equations import make_system
+from qitbench.equations import make_system, sat_check
 from qitbench.schema import elaborate, parse_decl
 from qitbench.terms import (
     Node,
     OpNode,
     Var,
+    branch_assignments,
     branch_values,
+    enumerate_opnodes,
+    eval_alg,
     node,
     omega_table,
+    probe_key,
     signature,
+    table_algebra,
     term_size,
     term_to_json,
 )
@@ -395,6 +401,32 @@ def test_separator_rejects_open_terms(bag):
         find_separator(bag.signature, bag.system, Var("x"), NIL, 2)
 
 
+def _bag_table(alg, elements) -> dict:
+    table = {"nil": [alg.interp("nil", ())]}
+    for x in elements:
+        table[f"cons({x})"] = [alg.interp(f"cons({x})", (v,)) for v in alg.carrier]
+    return table
+
+
+def test_separator_is_the_lex_first_table(bag):
+    alg = find_separator(bag.signature, bag.system, bag_term(["a"] * 2), bag_term(["a"] * 8), 4)
+    assert _bag_table(alg, ("a", "b")) == {
+        "nil": [0],
+        "cons(a)": [1, 2, 3, 0],
+        "cons(b)": [0, 1, 2, 3],
+    }
+
+
+def test_separator_reaches_carrier_four_over_three_elements():
+    # a complete-table scan spends its 500k budget before carrier 4 here
+    inst = bag_of(("a", "b", "c"))
+    t, u = bag_term(["a"] * 2), bag_term(["a"] * 8)
+    alg = find_separator(inst.signature, inst.system, t, u, 4)
+    assert alg is not None and len(alg.carrier) == 4
+    assert sat_check(alg, inst.system).satisfied
+    assert eval_alg(t, {}, alg) != eval_alg(u, {}, alg)
+
+
 # -- translations driven through the engine ------------------------------------------
 
 
@@ -535,6 +567,25 @@ def _small_state(system):
     return st
 
 
+def test_instance_budget_exit_leaves_the_state_saturated():
+    # the instance budget trips inside a round; the state is as saturated
+    # as budgeted, so deciding equality must not saturate (and grow) again
+    system = make_system(
+        SMALL_SIG,
+        [
+            ("e0", 2, node("c"), node("f", node("g", Var(0), Var(1)))),
+            ("e1", 0, node("c"), node("d")),
+        ],
+    )
+    st = new_qw(SMALL_SIG, system, max_rounds=3, max_instances=40)
+    st.enumerate_classes(3)
+    assert not st.stale
+    count = st.class_count
+    st.decide_eq(st.intern_term(node("c")), st.intern_term(node("f", node("d"))))
+    assert st.class_count == count
+    assert not st.stale
+
+
 @settings(max_examples=30, deadline=500)
 @given(_small_systems())
 def test_stages_are_the_least_fixpoint_over_members(system):
@@ -568,6 +619,95 @@ def test_proved_pairs_are_never_separated(system):
         if u != t:
             assert st.decide_eq(cu, c).proved
             assert find_separator(SMALL_SIG, system, u, t, 2) is None
+
+
+def _separator_by_scan(sig, system, t, u, carrier_bound):
+    """The reference search: every complete table in ``itertools.product``
+    order, each checked with ``eval_alg`` and ``sat_check``."""
+    probe = system.probe
+    for m in range(1, carrier_bound + 1):
+        carrier = tuple(range(m))
+        slots = [
+            (name, probe_key(branches, probe))
+            for name, arity in sig.ops
+            for branches in branch_assignments(arity, carrier, probe)
+        ]
+        for outputs in itertools.product(carrier, repeat=len(slots)):
+            alg = table_algebra(sig, carrier, dict(zip(slots, outputs)), probe=probe)
+            if eval_alg(t, {}, alg) != eval_alg(u, {}, alg) and sat_check(alg, system).satisfied:
+                return alg
+    return None
+
+
+def _rows(alg, sig, probe):
+    if alg is None:
+        return None
+    return alg.carrier, [
+        alg.interp(s.op, s.branches) for s in enumerate_opnodes(sig, alg.carrier, probe)
+    ]
+
+
+def _assert_same_separator(sig, system, t, u, carrier_bound):
+    want = _separator_by_scan(sig, system, t, u, carrier_bound)
+    got = find_separator(sig, system, t, u, carrier_bound)
+    assert _rows(got, sig, system.probe) == _rows(want, sig, system.probe)
+    return got
+
+
+SMALL_TERMS = closed_terms(SMALL_SIG, 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    _small_systems(),
+    hst.lists(hst.sampled_from(SMALL_TERMS), min_size=2, max_size=2, unique=True),
+)
+def test_separator_equals_the_complete_table_scan(system, pair):
+    _assert_same_separator(SMALL_SIG, system, *pair, 2)
+
+
+def _tree(op, entries, default):
+    return Node(op, omega_table(entries, default))
+
+
+LEAF = Node("leaf", ())
+A_LEAF = _tree("node(a)", [], LEAF)
+B_LEAF = _tree("node(b)", [], LEAF)
+
+
+@pytest.mark.parametrize(
+    "labels, t, u, separated",
+    [
+        pytest.param(("a", "b"), A_LEAF, B_LEAF, True, id="labels"),
+        pytest.param(
+            ("a", "b"),
+            _tree("node(a)", [(0, LEAF)], B_LEAF),
+            _tree("node(b)", [(0, LEAF)], A_LEAF),
+            True,
+            id="entries",
+        ),
+        pytest.param(("a",), LEAF, _tree("node(a)", [(0, A_LEAF)], LEAF), True, id="entry"),
+        # an entry past the probe is read as the default
+        pytest.param(
+            ("a",), LEAF, _tree("node(a)", [(2, A_LEAF)], LEAF), True, id="entry-past-probe"
+        ),
+        pytest.param(
+            ("a",), _tree("node(a)", [(0, LEAF)], A_LEAF), _tree("node(a)", [], A_LEAF), True,
+            id="entry-vs-default",
+        ),
+        pytest.param(
+            ("a",), _tree("node(a)", [(0, A_LEAF)], LEAF), _tree("node(a)", [(1, A_LEAF)], LEAF),
+            False, id="swapped",
+        ),
+        pytest.param(
+            ("a",), _tree("node(a)", [(2, A_LEAF)], LEAF), A_LEAF, False, id="equal-past-probe"
+        ),
+    ],
+)
+def test_countable_separator_equals_the_complete_table_scan(labels, t, u, separated):
+    inst = omega_tree_of(labels, 2, [((0, 1), (1, 0))])
+    alg = _assert_same_separator(inst.signature, inst.system, t, u, 2)
+    assert (alg is not None) == separated
 
 
 # -- merge-log pins -----------------------------------------------------------------
