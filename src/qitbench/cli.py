@@ -4,7 +4,8 @@ Commands: check | elaborate | eq | enumerate | sat | rec | separate | selftest.
 Structured results go to stdout (JSON under ``--format=json``), diagnostics
 to stderr as JSON objects with source spans.  Exit codes: 0 success,
 1 usage or IO, 2 semantic error in the input, 3 unknown/not found or a
-budget overrun, 4 separated, 5 a check reported a failure.
+budget overrun, 4 separated by the search of ``eq`` (``separate`` exits 0
+with its separator), 5 a check reported a failure.
 """
 
 from __future__ import annotations
@@ -265,7 +266,10 @@ def cmd_separate(args) -> int:
     decl, sig, system, state = _load_pipeline(args)
     t1 = parse_ground_term(args.term1, decl, probe=args.probe, generators=state.generators)
     t2 = parse_ground_term(args.term2, decl, probe=args.probe, generators=state.generators)
-    alg, alg_sig = _find_separator(args, sig, system, state.generators, t1, t2)
+    # terms proved equal have no separator: answer without searching
+    alg = None
+    if not state.decide_eq(state.intern_term(t1), state.intern_term(t2)).proved:
+        alg, alg_sig = _find_separator(args, sig, system, state.generators, t1, t2)
     if alg is None:
         payload = {"verdict": "not-found", "carrier_bound": args.carrier_bound}
         _emit(args, payload, ["not found within the carrier bound"])

@@ -151,10 +151,6 @@ def leaf() -> Node:
     return Node("leaf", ())
 
 
-def tree_node(x: Any, entries, default: Term) -> Node:
-    return Node(f"node({x})", omega_table(entries, default))
-
-
 # -- ordinal notations -----------------------------------------------------------------
 
 

@@ -6,7 +6,10 @@ are flattened bottom up, so every stored payload is either a generator
 leaf or a single operator layer over earlier classes.  Saturation rounds
 instantiate equations over existing classes (driven by matching, so an
 environment fires once one side's instance is present), merge the two
-sides, and restore congruence.  Matching reads each class's distinct
+sides, and restore congruence.  Rounds are semi-naive: an equation is
+matched only near the classes touched since the last completed round
+began, and a call at a fixpoint returns at once; the merge log is the one
+full rounds make.  Matching reads each class's distinct
 canonical e-nodes (operator layers over canonical child classes, with
 congruent duplicates collapsed), indexed by head operator for the state's
 current version.  Every merge is recorded in a proof forest whose edges
@@ -26,6 +29,7 @@ ever "proved" or "unknown".
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
@@ -56,6 +60,7 @@ from .terms import (
     table_algebra,
     term_key,
     term_to_json,
+    term_vars,
     validate_term,
 )
 
@@ -173,8 +178,13 @@ class QWState:
         self._log: list[tuple] = []
         self._version = 0
         self._saturated_version = 0
+        # the version at which the last call reached a fixpoint, and the log
+        # position at the start of the last round that ran to its end
+        self._fixpoint_version = -1
+        self._mark = 0
         self._extracted: _Extraction | None = None
         self._enode_index: tuple[int, dict] | None = None
+        self._parent_index: tuple[int, dict] | None = None
 
     # -- union-find ---------------------------------------------------------
 
@@ -378,14 +388,41 @@ class QWState:
             self._enode_index = (self._version, index)
         return self._enode_index[1]
 
-    def _match(self, pattern: Term, root: int) -> list[dict[int, int]]:
+    def _parents(self) -> dict[int, set[int]]:
+        """Each class root's parent classes for the current version: the
+        roots with a canonical operator layer over it."""
+        if self._parent_index is None or self._parent_index[0] != self._version:
+            parents: dict[int, set[int]] = {}
+            for root, by_op in self._enodes().items():
+                for layers in by_op.values():
+                    for branches in layers:
+                        for child in branch_values(branches):
+                            parents.setdefault(child, set()).add(root)
+            self._parent_index = (self._version, parents)
+        return self._parent_index[1]
+
+    def _near(self, touched: set[int], height: int) -> set[int]:
+        """The class roots at most ``height`` parent steps above a touched
+        class: where a pattern that tall may match anew."""
+        parents = self._parents()
+        near = set(touched)
+        frontier = touched
+        for _ in range(height):
+            frontier = {p for c in frontier for p in parents.get(c, ())} - near
+            if not frontier:
+                break
+            near |= frontier
+        return near
+
+    def _match(self, pattern: Term, root: int, index: dict) -> list[dict[int, int]]:
         """Environments (variable -> class root) under which the pattern's
         instance is this class, judged structurally against the class's
-        distinct canonical operator layers with the pattern's head."""
+        distinct canonical operator layers in ``index`` (an ``_enodes()``)
+        with the pattern's head."""
         if isinstance(pattern, Var):
             return [{pattern.name: root}]
         out: list[dict[int, int]] = []
-        for branches in self._enodes().get(root, {}).get(pattern.op, ()):
+        for branches in index.get(root, {}).get(pattern.op, ()):
             if isinstance(pattern.branches, OmegaTable):
                 positions = sorted(
                     set(pattern.branches.support()) | set(branches.support())
@@ -398,7 +435,7 @@ class QWState:
             for sub, broot in pairs:
                 next_envs = []
                 for env in envs:
-                    for cand in self._match(sub, broot):
+                    for cand in self._match(sub, broot, index):
                         merged = _merge_env(env, cand)
                         if merged is not None:
                             next_envs.append(merged)
@@ -408,27 +445,46 @@ class QWState:
             out.extend(envs)
         return out
 
-    def _instance_envs(self, eq, roots: list[int]) -> list[tuple[int, ...]]:
+    def _instance_envs(
+        self, eq, roots: list[int], index: dict, touched: set[int] | None = None
+    ) -> list[tuple[int, ...]]:
         """Environments worth instantiating: those under which at least one
-        side's instance already exists, completed over all classes for
-        variables the matched side does not mention."""
+        side's instance already exists in ``index``, completed over
+        ``roots`` for variables the matched side does not mention.
+
+        Given ``touched``, the class roots changed since the last completed
+        round began, only environments that involve a change are kept.  A
+        side is matched anew at the roots near a touched class (within the
+        equation's height above one; a bare variable at a touched class),
+        and those matches complete over all roots; a match elsewhere
+        completes only over combinations holding a root of a touched class.
+        Every environment left out was instantiated in that round over the
+        same canonical layers."""
+        n = eq.var_count
+        near = hot = None  # None: every root counts as changed
+        if touched is not None:
+            hot = {r for r in roots if self._find(r) in touched}
+            near = self._near(touched, max(_height(eq.lhs), _height(eq.rhs)))
         envs: set[tuple[int, ...]] = set()
         for side in (eq.lhs, eq.rhs):
-            partials: list[dict[int, int]] = []
-            if isinstance(side, Var):
-                partials = [{side.name: r} for r in roots]
-            else:
+            bound = term_vars(side)
+            missing = [v for v in range(n) if v not in bound]
+            # a bare variable matches anew only at a touched class itself
+            zone = hot if isinstance(side, Var) else near
+            fresh = roots if zone is None else [r for r in roots if r in zone]
+            for r in fresh:
+                for env in self._match(side, r, index):
+                    if missing:
+                        everywhere = itertools.product(roots, repeat=len(missing))
+                        _complete(envs, env, missing, everywhere, n)
+                    else:
+                        envs.add(tuple(env[v] for v in range(n)))
+            if missing and hot:
                 for r in roots:
-                    partials.extend(self._match(side, r))
-            for env in partials:
-                missing = [v for v in range(eq.var_count) if v not in env]
-                if not missing:
-                    envs.add(tuple(env[v] for v in range(eq.var_count)))
-                    continue
-                for combo in itertools.product(roots, repeat=len(missing)):
-                    full = dict(env)
-                    full.update(zip(missing, combo))
-                    envs.add(tuple(full[v] for v in range(eq.var_count)))
+                    if r not in zone:
+                        for env in self._match(side, r, index):
+                            touching = _touching(roots, hot, len(missing))
+                            _complete(envs, env, missing, touching, n)
         return sorted(envs)
 
     def _intern_instance(self, t: Term, env: tuple[int, ...]) -> int:
@@ -444,8 +500,20 @@ class QWState:
         round's start, merges the instantiated sides, and restores
         congruence.  A fixpoint means a full round produced no merge and no
         new class.
+
+        The work is incremental and leaves the log as full rounds make it.
+        A call at the version where the last one reached a fixpoint returns
+        that idle round's result at once.  Each equation instantiates only
+        the environments that involve a class touched (interned or merged)
+        since the last completed round began; the rest would intern and
+        merge nothing.  Should a merge move the root of an untouched class,
+        the keys of the environments left out may change, and the equation
+        finishes over all of them.  ``max_instances`` counts the instances
+        made.
         """
         budget = self.max_rounds if max_rounds is None else max_rounds
+        if budget >= 1 and self._version == self._fixpoint_version:
+            return SaturationResult(True, 1, 0, 0)
         merges = self._rebuild()
         before_all = len(self._payloads)
         eqs = sorted(self.system.equations, key=lambda e: e.name)
@@ -454,9 +522,27 @@ class QWState:
             round_merges = 0
             size_before = len(self._payloads)
             roots = sorted(self._members)
+            start = len(self._log)
             instances = 0
+            # the roots of the classes touched since the mark, kept canonical
+            # as the round merges; None once that is every class
+            changed: set[int] | None = set()
+            seen = self._mark
             for eq in eqs:
-                for env in self._instance_envs(eq, roots):
+                index = self._enodes()
+                if changed is not None:
+                    changed = {self._find(r) for r in changed}
+                    changed.update(self._find(e[1]) for e in self._log[seen:])
+                    seen = len(self._log)
+                    if len(changed) == len(self._members):
+                        changed = None
+                touched = changed
+                old = len(self._payloads)
+                envs = self._instance_envs(eq, roots, index, touched)
+                k = 0
+                while k < len(envs):
+                    raw = envs[k]
+                    k += 1
                     instances += 1
                     if instances > self.max_instances:
                         # as saturated as budgeted, like the round-budget exit below
@@ -464,15 +550,26 @@ class QWState:
                         return SaturationResult(
                             False, rounds, merges, len(self._payloads) - before_all
                         )
-                    env = tuple(self._find(v) for v in env)
+                    env = tuple(self._find(v) for v in raw)
                     lid = self._intern_instance(eq.lhs, env)
                     rid = self._intern_instance(eq.rhs, env)
+                    if touched is not None:
+                        lroot, rroot = self._find(lid), self._find(rid)
                     if self._union(lid, rid, Justification("sqeq", eq.name, env)):
                         round_merges += 1
+                        if touched is None:
+                            continue
+                        lost = lroot if self._parent[lroot] != lroot else rroot
+                        if lost < old and lost not in touched:
+                            # an untouched class lost its root, so the keys of
+                            # environments left out may be new: finish over all
+                            full = self._instance_envs(eq, roots, index)
+                            envs, k, touched = full[bisect.bisect_right(full, raw) :], 0, None
             round_merges += self._rebuild()
             merges += round_merges
+            self._mark = start
             if round_merges == 0 and len(self._payloads) == size_before:
-                self._saturated_version = self._version
+                self._saturated_version = self._fixpoint_version = self._version
                 return SaturationResult(
                     True, rounds, merges, len(self._payloads) - before_all
                 )
@@ -735,6 +832,30 @@ def _check_branch_shape(op: str, arity: Arity, branches: Any) -> None:
     else:
         if isinstance(branches, OmegaTable) or len(branches) != arity.finite:
             raise ArityMismatchError(f"{op!r} expects {arity.finite} branches")
+
+
+def _height(t: Term) -> int:
+    if isinstance(t, Var):
+        return 0
+    return 1 + max((_height(b) for b in branch_values(t.branches)), default=0)
+
+
+def _touching(roots: list[int], hot: set[int], k: int) -> Iterator[tuple[int, ...]]:
+    """Each ``k``-tuple over ``roots`` that holds a root from ``hot``, once:
+    the first such position takes it, earlier ones take the others."""
+    cold = [r for r in roots if r not in hot]
+    for i in range(k):
+        yield from itertools.product(*[cold] * i, hot, *[roots] * (k - 1 - i))
+
+
+def _complete(
+    envs: set, env: dict[int, int], missing: list[int], combos: Iterable, n: int
+) -> None:
+    """Add ``env`` extended by each combination of roots for ``missing``."""
+    for combo in combos:
+        full = dict(env)
+        full.update(zip(missing, combo))
+        envs.add(tuple(full[v] for v in range(n)))
 
 
 def _merge_env(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:

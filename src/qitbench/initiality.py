@@ -16,7 +16,7 @@ the whole carrier, and say so in their reports.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from .engine import ClassId, GenLeaf, OmegaTable, QWState
@@ -48,6 +48,8 @@ class RecTarget:
     algebra: FiniteAlgebra
     system: EquationSystem
     sat_report: SatReport
+    # the algebra's operation table when it last passed the re-check
+    passed_table: list = field(default_factory=list, compare=False, repr=False)
 
 
 def rec_target(algebra: FiniteAlgebra, system: EquationSystem, *, env_budget: int = 200_000) -> RecTarget:
@@ -61,16 +63,38 @@ def rec_target(algebra: FiniteAlgebra, system: EquationSystem, *, env_budget: in
 
 def _validate_target(state: QWState, target: RecTarget) -> None:
     """Recursion is only well defined into a satisfying algebra; the proof
-    is re-checked on use so a tweaked interpretation is caught."""
+    is re-checked on use so a tweaked interpretation is caught.  The
+    re-check tabulates the operations over the carrier and runs
+    ``sat_check`` again only when that table differs from the one that
+    last passed."""
     if target.system != state.system:
         raise StaleProofError("target was built for a different equation system")
     if not target.sat_report.satisfied:
         raise StaleProofError("target carries a violated satisfaction report")
+    table = _operation_table(target.algebra, target.system)
+    if table is not None and target.passed_table == [table]:
+        return
     fresh = sat_check(target.algebra, target.system)
     if not fresh.satisfied:
         raise StaleProofError(
             f"satisfaction no longer holds: {fresh.to_json()}"
         )
+    target.passed_table[:] = [] if table is None else [table]
+
+
+def _operation_table(algebra: FiniteAlgebra, system: EquationSystem) -> tuple | None:
+    """The carrier and every operator's value at each branch assignment
+    over it, probed at the system's depth: all ``sat_check`` reads.  None
+    when an operation is undefined somewhere or leaves the carrier, so
+    that ``sat_check`` judges every use."""
+    layers = enumerate_opnodes(system.signature, algebra.carrier, system.probe)
+    try:
+        values = tuple(_interp(algebra, s.op, s.branches) for s in layers)
+    except WorkbenchError:
+        return None
+    if not all(v in algebra.carrier for v in values):
+        return None
+    return algebra.carrier, values
 
 
 def _all_values(

@@ -100,15 +100,28 @@ def test_separate_not_found_for_equal_terms(capsys, fixtures):
     assert code == EXIT_UNKNOWN
 
 
+def test_separate_answers_proved_pairs_without_searching(capsys, fixtures):
+    # the search alone overruns its 500000 cells at carrier 5 on this pair
+    bag = str(fixtures / "bag.qit")
+    argv = ("separate", bag, "a::b::[]", "b::a::[]", "--carrier-bound", "5")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_UNKNOWN, "not found within the carrier bound\n")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, out) == (
+        EXIT_UNKNOWN, '{\n  "carrier_bound": 5,\n  "verdict": "not-found"\n}\n'
+    )
+
+
 def test_separator_output_without_generators_is_pinned(capsys, fixtures):
     # the separator found over the declaration itself, as bytes: the free
     # extension is searched only when --free is given
-    for argv in (
-        ("eq", str(fixtures / "bag.qit"), "a::[]", "b::[]", "--carrier-bound", "2"),
-        ("separate", str(fixtures / "bag.qit"), "a::[]", "b::[]"),
+    bag = str(fixtures / "bag.qit")
+    for argv, exit_code in (
+        (("eq", bag, "a::[]", "b::[]", "--carrier-bound", "2"), EXIT_SEPARATED),
+        (("separate", bag, "a::[]", "b::[]"), EXIT_OK),
     ):
         code, out, err = run(capsys, *argv, "--format", "json")
-        assert code in (EXIT_OK, EXIT_SEPARATED)
+        assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "dfec126c02ba47bbcdce3e7772152ecc9b51d85e16e4a19fac3a93f0728e73c9"
         )

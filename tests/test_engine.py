@@ -5,12 +5,13 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from qitbench.encodings import NIL, bag_of, bag_term, cons, omega_tree_of, ordinal_notations
 from qitbench.engine import (
     ClassId,
+    Justification,
     SaturationResult,
     closed_terms,
     check_equations_hold,
@@ -550,8 +551,10 @@ def _var_count(t) -> int:
 
 
 @hst.composite
-def _small_systems(draw):
-    pairs = draw(hst.lists(hst.tuples(_sides(2), _sides(2)), min_size=1, max_size=2))
+def _small_systems(draw, max_equations=2):
+    pairs = draw(
+        hst.lists(hst.tuples(_sides(2), _sides(2)), min_size=1, max_size=max_equations)
+    )
     eqs = [
         (f"e{i}", max(_var_count(lhs), _var_count(rhs)), lhs, rhs)
         for i, (lhs, rhs) in enumerate(pairs)
@@ -584,6 +587,135 @@ def test_instance_budget_exit_leaves_the_state_saturated():
     st.decide_eq(st.intern_term(node("c")), st.intern_term(node("f", node("d"))))
     assert st.class_count == count
     assert not st.stale
+
+
+def test_saturating_at_a_fixpoint_returns_the_idle_round(bag):
+    st = fresh(bag)
+    st.intern_term(bag_term(["a", "b", "a"]))
+    assert st.saturate().merges > 0
+    log = st.log
+
+    def no_rebuild():
+        raise AssertionError("a call at a fixpoint must not rebuild")
+
+    st._rebuild = no_rebuild
+    for budget in (None, 1, 5):
+        assert st.saturate(max_rounds=budget) == SaturationResult(True, 1, 0, 0)
+    assert st.log == log
+
+
+def test_zero_round_budget_runs_no_round(bag):
+    st = fresh(bag)
+    ab = st.intern_term(bag_term(["a", "b"]))
+    ba = st.intern_term(bag_term(["b", "a"]))
+    assert st.saturate(max_rounds=0) == SaturationResult(False, 0, 0, 0)
+    assert not st.same_class(ab, ba)
+    assert st.saturate() == SaturationResult(True, 2, 1, 0)
+    assert st.saturate(max_rounds=0) == SaturationResult(False, 0, 0, 0)
+
+
+def test_a_call_after_a_round_budget_exit_continues(bag):
+    st = fresh(bag)
+    # a::b::b::[] needs a second round: its swap brings in b::a::[]
+    st.intern_term(bag_term(["a", "b", "b"]))
+    assert st.saturate(max_rounds=1) == SaturationResult(False, 1, 1, 2)
+    assert not st.stale
+    assert st.saturate() == SaturationResult(True, 2, 1, 2)
+
+
+def test_a_call_after_an_instance_budget_exit_continues():
+    system = make_system(
+        SMALL_SIG, [("e0", 2, node("c"), node("f", node("g", Var(0), Var(1))))]
+    )
+    st = new_qw(SMALL_SIG, system, max_rounds=3, max_instances=40)
+    st.enumerate_classes(3)
+    count = st.class_count
+    assert not st.saturate().fixpoint
+    assert st.class_count > count
+
+
+def _reference_saturate(st, max_rounds):
+    """Saturation as if every class were touched in every round: each
+    equation is matched at every root, and a call at a fixpoint runs its
+    idle round.  Returns the result and whether the instance budget
+    tripped."""
+    merges = st._rebuild()
+    before = len(st._payloads)
+    rounds = 0
+    for rounds in range(1, max_rounds + 1):
+        round_merges = 0
+        size_before = len(st._payloads)
+        roots = sorted(st._members)
+        instances = 0
+        for eq in sorted(st.system.equations, key=lambda e: e.name):
+            for env in st._instance_envs(eq, roots, st._enodes()):
+                instances += 1
+                if instances > st.max_instances:
+                    new = len(st._payloads) - before
+                    return SaturationResult(False, rounds, merges, new), True
+                env = tuple(st._find(v) for v in env)
+                lid = st._intern_instance(eq.lhs, env)
+                rid = st._intern_instance(eq.rhs, env)
+                if st._union(lid, rid, Justification("sqeq", eq.name, env)):
+                    round_merges += 1
+        round_merges += st._rebuild()
+        merges += round_merges
+        if round_merges == 0 and len(st._payloads) == size_before:
+            return SaturationResult(True, rounds, merges, len(st._payloads) - before), False
+    return SaturationResult(False, rounds, merges, len(st._payloads) - before), False
+
+
+def _partition(st):
+    return [(c, st.members(c)) for c in st.roots()]
+
+
+@settings(max_examples=200, deadline=None)
+@example(  # d is new: the old match of c completes over combinations holding it
+    system=make_system(SMALL_SIG, [("e0", 1, node("c"), node("f", Var(0)))]),
+    ops=[node("c"), 2, node("d"), 1],
+)
+@example(  # the merges move d's root while d is untouched: the guard finishes
+    # the equation over every environment
+    system=make_system(SMALL_SIG, [("e0", 2, Var(1), Var(0))]),
+    ops=[node("d"), 1, node("g", node("d"), node("f", node("c"))), 1],
+)
+@example(  # c ~ d gives f(c)'s class the layer f(d), one step above them
+    system=make_system(
+        SMALL_SIG,
+        [
+            ("e0", 0, node("f", node("d")), node("g", node("c"), node("c"))),
+            ("e1", 0, node("c"), node("d")),
+        ],
+    ),
+    ops=[node("f", node("c")), 2],
+)
+@given(
+    _small_systems(max_equations=3),
+    hst.lists(
+        hst.one_of(hst.sampled_from(closed_terms(SMALL_SIG, 4)), hst.integers(0, 3)),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_incremental_saturation_equals_full_rounds(system, ops):
+    # interleaved interning and saturation: the incremental state makes the
+    # log, results and classes of full rounds.  Counted over every
+    # environment, the reference's instance budget can trip where the
+    # incremental round has made fewer instances; up to there the logs agree.
+    st = new_qw(SMALL_SIG, system, max_instances=2000)
+    ref = new_qw(SMALL_SIG, system, max_instances=2000)
+    for op in ops:
+        if isinstance(op, int):
+            got = st.saturate(max_rounds=op)
+            want, tripped = _reference_saturate(ref, op)
+            if tripped:
+                assert st.log[: len(ref.log)] == ref.log
+                return
+            assert got == want
+        else:
+            assert st.intern_term(op) == ref.intern_term(op)
+        assert st.log == ref.log
+    assert _partition(st) == _partition(ref)
 
 
 @settings(max_examples=30, deadline=500)

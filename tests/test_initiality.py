@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from qitbench import initiality
 from qitbench.cli import algebra_from_json
 from qitbench.encodings import (
     NIL,
@@ -46,6 +47,7 @@ from qitbench.terms import (
     node,
     omega_node,
     signature,
+    table_algebra,
     term_key,
 )
 
@@ -114,6 +116,47 @@ def test_qw_rec_detects_stale_proof(bag):
     target = _corrupted(bag)
     with pytest.raises(StaleProofError):
         qw_rec(st, target, st.intern_term(NIL))
+
+
+def _parity_table() -> dict:
+    # length parity as a lookup table over {0, 1}: every prepend flips
+    table = {("nil", ("finite",)): 0}
+    for op in ("cons(a)", "cons(b)"):
+        for v in (0, 1):
+            table[(op, ("finite", v))] = 1 - v
+    return table
+
+
+def test_qw_rec_refuses_a_table_changed_after_the_proof(bag):
+    st, _ = build(bag, 4)
+    table = _parity_table()
+    target = rec_target(table_algebra(bag.signature, (0, 1), table), bag.system)
+    ab = st.intern_term(bag_term(["a", "b"]))
+    assert qw_rec(st, target, ab) == 0
+    # a no longer flips at 0, so a::b::[] is 0 but b::a::[] is 1
+    table[("cons(a)", ("finite", 0))] = 0
+    with pytest.raises(StaleProofError):
+        qw_rec(st, target, ab)
+
+
+def test_target_recheck_runs_sat_check_only_on_a_new_table(bag, monkeypatch):
+    calls = []
+    real = initiality.sat_check
+    monkeypatch.setattr(
+        initiality, "sat_check", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    )
+    st, _ = build(bag, 4)
+    table = _parity_table()
+    target = rec_target(table_algebra(bag.signature, (0, 1), table), bag.system)
+    ab = st.intern_term(bag_term(["a", "b"]))
+    for _ in range(3):
+        assert qw_rec(st, target, ab) == 0
+    assert len(calls) == 2  # rec_target's check and the first re-check
+    # still a model (a and b swap nothing), but another table: checked again
+    table[("nil", ("finite",))] = 1
+    assert qw_rec(st, target, ab) == 1
+    assert qw_rec(st, target, ab) == 1
+    assert len(calls) == 3
 
 
 def test_check_rec_hom_ok(bag):
