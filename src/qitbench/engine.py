@@ -183,8 +183,7 @@ class QWState:
         self._fixpoint_version = -1
         self._mark = 0
         self._extracted: _Extraction | None = None
-        self._enode_index: tuple[int, dict] | None = None
-        self._parent_index: tuple[int, dict] | None = None
+        self._enode_index: tuple[int, dict, dict | None] | None = None
 
     # -- union-find ---------------------------------------------------------
 
@@ -385,27 +384,27 @@ class QWState:
                     if isinstance(p, ENode):
                         canon = _branch_map(self._canon_branches(p.branches))
                         by_op.setdefault(p.op, {})[canon] = None
-            self._enode_index = (self._version, index)
+            self._enode_index = (self._version, index, None)
         return self._enode_index[1]
 
-    def _parents(self) -> dict[int, set[int]]:
-        """Each class root's parent classes for the current version: the
-        roots with a canonical operator layer over it."""
-        if self._parent_index is None or self._parent_index[0] != self._version:
-            parents: dict[int, set[int]] = {}
-            for root, by_op in self._enodes().items():
+    def _near(self, touched: set[int], height: int) -> set[int]:
+        """The class roots at most ``height`` parent steps above a touched
+        class: where a pattern that tall may match anew.  Each root's
+        parent classes (the roots with a layer over it) are found from
+        ``_enodes()`` when first needed and kept beside it."""
+        near = set(touched)
+        if not touched or height == 0:
+            return near
+        index = self._enodes()
+        parents = self._enode_index[2]
+        if parents is None:
+            parents = {}
+            for root, by_op in index.items():
                 for layers in by_op.values():
                     for branches in layers:
                         for child in branch_values(branches):
                             parents.setdefault(child, set()).add(root)
-            self._parent_index = (self._version, parents)
-        return self._parent_index[1]
-
-    def _near(self, touched: set[int], height: int) -> set[int]:
-        """The class roots at most ``height`` parent steps above a touched
-        class: where a pattern that tall may match anew."""
-        parents = self._parents()
-        near = set(touched)
+            self._enode_index = (self._version, index, parents)
         frontier = touched
         for _ in range(height):
             frontier = {p for c in frontier for p in parents.get(c, ())} - near

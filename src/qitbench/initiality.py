@@ -48,8 +48,11 @@ class RecTarget:
     algebra: FiniteAlgebra
     system: EquationSystem
     sat_report: SatReport
-    # the algebra's operation table when it last passed the re-check
-    passed_table: list = field(default_factory=list, compare=False, repr=False)
+    # the algebra's operation table when it last passed the re-check: kept
+    # by ``_validate_target``, not a constructor argument
+    passed_table: list = field(
+        default_factory=list, init=False, compare=False, repr=False
+    )
 
 
 def rec_target(algebra: FiniteAlgebra, system: EquationSystem, *, env_budget: int = 200_000) -> RecTarget:
@@ -61,20 +64,25 @@ def rec_target(algebra: FiniteAlgebra, system: EquationSystem, *, env_budget: in
     return RecTarget(algebra, system, report)
 
 
+_RECHECK_BUDGET = 200_000  # environments, as sat_check's default
+
+
 def _validate_target(state: QWState, target: RecTarget) -> None:
     """Recursion is only well defined into a satisfying algebra; the proof
     is re-checked on use so a tweaked interpretation is caught.  The
     re-check tabulates the operations over the carrier and runs
     ``sat_check`` again only when that table differs from the one that
-    last passed."""
+    last passed.  Where the table would have more cells than ``sat_check``
+    has environments, or more than its budget, ``sat_check`` runs on every
+    use."""
     if target.system != state.system:
         raise StaleProofError("target was built for a different equation system")
     if not target.sat_report.satisfied:
         raise StaleProofError("target carries a violated satisfaction report")
-    table = _operation_table(target.algebra, target.system)
+    table = _operation_table(target.algebra, target.system, _RECHECK_BUDGET)
     if table is not None and target.passed_table == [table]:
         return
-    fresh = sat_check(target.algebra, target.system)
+    fresh = sat_check(target.algebra, target.system, env_budget=_RECHECK_BUDGET)
     if not fresh.satisfied:
         raise StaleProofError(
             f"satisfaction no longer holds: {fresh.to_json()}"
@@ -82,11 +90,19 @@ def _validate_target(state: QWState, target: RecTarget) -> None:
     target.passed_table[:] = [] if table is None else [table]
 
 
-def _operation_table(algebra: FiniteAlgebra, system: EquationSystem) -> tuple | None:
+def _operation_table(
+    algebra: FiniteAlgebra, system: EquationSystem, budget: int
+) -> tuple | None:
     """The carrier and every operator's value at each branch assignment
     over it, probed at the system's depth: all ``sat_check`` reads.  None
-    when an operation is undefined somewhere or leaves the carrier, so
-    that ``sat_check`` judges every use."""
+    when the table costs more than ``sat_check`` itself (more cells than
+    environments) or than ``budget``, or when an operation is undefined
+    somewhere or leaves the carrier, so that ``sat_check`` judges every
+    use."""
+    size = len(algebra.carrier)
+    envs = sum(size**e.var_count for e in system.equations)
+    if count_opnodes(system.signature, size, system.probe) > min(envs, budget):
+        return None
     layers = enumerate_opnodes(system.signature, algebra.carrier, system.probe)
     try:
         values = tuple(_interp(algebra, s.op, s.branches) for s in layers)

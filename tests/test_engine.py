@@ -11,6 +11,7 @@ from hypothesis import strategies as hst
 from qitbench.encodings import NIL, bag_of, bag_term, cons, omega_tree_of, ordinal_notations
 from qitbench.engine import (
     ClassId,
+    ENode,
     Justification,
     SaturationResult,
     closed_terms,
@@ -634,11 +635,49 @@ def test_a_call_after_an_instance_budget_exit_continues():
     assert st.class_count > count
 
 
+def _reference_match(st, pattern, root):
+    """Environments under which ``pattern``'s instance is class ``root``,
+    read off the class's stored payloads (finite branches only, as in
+    ``SMALL_SIG``) rather than the state's operator index."""
+    if isinstance(pattern, Var):
+        return [{pattern.name: root}]
+    out = []
+    for mid in st._members.get(root, ()):
+        p = st._payloads[mid]
+        if not isinstance(p, ENode) or p.op != pattern.op:
+            continue
+        envs = [{}]
+        for sub, child in zip(pattern.branches, st._canon_branches(p.branches)):
+            envs = [
+                {**env, **cand}
+                for env in envs
+                for cand in _reference_match(st, sub, child)
+                if all(env.get(k, v) == v for k, v in cand.items())
+            ]
+        out.extend(envs)
+    return out
+
+
+def _reference_envs(st, eq, roots):
+    """Every environment under which one side's instance exists, its
+    unbound variables completed over all roots."""
+    n = eq.var_count
+    envs = set()
+    for side in (eq.lhs, eq.rhs):
+        for r in roots:
+            for env in _reference_match(st, side, r):
+                missing = [v for v in range(n) if v not in env]
+                for combo in itertools.product(roots, repeat=len(missing)):
+                    full = {**env, **dict(zip(missing, combo))}
+                    envs.add(tuple(full[v] for v in range(n)))
+    return sorted(envs)
+
+
 def _reference_saturate(st, max_rounds):
     """Saturation as if every class were touched in every round: each
-    equation is matched at every root, and a call at a fixpoint runs its
-    idle round.  Returns the result and whether the instance budget
-    tripped."""
+    equation is matched at every root by the matcher above, and a call at
+    a fixpoint runs its idle round.  Returns the result and whether the
+    instance budget tripped."""
     merges = st._rebuild()
     before = len(st._payloads)
     rounds = 0
@@ -648,7 +687,7 @@ def _reference_saturate(st, max_rounds):
         roots = sorted(st._members)
         instances = 0
         for eq in sorted(st.system.equations, key=lambda e: e.name):
-            for env in st._instance_envs(eq, roots, st._enodes()):
+            for env in _reference_envs(st, eq, roots):
                 instances += 1
                 if instances > st.max_instances:
                     new = len(st._payloads) - before

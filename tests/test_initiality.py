@@ -159,6 +159,46 @@ def test_target_recheck_runs_sat_check_only_on_a_new_table(bag, monkeypatch):
     assert len(calls) == 3
 
 
+def test_target_recheck_table_is_not_a_constructor_argument(bag):
+    st, _ = build(bag, 4)
+    forged = _corrupted(bag)
+    table = initiality._operation_table(forged.algebra, bag.system, 200_000)
+    assert table is not None
+    with pytest.raises(TypeError):
+        RecTarget(forged.algebra, bag.system, SatReport(True), [table])
+    # a forged target starts with no passed table, so the re-check runs
+    assert forged.passed_table == []
+    with pytest.raises(StaleProofError):
+        qw_rec(st, forged, st.intern_term(NIL))
+
+
+def test_target_recheck_falls_back_on_a_wide_operator(monkeypatch):
+    # a ternary operator over 60 elements has 216,000 layers against the 60
+    # environments of a one-variable equation: no table, sat_check each use
+    sig = signature([("z", 0), ("t", 3)])
+    system = make_system(sig, [("idem", 1, node("t", Var(0), Var(0), Var(0)), Var(0))])
+    calls = Counter()
+
+    def interp(op, branches):
+        calls[op] += 1
+        return tuple(branch_values(branches))[0] if op == "t" else 0
+
+    target = rec_target(FiniteAlgebra(tuple(range(60)), interp), system)
+    checks = []
+    real = initiality.sat_check
+    monkeypatch.setattr(
+        initiality, "sat_check", lambda *a, **kw: checks.append(1) or real(*a, **kw)
+    )
+    st = new_qw(sig, system)
+    c = st.intern_term(node("t", node("z"), node("z"), node("z")))
+    for _ in range(3):
+        calls.clear()
+        assert qw_rec(st, target, c) == 0
+        assert calls["t"] < 100  # 60 environments and the fold, no table
+    assert len(checks) == 3
+    assert target.passed_table == []
+
+
 def test_check_rec_hom_ok(bag):
     st, _ = build(bag, 4)
     for alg in (length_algebra(4), parity_algebra()):
