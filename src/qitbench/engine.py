@@ -31,19 +31,18 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
 from .equations import EquationSystem, sat_check
 from .errors import (
-    ArityMismatchError,
     BudgetExceededError,
     ReplayError,
     UnboundVariableError,
     WorkbenchError,
 )
 from .terms import (
-    Arity,
     FiniteAlgebra,
     Node,
     OmegaTable,
@@ -53,6 +52,7 @@ from .terms import (
     Var,
     branch_assignments,
     branch_values,
+    check_branches,
     eval_alg,
     map_branches,
     node_key,
@@ -72,14 +72,14 @@ class ClassId:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenLeaf:
     """Payload of a generator leaf (free-algebra mode)."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ENode:
     """Payload of one operator layer over earlier classes.  Branch values
     are raw class indexes as seen at creation time; lookups canonicalise
@@ -94,7 +94,7 @@ Payload = Any  # GenLeaf | ENode
 
 @dataclass(frozen=True)
 class Justification:
-    kind: str  # "sqeq" | "cong" | "sqeta" | "sqsigma"
+    kind: str  # "sqeq" | "cong"
     equation: str | None = None
     env: tuple[int, ...] | None = None
 
@@ -271,8 +271,7 @@ class QWState:
             if t.name in self.generators:
                 return self._add(GenLeaf(t.name))
             raise UnboundVariableError(f"unknown generator {t.name!r}")
-        arity = self.signature.arity(t.op)
-        _check_branch_shape(t.op, arity, t.branches)
+        check_branches(self.signature, t.op, t.branches)
         ids = map_branches(self._intern, t.branches)
         return self._add(ENode(t.op, ids))
 
@@ -288,16 +287,14 @@ class QWState:
 
     def qw_intro(self, s: OpNode) -> ClassId:
         """The algebra step on the carrier: one operator layer over classes."""
-        arity = self.signature.arity(s.op)
-        _check_branch_shape(s.op, arity, s.branches)
+        check_branches(self.signature, s.op, s.branches)
         ids = map_branches(lambda c: self._live_root(c), s.branches)
         return ClassId(self._add(ENode(s.op, ids)))
 
     def lookup_intro(self, s: OpNode) -> ClassId | None:
         """Class of an operator layer if it is already interned, else None.
         Never creates classes."""
-        arity = self.signature.arity(s.op)
-        _check_branch_shape(s.op, arity, s.branches)
+        check_branches(self.signature, s.op, s.branches)
         ids = map_branches(lambda c: self._live_root(c), s.branches)
         hit = self._lookup(ENode(s.op, ids))
         return None if hit is None else ClassId(hit)
@@ -468,9 +465,13 @@ class QWState:
         for side in (eq.lhs, eq.rhs):
             bound = term_vars(side)
             missing = [v for v in range(n) if v not in bound]
+            head = None if isinstance(side, Var) else side.op
             # a bare variable matches anew only at a touched class itself
-            zone = hot if isinstance(side, Var) else near
+            zone = hot if head is None else near
             fresh = roots if zone is None else [r for r in roots if r in zone]
+            if head is not None:
+                # an operator side matches only at a class with a layer it heads
+                fresh = [r for r in fresh if head in index.get(r, ())]
             for r in fresh:
                 for env in self._match(side, r, index):
                     if missing:
@@ -480,7 +481,7 @@ class QWState:
                         envs.add(tuple(env[v] for v in range(n)))
             if missing and hot:
                 for r in roots:
-                    if r not in zone:
+                    if r not in zone and (head is None or head in index.get(r, ())):
                         for env in self._match(side, r, index):
                             touching = _touching(roots, hot, len(missing))
                             _complete(envs, env, missing, touching, n)
@@ -735,14 +736,22 @@ class QWState:
         self, size_bound: int, *, class_budget: int = 100_000
     ) -> list[tuple[ClassId, Term]]:
         """Intern every closed term up to the size bound, saturate, and
-        return one canonical representative per class of those terms."""
-        seeds = closed_terms(
-            self.signature, size_bound, probe=self.probe, generators=self.generators
-        )
-        ids = [self._intern(t) for t in seeds]
-        if self.class_count > class_budget:
+        return one canonical representative per class of those terms.
+
+        The terms are built in stages: each size's layers are added over
+        the classes of smaller sizes in ``term_key`` order, so the log is
+        that of interning the terms :func:`closed_terms` lists one by one.
+        ``class_budget`` bounds the classes after interning.  On a state
+        with no payloads that is the number of terms, checked before any
+        is built; otherwise it is checked once they are interned."""
+        args = (self.signature, size_bound, self.probe, self.generators)
+        count = None if self._payloads else _closed_term_count(*args)
+        if count is None or count <= class_budget:
+            ids = set(_staged_terms(*args, self._add))
+            count = self.class_count
+        if count > class_budget:
             raise BudgetExceededError(
-                f"{self.class_count} classes exceed the budget of {class_budget}"
+                f"{count} classes exceed the budget of {class_budget}"
             )
         self.saturate()
         ex = self._extraction()
@@ -824,15 +833,6 @@ def _branch_map(canon: Any) -> Any:
     return canon
 
 
-def _check_branch_shape(op: str, arity: Arity, branches: Any) -> None:
-    if arity.is_omega:
-        if not isinstance(branches, OmegaTable):
-            raise ArityMismatchError(f"{op!r} needs a table-plus-default branch map")
-    else:
-        if isinstance(branches, OmegaTable) or len(branches) != arity.finite:
-            raise ArityMismatchError(f"{op!r} expects {arity.finite} branches")
-
-
 def _height(t: Term) -> int:
     if isinstance(t, Var):
         return 0
@@ -891,13 +891,74 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def _shapes(sig: Signature, size: int, probe: int) -> Iterator[tuple]:
+    """The operator layers of a size as ``(op, default, indices, sizes)``:
+    the children's sizes, and for a countable operator the default's size
+    and the table's indices below the probe (None and ``()`` otherwise)."""
+    for name, arity in sig.ops:
+        if not arity.is_omega:
+            for sizes in _compositions(size - 1, arity.finite):
+                yield name, None, (), sizes
+            continue
+        for default in range(1, size):
+            rem = size - 1 - default
+            for m in range(min(probe, rem) + 1):
+                for idxs in itertools.combinations(range(probe), m):
+                    for sizes in _compositions(rem, m):
+                        yield name, default, idxs, sizes
+
+
+def _closed_term_count(sig: Signature, max_size: int, probe: int, generators: tuple) -> int:
+    """How many terms :func:`closed_terms` lists, counted from the shapes:
+    a table entry of the default's size may be any term but the default."""
+    counts = [0]
+    for s in range(1, max_size + 1):
+        n = len(generators) if s == 1 else 0
+        for _, default, _, sizes in _shapes(sig, s, probe):
+            if default is None:
+                n += math.prod(counts[k] for k in sizes)
+            else:
+                n += counts[default] * math.prod(counts[k] - (k == default) for k in sizes)
+        counts.append(n)
+    return sum(counts)
+
+
+def _staged_terms(
+    sig: Signature, max_size: int, probe: int, generators: tuple, build: Callable[[Payload], Any]
+) -> Iterator[Any]:
+    """The closed terms up to the bound, size by size, as ``build`` makes
+    them from a ``GenLeaf`` or from an ``ENode`` over the values built for
+    smaller sizes.  Each size is built in ``term_key`` order, found by
+    :func:`node_key` from the children's kept keys, so no subterm is
+    walked again.  A countable layer leaves out entries equal to its
+    default, compared by key."""
+    by_size: list[list[tuple[tuple, Any]]] = [[]]
+    for s in range(1, max_size + 1):
+        layers = [(term_key(Var(g)), GenLeaf(g)) for g in generators] if s == 1 else []
+        for op, default, idxs, sizes in _shapes(sig, s, probe):
+            pools = [by_size[k] for k in sizes]
+            if default is None:
+                for kids in itertools.product(*pools):
+                    keys = tuple(k for k, _ in kids)
+                    layers.append((node_key(op, keys), ENode(op, tuple(v for _, v in kids))))
+                continue
+            for dkey, dval in by_size[default]:
+                others = [[e for e in pool if e[0] != dkey] for pool in pools]
+                for kids in itertools.product(*others):
+                    keys = OmegaTable(tuple(zip(idxs, (k for k, _ in kids))), dkey)
+                    vals = OmegaTable(tuple(zip(idxs, (v for _, v in kids))), dval)
+                    layers.append((node_key(op, keys), ENode(op, vals)))
+        layers.sort(key=lambda layer: layer[0])
+        built = []
+        for key, payload in layers:
+            built.append((key, build(payload)))
+            yield built[-1][1]
+        by_size.append(built)
 
 
 def closed_terms(
@@ -906,44 +967,8 @@ def closed_terms(
     """All closed terms (over the operators and generator leaves) of size
     up to the bound, in canonical order.  Countable branch maps range over
     normalised tables supported below the probe depth."""
-    by_size: list[list[Term]] = [[] for _ in range(max_size + 1)]
-    if max_size >= 1:
-        for g in generators:
-            by_size[1].append(Var(g))
-        for name, arity in sig.ops:
-            if arity.finite == 0:
-                by_size[1].append(Node(name, ()))
-    for s in range(2, max_size + 1):
-        for name, arity in sig.ops:
-            if arity.is_omega:
-                by_size[s].extend(_omega_terms(name, s, by_size, probe))
-            elif arity.finite:
-                for sizes in _compositions(s - 1, arity.finite):
-                    for combo in itertools.product(*(by_size[k] for k in sizes)):
-                        by_size[s].append(Node(name, combo))
-    out = [t for bucket in by_size for t in bucket]
-    out.sort(key=term_key)
-    return out
-
-
-def _omega_terms(
-    op: str, size: int, by_size: list[list[Term]], probe: int
-) -> Iterator[Term]:
-    for d_size in range(1, size):
-        for default in by_size[d_size]:
-            rem = size - 1 - d_size
-            if rem == 0:
-                yield Node(op, OmegaTable((), default))
-                continue
-            for m in range(1, min(probe, rem) + 1):
-                for idxs in itertools.combinations(range(probe), m):
-                    for sizes in _compositions(rem, m):
-                        for vals in itertools.product(
-                            *(by_size[k] for k in sizes)
-                        ):
-                            if any(v == default for v in vals):
-                                continue
-                            yield Node(op, OmegaTable(tuple(zip(idxs, vals)), default))
+    term = lambda p: Var(p.name) if isinstance(p, GenLeaf) else Node(p.op, p.branches)
+    return list(_staged_terms(sig, max_size, probe, tuple(generators), term))
 
 
 # -- executable satisfaction on the carrier -------------------------------------
@@ -1220,10 +1245,6 @@ def replay_merges(state: QWState) -> int:
                 raise ReplayError(
                     f"equation merge {a} ~ {b} via {just.equation!r} does not re-derive"
                 )
-        elif just.kind in ("sqeta", "sqsigma"):
-            # eager interning realises these as representation identities;
-            # a logged merge with these tags has no separate evidence
-            raise ReplayError(f"unexpected {just.kind} merge in the log")
         else:
             raise ReplayError(f"unknown justification tag {just.kind!r}")
         ra, rb = uf.find(a), uf.find(b)

@@ -270,17 +270,19 @@ def validate_term(sig: Signature, t: Term, *, var_domain=None) -> None:
         if var_domain is not None and t.name not in var_domain:
             raise UnboundVariableError(f"variable {t.name!r} is not declared")
         return
-    arity = sig.arity(t.op)
-    if arity.is_omega:
-        if not isinstance(t.branches, OmegaTable):
-            raise ArityMismatchError(f"{t.op!r} needs a table-plus-default branch map")
-    else:
-        if isinstance(t.branches, OmegaTable) or len(t.branches) != arity.finite:
-            raise ArityMismatchError(
-                f"{t.op!r} expects {arity.finite} branches"
-            )
+    check_branches(sig, t.op, t.branches)
     for b in branch_values(t.branches):
         validate_term(sig, b, var_domain=var_domain)
+
+
+def check_branches(sig: Signature, op: str, branches: Any) -> None:
+    """Checks the operator exists and the branch map has its arity's shape."""
+    arity = sig.arity(op)
+    if arity.is_omega:
+        if not isinstance(branches, OmegaTable):
+            raise ArityMismatchError(f"{op!r} needs a table-plus-default branch map")
+    elif isinstance(branches, OmegaTable) or len(branches) != arity.finite:
+        raise ArityMismatchError(f"{op!r} expects {arity.finite} branches")
 
 
 def _interp(alg: Any, op: str, branches: Any) -> Any:

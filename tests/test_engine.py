@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,9 @@ from qitbench.engine import (
     ClassId,
     ENode,
     Justification,
+    QWState,
     SaturationResult,
+    _closed_term_count,
     closed_terms,
     check_equations_hold,
     find_separator,
@@ -31,6 +35,7 @@ from qitbench.equations import make_system, sat_check
 from qitbench.schema import elaborate, parse_decl
 from qitbench.terms import (
     Node,
+    OmegaTable,
     OpNode,
     Var,
     branch_assignments,
@@ -42,6 +47,7 @@ from qitbench.terms import (
     probe_key,
     signature,
     table_algebra,
+    term_key,
     term_size,
     term_to_json,
 )
@@ -489,13 +495,24 @@ def test_replay_rejects_forged_justification(bag):
         replay_merges(st)
 
 
+@pytest.mark.parametrize("tag", ["sqeta", "sqsigma"])
+def test_replay_rejects_a_retired_tag(bag, tag):
+    st = fresh(bag)
+    st.intern_term(bag_term(["a", "b"]))
+    st.intern_term(bag_term(["b", "a"]))
+    st.saturate()
+    st._log = [e if e[0] == "intern" else (*e[:3], Justification(tag)) for e in st._log]
+    with pytest.raises(ReplayError, match=f"unknown justification tag '{tag}'"):
+        replay_merges(st)
+
+
 def test_export_json_shape(bag):
     st = fresh(bag)
     st.enumerate_classes(3)
     snapshot = st.export_json()
     assert snapshot["probe"] == 2
     assert len(snapshot["classes"]) == st.class_count
-    assert all(e["tag"] in ("sqeq", "cong", "sqeta", "sqsigma") for e in snapshot["proof_forest"])
+    assert all(e["tag"] in ("sqeq", "cong") for e in snapshot["proof_forest"])
     assert any(e["tag"] == "sqeq" and "environment" in e for e in snapshot["proof_forest"])
 
 
@@ -956,3 +973,162 @@ def test_enumeration_merge_log_is_pinned(
     assert hashlib.sha256(repr(st.log).encode()).hexdigest() == log_digest
     snapshot = json.dumps(st.export_json(), sort_keys=True)
     assert hashlib.sha256(snapshot.encode()).hexdigest() == export_digest
+
+
+# -- staged enumeration -----------------------------------------------------------
+
+
+def _reference_enumeration(st, size):
+    """``enumerate_classes`` as interning the listed terms one by one."""
+    terms = closed_terms(st.signature, size, probe=st.probe, generators=st.generators)
+    ids = [st.intern_term(t) for t in terms]
+    st.saturate()
+    roots = {st.canonical(c) for c in ids}
+    reps = sorted((term_key(st.representative(c)), c) for c in roots)
+    return [(c, st.representative(c)) for _, c in reps]
+
+
+def _prepared(sig, system, generators, seed, size):
+    """A state holding a few random terms, saturated; empty for seed 0."""
+    st = new_qw(sig, system, generators=generators)
+    if seed:
+        pool = closed_terms(sig, size, probe=system.probe, generators=generators)
+        for t in random.Random(seed).sample(pool, min(12, len(pool))):
+            st.intern_term(t)
+        st.saturate()
+    return st
+
+
+STAGED_CASES = [
+    pytest.param(lambda fx: _qit(fx, "bag.qit"), (), 5, id="bag.qit"),
+    pytest.param(lambda fx: _qit(fx, "omega_tree.qit"), (), 4, id="omega_tree.qit"),
+    pytest.param(lambda fx: _qit(fx, "wreductions.qit"), ("v", "w"), 3, id="wreductions.qit-vw"),
+    pytest.param(lambda fx: _instance(ordinal_notations()), (), 5, id="ordinal"),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("build, generators, size", STAGED_CASES)
+def test_staged_enumeration_equals_interning_the_listed_terms(
+    fixtures, build, generators, size, seed
+):
+    sig, system = build(fixtures)
+    st = _prepared(sig, system, generators, seed, size)
+    ref = _prepared(sig, system, generators, seed, size)
+    assert st.enumerate_classes(size) == _reference_enumeration(ref, size)
+    assert st.log == ref.log
+    assert st.export_json() == ref.export_json()
+
+
+def _brute_terms(sig, size, probe, generators):
+    """Every closed term of exactly ``size``, by recursion over the
+    operators: a countable node takes a default and a table over some of
+    the positions below the probe, with no entry equal to the default."""
+    out = [Var(g) for g in generators] if size == 1 else []
+    for op, arity in sig.ops:
+        if arity.is_omega:
+            for dsize in range(1, size):
+                for d in _brute_terms(sig, dsize, probe, generators):
+                    rem = size - 1 - dsize
+                    for table in _brute_tables(sig, rem, range(probe), d, probe, generators):
+                        out.append(Node(op, omega_table(table, d)))
+        else:
+            for kids in _brute_rows(sig, size - 1, arity.finite, probe, generators):
+                out.append(Node(op, tuple(kids)))
+    return out
+
+
+def _brute_rows(sig, total, n, probe, generators):
+    if n == 0:
+        return [[]] if total == 0 else []
+    return [
+        [t] + rest
+        for k in range(1, total + 1)
+        for t in _brute_terms(sig, k, probe, generators)
+        for rest in _brute_rows(sig, total - k, n - 1, probe, generators)
+    ]
+
+
+def _brute_tables(sig, total, positions, default, probe, generators):
+    if not positions:
+        return [[]] if total == 0 else []
+    i, rest = positions[0], positions[1:]
+    out = _brute_tables(sig, total, rest, default, probe, generators)  # i at the default
+    for k in range(1, total + 1):
+        for t in _brute_terms(sig, k, probe, generators):
+            if t != default:
+                for tail in _brute_tables(sig, total - k, rest, default, probe, generators):
+                    out.append([(i, t)] + tail)
+    return out
+
+
+@pytest.mark.parametrize("build, generators, size", STAGED_CASES)
+def test_closed_terms_equal_a_brute_force_enumeration(fixtures, build, generators, size):
+    sig, system = build(fixtures)
+    for probe in (1, 2, 3):
+        got = closed_terms(sig, size, probe=probe, generators=generators)
+        brute = [
+            t for s in range(1, size + 1) for t in _brute_terms(sig, s, probe, generators)
+        ]
+        assert len(set(brute)) == len(brute)
+        assert got == sorted(brute, key=term_key)
+        assert _closed_term_count(sig, size, probe, tuple(generators)) == len(brute)
+        for t in got:
+            if isinstance(t, Node) and isinstance(t.branches, OmegaTable):
+                assert t.branches == omega_table(t.branches.entries, t.branches.default)
+                assert all(i < probe for i in t.branches.support())
+
+
+def _over(count, budget):
+    return f"^{count} classes exceed the budget of {budget}$"
+
+
+@pytest.mark.parametrize("build, generators, size", STAGED_CASES)
+def test_a_fresh_class_budget_is_checked_before_building(fixtures, build, generators, size):
+    sig, system = build(fixtures)
+    count = len(closed_terms(sig, size, probe=system.probe, generators=generators))
+    st = new_qw(sig, system, generators=generators)
+    with pytest.raises(BudgetExceededError, match=_over(count, count - 1)):
+        st.enumerate_classes(size, class_budget=count - 1)
+    assert st.log == ()
+    st.enumerate_classes(size, class_budget=count)
+    assert st.class_count >= 1
+
+
+def test_a_fresh_budget_overrun_is_refused_without_building(fixtures):
+    sig, system = _qit(fixtures, "bag.qit")
+    st = new_qw(sig, system)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=_over(2**30 - 1, 100_000)):
+        st.enumerate_classes(30)
+    assert time.perf_counter() - start < 1.0
+    assert st.log == ()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("build, generators, size", STAGED_CASES)
+def test_a_class_budget_on_a_used_state_counts_the_classes_after_interning(
+    fixtures, build, generators, size, seed
+):
+    sig, system = build(fixtures)
+    ref = _prepared(sig, system, generators, seed, size)
+    for t in closed_terms(sig, size, probe=system.probe, generators=generators):
+        ref.intern_term(t)
+    count = ref.class_count
+    st = _prepared(sig, system, generators, seed, size)
+    with pytest.raises(BudgetExceededError, match=_over(count, count - 1)):
+        st.enumerate_classes(size, class_budget=count - 1)
+    st = _prepared(sig, system, generators, seed, size)
+    st.enumerate_classes(size, class_budget=count)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_enumeration_never_interns_a_term(fixtures, monkeypatch, seed):
+    sig, system = _qit(fixtures, "omega_tree.qit")
+    st = _prepared(sig, system, (), seed, 4)
+
+    def no_intern(self, t):
+        raise AssertionError("enumerate_classes walked a term")
+
+    monkeypatch.setattr(QWState, "_intern", no_intern)
+    assert st.enumerate_classes(4)
