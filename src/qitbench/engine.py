@@ -9,10 +9,14 @@ environment fires once one side's instance is present), merge the two
 sides, and restore congruence.  Rounds are semi-naive: an equation is
 matched only near the classes touched since the last completed round
 began, and a call at a fixpoint returns at once; the merge log is the one
-full rounds make.  Matching reads each class's distinct
-canonical e-nodes (operator layers over canonical child classes, with
-congruent duplicates collapsed), indexed by head operator for the state's
-current version.  Every merge is recorded in a proof forest whose edges
+full rounds make.  Congruence upkeep is incremental too: each class keeps
+a use list of the operator payloads over it, a merge marks the losing
+class's users stale, and the rebuild re-keys only those, in payload order,
+making the merges that passes over every payload would.  Matching reads
+each class's distinct canonical e-nodes (operator layers over canonical
+child classes, with congruent duplicates collapsed), indexed by head
+operator; the index is refreshed only for the classes touched since it
+was last read.  Every merge is recorded in a proof forest whose edges
 carry their justification, and an independent replay validator re-derives
 the whole merge log with its own scan over the payloads.
 
@@ -30,6 +34,7 @@ ever "proved" or "unknown".
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -174,6 +179,12 @@ class QWState:
         self._payloads: list[Payload] = []
         self._members: dict[int, list[int]] = {}
         self._memo: dict[Any, int] = {}
+        # the key each payload was last filed under, each class root's use
+        # list (the operator payloads with a child in the class), and the
+        # payloads whose key a merge has made stale since the last rebuild
+        self._keys: list[Any] = []
+        self._uses: dict[int, list[int]] = {}
+        self._pending: list[int] = []
         self._proof: dict[int, tuple[int, Justification]] = {}
         self._log: list[tuple] = []
         self._version = 0
@@ -183,7 +194,10 @@ class QWState:
         self._fixpoint_version = -1
         self._mark = 0
         self._extracted: _Extraction | None = None
-        self._enode_index: tuple[int, dict, dict | None] | None = None
+        # the operator index once built, and the payloads whose class entry
+        # it must refresh at the next ``_enodes()``
+        self._index: dict[int, dict[str, dict[Any, None]]] | None = None
+        self._unindexed: list[int] = []
 
     # -- union-find ---------------------------------------------------------
 
@@ -206,6 +220,12 @@ class QWState:
         if self._rank[ra] == self._rank[rb]:
             self._rank[ra] += 1
         self._members[ra].extend(self._members.pop(rb))
+        users = self._uses.pop(rb, None)
+        if users:
+            self._uses.setdefault(ra, []).extend(users)
+            self._pending.extend(users)
+            self._unindexed.extend(users)
+        self._unindexed.append(rb)
         self._version += 1
         return True
 
@@ -234,7 +254,7 @@ class QWState:
                 if self._find(v) != default
             )
             return ("w", tuple(entries), default)
-        return tuple(self._find(v) for v in branches)
+        return tuple(map(self._find, branches))
 
     def _canon_key(self, payload: Payload) -> Any:
         if isinstance(payload, GenLeaf):
@@ -251,11 +271,15 @@ class QWState:
             stored = payload
         else:
             stored = ENode(payload.op, _branch_map(key[2]))
+            for child in dict.fromkeys(branch_values(stored.branches)):
+                self._uses.setdefault(child, []).append(idx)
         self._payloads.append(stored)
         self._parent.append(idx)
         self._rank.append(0)
         self._members[idx] = [idx]
         self._memo[key] = idx
+        self._keys.append(key)
+        self._unindexed.append(idx)
         self._log.append(("intern", idx, stored))
         self._version += 1
         return idx
@@ -345,79 +369,116 @@ class QWState:
     # -- congruence ---------------------------------------------------------
 
     def _rebuild(self) -> int:
-        """Restore congruence: re-canonicalise every payload key and merge
-        classes whose payloads collide.  Returns the number of merges."""
+        """Restore congruence: merge classes whose payloads' canonical keys
+        collide.  Returns the number of merges.
+
+        Only the payloads a merge made stale (the users of the losing
+        class) are re-keyed, popped in payload order, with the merges and
+        log of passes that re-key every payload in order until one merges
+        nothing.  A payload whose new key a later payload owns takes the
+        key and queues that owner, which then collides with it; a merge
+        re-keys the losing class's users after the current payload in this
+        pass and the others in the next, as a full pass would.  Afterwards
+        ``_memo`` holds each current key under the first payload with it."""
         merges = 0
-        changed = True
-        while changed:
-            changed = False
-            memo: dict[Any, int] = {}
-            for idx in range(len(self._payloads)):
-                key = self._canon_key(self._payloads[idx])
+        memo, keys, payloads, stale = self._memo, self._keys, self._payloads, self._pending
+        while stale:
+            todo = sorted(set(stale))  # this pass, as a heap
+            stale.clear()
+            later: list[int] = []
+            last = -1
+            while todo:
+                idx = heapq.heappop(todo)
+                if idx == last:
+                    continue
+                last = idx
+                if memo.get(keys[idx]) == idx:
+                    del memo[keys[idx]]
+                key = keys[idx] = self._canon_key(payloads[idx])
                 other = memo.get(key)
-                if other is None:
+                if other is None or other > idx:
                     memo[key] = idx
+                    if other is not None:
+                        heapq.heappush(todo, other)
                 elif self._find(other) != self._find(idx):
                     self._union(other, idx, Justification("cong"))
                     merges += 1
-                    changed = True
-            self._memo = memo
+                    for user in stale:
+                        if user > idx:
+                            heapq.heappush(todo, user)
+                        else:
+                            later.append(user)
+                    stale.clear()
+            stale.extend(later)
         return merges
 
     # -- matching and saturation ---------------------------------------------
 
     def _enodes(self) -> dict[int, dict[str, dict[Any, None]]]:
-        """Each class root's distinct canonical operator layers for the
-        current version: branch maps of child roots, grouped by head
-        operator.  Congruent duplicates among a class's payloads collapse to
-        one layer, and a countable map drops entries whose class is the
-        default's."""
-        if self._enode_index is None or self._enode_index[0] != self._version:
-            index: dict[int, dict[str, dict[Any, None]]] = {}
-            for root, mids in self._members.items():
-                by_op = index[root] = {}
-                for mid in mids:
-                    p = self._payloads[mid]
-                    if isinstance(p, ENode):
-                        canon = _branch_map(self._canon_branches(p.branches))
-                        by_op.setdefault(p.op, {})[canon] = None
-            self._enode_index = (self._version, index, None)
-        return self._enode_index[1]
+        """Each class root's distinct canonical operator layers: branch maps
+        of child roots, grouped by head operator.  Congruent duplicates
+        among a class's payloads collapse to one layer, and a countable map
+        drops entries whose class is the default's.
+
+        The index is built once and then refreshed in place, here only, for
+        the classes touched since the last call: those that gained a payload
+        or a member, or hold a layer over a class that lost its root."""
+        index = self._index
+        if index is None:
+            index = self._index = {}
+            todo: Iterable[int] = self._members
+        else:
+            parent = self._parent
+            todo = set()
+            for i in self._unindexed:
+                if parent[i] != i:
+                    index.pop(i, None)
+                todo.add(self._find(i))
+        self._unindexed.clear()
+        for root in todo:
+            by_op = index[root] = {}
+            for mid in self._members[root]:
+                p = self._payloads[mid]
+                if isinstance(p, ENode):
+                    canon = _branch_map(self._canon_branches(p.branches))
+                    by_op.setdefault(p.op, {})[canon] = None
+        return index
 
     def _near(self, touched: set[int], height: int) -> set[int]:
         """The class roots at most ``height`` parent steps above a touched
-        class: where a pattern that tall may match anew.  Each root's
-        parent classes (the roots with a layer over it) are found from
-        ``_enodes()`` when first needed and kept beside it."""
+        class: where a pattern that tall may match anew.  A root's parent
+        classes are the classes of the payloads in its use list."""
         near = set(touched)
-        if not touched or height == 0:
-            return near
-        index = self._enodes()
-        parents = self._enode_index[2]
-        if parents is None:
-            parents = {}
-            for root, by_op in index.items():
-                for layers in by_op.values():
-                    for branches in layers:
-                        for child in branch_values(branches):
-                            parents.setdefault(child, set()).add(root)
-            self._enode_index = (self._version, index, parents)
         frontier = touched
         for _ in range(height):
-            frontier = {p for c in frontier for p in parents.get(c, ())} - near
+            frontier = {
+                self._find(u) for c in frontier for u in self._uses.get(c, ())
+            } - near
             if not frontier:
                 break
             near |= frontier
         return near
 
-    def _match(self, pattern: Term, root: int, index: dict) -> list[dict[int, int]]:
+    def _match(
+        self, pattern: Term, root: int, index: dict, envs: list | None = None
+    ) -> list[dict[int, int]]:
         """Environments (variable -> class root) under which the pattern's
         instance is this class, judged structurally against the class's
         distinct canonical operator layers in ``index`` (an ``_enodes()``)
-        with the pattern's head."""
+        with the pattern's head.  Given ``envs``, those of them that extend
+        consistently, each extended."""
+        if envs is None:
+            envs = [{}]
         if isinstance(pattern, Var):
-            return [{pattern.name: root}]
-        out: list[dict[int, int]] = []
+            name, out = pattern.name, []
+            for env in envs:
+                bound = env.get(name)
+                if bound is None:
+                    out.append({**env, name: root})
+                elif bound == root:
+                    out.append(env)
+            return out
+        out = []
         for branches in index.get(root, {}).get(pattern.op, ()):
             if isinstance(pattern.branches, OmegaTable):
                 positions = sorted(
@@ -427,18 +488,12 @@ class QWState:
                 pairs.append((pattern.branches.default, branches.default))
             else:
                 pairs = zip(pattern.branches, branches)
-            envs: list[dict[int, int]] = [{}]
+            found = envs
             for sub, broot in pairs:
-                next_envs = []
-                for env in envs:
-                    for cand in self._match(sub, broot, index):
-                        merged = _merge_env(env, cand)
-                        if merged is not None:
-                            next_envs.append(merged)
-                envs = next_envs
-                if not envs:
+                found = self._match(sub, broot, index, found)
+                if not found:
                     break
-            out.extend(envs)
+            out.extend(found)
         return out
 
     def _instance_envs(
@@ -705,9 +760,13 @@ class QWState:
         return {c: ex.rep(self._live_root(c)) for c in classes}
 
     def fold(
-        self, leaf: Callable[[str], Any], step: Callable[[str, Any], Any]
+        self,
+        leaf: Callable[[str], Any],
+        step: Callable[[str, Any], Any],
+        roots: Iterable[int] | None = None,
     ) -> dict[int, Any]:
-        """Value of every class root, computed bottom up over the members
+        """Value of every class root, or given ``roots`` of those roots and
+        the classes below them, computed bottom up over the members
         representatives are built from and memoised within the call:
         ``leaf(name)`` on a generator leaf, ``step(op, values)`` on an
         operator layer, with ``values`` the branch map of its children's
@@ -728,7 +787,7 @@ class QWState:
             values[root] = v
             return v
 
-        for root in sorted(self._members):
+        for root in sorted(self._members) if roots is None else roots:
             value(root)
         return values
 
@@ -855,14 +914,6 @@ def _complete(
         full = dict(env)
         full.update(zip(missing, combo))
         envs.add(tuple(full[v] for v in range(n)))
-
-
-def _merge_env(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
-    out = dict(a)
-    for k, v in b.items():
-        if out.setdefault(k, v) != v:
-            return None
-    return out
 
 
 def new_qw(

@@ -114,10 +114,14 @@ def _operation_table(
 
 
 def _all_values(
-    state: QWState, algebra: Any, gen_env: Mapping | None
+    state: QWState,
+    algebra: Any,
+    gen_env: Mapping | None,
+    classes: Iterable[ClassId] | None = None,
 ) -> dict[int, Any]:
     """Value of every class: the canonical representative evaluated, as
-    one fold over the carrier."""
+    one fold over the carrier.  Given ``classes``, the fold covers only
+    them and the classes their representatives are built from."""
     if state.stale:
         state.saturate()
     env = dict(gen_env) if gen_env else {}
@@ -130,7 +134,8 @@ def _all_values(
                 f"variable {name!r} outside the environment"
             ) from None
 
-    return state.fold(leaf, lambda op, values: _interp(algebra, op, values))
+    roots = None if classes is None else [state.canonical(c).index for c in classes]
+    return state.fold(leaf, lambda op, values: _interp(algebra, op, values), roots)
 
 
 def qw_rec(
@@ -140,9 +145,11 @@ def qw_rec(
     *,
     gen_env: Mapping | None = None,
 ) -> Any:
-    """Recurse from a class into the target algebra."""
+    """Recurse from a class into the target algebra: its representative
+    evaluated, folding only the classes that representative is built
+    from."""
     _validate_target(state, target)
-    values = _all_values(state, target.algebra, gen_env)
+    values = _all_values(state, target.algebra, gen_env, (c,))
     return values[state.canonical(c).index]
 
 

@@ -14,6 +14,7 @@ from qitbench.encodings import NIL, bag_of, bag_term, cons, omega_tree_of, ordin
 from qitbench.engine import (
     ClassId,
     ENode,
+    GenLeaf,
     Justification,
     QWState,
     SaturationResult,
@@ -548,6 +549,18 @@ def test_matching_sees_a_merge_made_earlier_in_the_round():
 SMALL_SIG = signature([("c", 0), ("d", 0), ("f", 1), ("g", 2)])
 
 
+def test_a_repeated_variable_matches_equal_children_only():
+    # both sides repeat x, so only matching g(x, x) itself finds g(c, c);
+    # g(c, d) has distinct children and instantiates nothing
+    square = node("g", Var(0), Var(0))
+    st = new_qw(SMALL_SIG, make_system(SMALL_SIG, [("sq", 1, square, node("f", square))]))
+    cc = st.intern_term(node("g", node("c"), node("c")))
+    cd = st.intern_term(node("g", node("c"), node("d")))
+    assert st.saturate(max_rounds=1) == SaturationResult(False, 1, 1, 1)
+    assert st.same_class(cc, st.intern_term(node("f", node("g", node("c"), node("c")))))
+    assert st.lookup_intro(OpNode("f", (cd,))) is None
+
+
 def _sides(depth: int):
     leaf = hst.one_of(
         hst.builds(Var, hst.integers(0, 1)), hst.just(node("c")), hst.just(node("d"))
@@ -690,12 +703,88 @@ def _reference_envs(st, eq, roots):
     return sorted(envs)
 
 
+def _reference_key(st, p):
+    """A payload's key with its child classes canonicalised, in the
+    engine's ``_memo`` format."""
+    if isinstance(p, GenLeaf):
+        return ("g", p.name)
+    b = p.branches
+    if isinstance(b, OmegaTable):
+        d = st._find(b.default)
+        entries = sorted((i, st._find(v)) for i, v in b.entries if st._find(v) != d)
+        return ("n", p.op, ("w", tuple(entries), d))
+    return ("n", p.op, tuple(st._find(v) for v in b))
+
+
+def _full_pass_rebuild(st):
+    """Congruence restored by full passes: each pass re-keys every payload
+    in order and merges classes whose keys collide, until one merges
+    nothing; ``_memo`` is the last pass's keys."""
+    merges, changed = 0, True
+    while changed:
+        changed = False
+        memo = {}
+        for idx, p in enumerate(st._payloads):
+            key = _reference_key(st, p)
+            other = memo.get(key)
+            if other is None:
+                memo[key] = idx
+            elif st._find(other) != st._find(idx):
+                st._union(other, idx, Justification("cong"))
+                merges += 1
+                changed = True
+        st._memo = memo
+    return merges
+
+
+def _scratch_index(st):
+    """Every class root's distinct canonical operator layers by head
+    operator, built from the members."""
+    index = {}
+    for root, mids in st._members.items():
+        by_op = index[root] = {}
+        for mid in mids:
+            p = st._payloads[mid]
+            if isinstance(p, ENode):
+                canon = _reference_key(st, p)[2]
+                if canon and canon[0] == "w":
+                    canon = OmegaTable(canon[1], canon[2])
+                by_op.setdefault(p.op, {})[canon] = None
+    return index
+
+
+def _scratch_near(st, touched, height):
+    """The roots within ``height`` parent steps of a touched root, with
+    parents read off the from-scratch index."""
+    parents = {}
+    for root, by_op in _scratch_index(st).items():
+        for layers in by_op.values():
+            for branches in layers:
+                for child in branch_values(branches):
+                    parents.setdefault(child, set()).add(root)
+    near = frontier = set(touched)
+    for _ in range(height):
+        frontier = {p for c in frontier for p in parents.get(c, ())} - near
+        near = near | frontier
+    return near
+
+
+def _full_pass_state(sig, system, **kw):
+    """An engine state whose rebuild, operator index and parent classes
+    are recomputed from scratch by the reference functions above."""
+    st = new_qw(sig, system, **kw)
+    st._rebuild = lambda: _full_pass_rebuild(st)
+    st._enodes = lambda: _scratch_index(st)
+    st._near = lambda touched, height: _scratch_near(st, touched, height)
+    return st
+
+
 def _reference_saturate(st, max_rounds):
     """Saturation as if every class were touched in every round: each
-    equation is matched at every root by the matcher above, and a call at
-    a fixpoint runs its idle round.  Returns the result and whether the
-    instance budget tripped."""
-    merges = st._rebuild()
+    equation is matched at every root by the matcher above, congruence is
+    restored by full passes, and a call at a fixpoint runs its idle round.
+    Returns the result and whether the instance budget tripped."""
+    merges = _full_pass_rebuild(st)
     before = len(st._payloads)
     rounds = 0
     for rounds in range(1, max_rounds + 1):
@@ -714,7 +803,7 @@ def _reference_saturate(st, max_rounds):
                 rid = st._intern_instance(eq.rhs, env)
                 if st._union(lid, rid, Justification("sqeq", eq.name, env)):
                     round_merges += 1
-        round_merges += st._rebuild()
+        round_merges += _full_pass_rebuild(st)
         merges += round_merges
         if round_merges == 0 and len(st._payloads) == size_before:
             return SaturationResult(True, rounds, merges, len(st._payloads) - before), False
@@ -745,6 +834,23 @@ def _partition(st):
     ),
     ops=[node("f", node("c")), 2],
 )
+@example(  # the layer g(f(c), f(c)) over a touched class joins the class of
+    # f(g(d, c)), rooted at another payload: parent classes read from use
+    # lists must be taken at their roots
+    system=make_system(
+        SMALL_SIG,
+        [
+            (
+                "e0",
+                1,
+                node("f", node("g", node("d"), Var(0))),
+                node("g", node("f", node("c")), node("f", Var(0))),
+            ),
+            ("e1", 0, node("f", node("d")), node("f", node("c"))),
+        ],
+    ),
+    ops=[node("c"), 3, 3, 2, node("f", node("g", node("d"), node("c"))), 3],
+)
 @given(
     _small_systems(max_equations=3),
     hst.lists(
@@ -772,6 +878,43 @@ def test_incremental_saturation_equals_full_rounds(system, ops):
             assert st.intern_term(op) == ref.intern_term(op)
         assert st.log == ref.log
     assert _partition(st) == _partition(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _small_systems(max_equations=3),
+    hst.integers(5, 80),
+    hst.lists(
+        hst.one_of(
+            hst.sampled_from(closed_terms(SMALL_SIG, 4)),
+            hst.integers(0, 3),
+            hst.tuples(hst.integers(0, 9), hst.integers(0, 9)),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_congruence_upkeep_equals_full_passes(system, max_instances, ops):
+    # use lists, the worklist rebuild and the refreshed operator index make
+    # what full passes and from-scratch indexes make, step by step; small
+    # instance budgets exit mid-round and leave stale keys to the next call
+    st = new_qw(SMALL_SIG, system, max_instances=max_instances)
+    ref = _full_pass_state(SMALL_SIG, system, max_instances=max_instances)
+    ids = []
+    for op in ops:
+        if isinstance(op, int):
+            assert st.saturate(max_rounds=op) == ref.saturate(max_rounds=op)
+        elif isinstance(op, tuple):
+            if ids:
+                a, b = (ids[i % len(ids)] for i in op)
+                assert st.decide_eq(a, b) == ref.decide_eq(a, b)
+        else:
+            ids.append(st.intern_term(op))
+            assert ref.intern_term(op) == ids[-1]
+        assert st.log == ref.log
+        assert st._memo == ref._memo
+        assert _partition(st) == _partition(ref)
+        assert st._enodes() == _scratch_index(st)
 
 
 @settings(max_examples=30, deadline=500)
@@ -973,6 +1116,129 @@ def test_enumeration_merge_log_is_pinned(
     assert hashlib.sha256(repr(st.log).encode()).hexdigest() == log_digest
     snapshot = json.dumps(st.export_json(), sort_keys=True)
     assert hashlib.sha256(snapshot.encode()).hexdigest() == export_digest
+
+
+def test_congruence_upkeep_touches_only_what_merges_changed(fixtures, monkeypatch):
+    # after an enumeration, one new list and its saturation re-key only the
+    # users of merged classes and refresh only their classes' index
+    # entries: fewer canonicalisations than there are payloads, where
+    # re-keying every payload once per pass makes several times as many
+    sig, system = _qit(fixtures, "bag.qit")
+    st = new_qw(sig, system)
+    st.enumerate_classes(6)
+    keyed = {"depth": 0, "calls": 0}
+
+    def upkeep(name):
+        method = getattr(QWState, name)
+
+        def wrapped(self, *args):
+            keyed["depth"] += 1
+            try:
+                return method(self, *args)
+            finally:
+                keyed["depth"] -= 1
+
+        monkeypatch.setattr(QWState, name, wrapped)
+
+    def counted(name):
+        method = getattr(QWState, name)
+
+        def wrapped(self, *args):
+            keyed["calls"] += keyed["depth"] > 0
+            return method(self, *args)
+
+        monkeypatch.setattr(QWState, name, wrapped)
+
+    for name in ("_rebuild", "_enodes"):
+        upkeep(name)
+    for name in ("_canon_key", "_canon_branches"):
+        counted(name)
+    new = st.intern_term(bag_term(["a", "b", "b", "a", "a", "b", "a"]))
+    assert st.saturate().fixpoint
+    assert st.same_class(new, st.intern_term(bag_term(["a"] * 4 + ["b"] * 3)))
+    assert 0 < keyed["calls"] < len(st._payloads)
+
+
+def _bag_pair(rng):
+    xs = [rng.choice("abc") for _ in range(rng.randint(0, 6))]
+    ys = list(xs)
+    rng.shuffle(ys)
+    return bag_term(xs), bag_term(ys)
+
+
+def _swapped(t):
+    """The term with entries 0 and 1 of every countable map exchanged."""
+    if isinstance(t, Node) and isinstance(t.branches, OmegaTable):
+        b = t.branches
+        entries = [(1 - i, _swapped(v)) for i, v in b.entries]
+        return Node(t.op, omega_table(entries, _swapped(b.default)))
+    return t
+
+
+def _bag_session(fx):
+    inst = bag_of(("a", "b", "c"))
+    return inst.signature, inst.system, _bag_pair
+
+
+def _omega_tree_session(fx):
+    sig, system = _qit(fx, "omega_tree.qit")
+    pool = closed_terms(sig, 5, probe=2)
+
+    def pair(rng):
+        t = rng.choice(pool)
+        return t, _swapped(t)
+
+    return sig, system, pair
+
+
+# Digests of the log and of the derivations after a seeded mix of interning
+# pairs of terms, saturating with 0..3 rounds and deciding earlier pairs;
+# the second case's small instance budget exits mid-round.
+PINNED_SESSIONS = [
+    pytest.param(
+        _bag_session, 1, 200_000,
+        "a5140500d5131df7eb68d6a6f608b55595a82b8359fffc6642138d13c7e9ab5a",
+        "506b66e0bca2e01d0fb4a0645cd93020bdeedad6104430129338c9b4dd14e798",
+        id="bag-abc",
+    ),
+    pytest.param(
+        _bag_session, 2, 30,
+        "265c91991a55e3f9523b2f1981c40ca7b826cb84ac585bf209a9a793da0ebb5a",
+        "197a4c6b1265592c499020c5b1c64a23e567554db3d7ae392ca6dbe61031cc7f",
+        id="bag-abc-30-instances",
+    ),
+    pytest.param(
+        _omega_tree_session, 3, 200_000,
+        "e79e1577e23f8814307a2f8d769f7b4bf229e96bc1aedf38b35e56d19f8b1ac2",
+        "01460c7ded8f7b594009a847fd4bce3d73c8eb9fa9d29cb4f5fd39d3bcf9dd76",
+        id="omega_tree.qit",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, seed, max_instances, log_digest, derivation_digest", PINNED_SESSIONS
+)
+def test_mixed_session_log_is_pinned(
+    fixtures, build, seed, max_instances, log_digest, derivation_digest
+):
+    sig, system, pair = build(fixtures)
+    st = new_qw(sig, system, max_instances=max_instances)
+    rng = random.Random(seed)
+    pairs, derivations = [], []
+    for _ in range(120):
+        r = rng.random()
+        if r < 0.4 or not pairs:
+            t, u = pair(rng)
+            pairs.append((st.intern_term(t), st.intern_term(u)))
+        elif r < 0.7:
+            st.saturate(max_rounds=rng.randint(0, 3))
+        else:
+            derivations.append(st.decide_eq(*rng.choice(pairs)).to_json())
+    assert replay_merges(st) == sum(1 for e in st.log if e[0] == "merge")
+    assert hashlib.sha256(repr(st.log).encode()).hexdigest() == log_digest
+    digest = hashlib.sha256(json.dumps(derivations).encode()).hexdigest()
+    assert digest == derivation_digest
 
 
 # -- staged enumeration -----------------------------------------------------------

@@ -17,7 +17,12 @@ from qitbench.encodings import (
 )
 from qitbench.engine import ClassId, new_qw
 from qitbench.equations import SatReport, make_system
-from qitbench.errors import CoherenceError, StaleProofError, WorkbenchError
+from qitbench.errors import (
+    CoherenceError,
+    StaleProofError,
+    UnboundVariableError,
+    WorkbenchError,
+)
 from qitbench.initiality import (
     CoherenceReport,
     DepTarget,
@@ -418,6 +423,37 @@ def test_fold_equals_evaluating_representatives(fixtures, path, size, generators
         c.index: eval_alg(st.representative(c), env, alg) for c in st.roots()
     }
     assert _all_values(st, alg, env) == expected
+
+
+@pytest.mark.parametrize("path,size,generators,algebra", FOLD_CASES)
+def test_recursion_folds_only_the_queried_class(
+    fixtures, monkeypatch, path, size, generators, algebra
+):
+    # qw_rec folds the class's own subgraph; each answer is the full fold's
+    st, alg, env = _fold_case(fixtures, path, size, generators, algebra)
+    expected = _all_values(st, alg, env)
+    # the recording and corrupted algebras are no recursion targets: let
+    # them through the re-check so the fold itself is compared
+    monkeypatch.setattr(initiality, "_validate_target", lambda state, target: None)
+    target = RecTarget(alg, st.system, SatReport(True))
+    for c in st.roots():
+        assert qw_rec(st, target, c, gen_env=env) == expected[c.index]
+    leaf = st.roots()[0]
+    assert _all_values(st, alg, env, [leaf]) == {leaf.index: expected[leaf.index]}
+
+
+def test_an_unbound_generator_raises_only_where_the_queried_class_uses_it(
+    fixtures, monkeypatch
+):
+    st, alg, _ = _fold_case(fixtures, "wreductions.qit", 3, ("v", "w"), None)
+    monkeypatch.setattr(initiality, "_validate_target", lambda state, target: None)
+    target = RecTarget(alg, st.system, SatReport(True))
+    v, w = st.intern_term(Var("v")), st.intern_term(Var("w"))
+    assert qw_rec(st, target, v, gen_env={"v": "v"}) == "v"
+    with pytest.raises(UnboundVariableError):
+        qw_rec(st, target, w, gen_env={"v": "v"})
+    with pytest.raises(UnboundVariableError):
+        _all_values(st, alg, {"v": "v"})
 
 
 def test_fold_drops_entries_that_collapse_onto_the_default():
