@@ -44,7 +44,7 @@ from .schema import (
 from .terms import (
     FiniteAlgebra,
     Signature,
-    branch_assignments,
+    enumerate_opnodes,
     probe_key,
     table_algebra,
     term_to_json,
@@ -99,19 +99,30 @@ def _load_pipeline(args):
 
 def algebra_to_json(alg: FiniteAlgebra, sig: Signature, probe: int) -> dict:
     rows = []
-    for opname, arity in sig.ops:
-        for branches in branch_assignments(arity, alg.carrier, probe):
-            key = probe_key(branches, probe)
-            rows.append(
-                {"op": opname, "branches": list(key[1:]), "value": alg.interp(opname, branches)}
-            )
+    for s in enumerate_opnodes(sig, alg.carrier, probe):
+        branches = list(probe_key(s.branches, probe)[1:])
+        rows.append({"op": s.op, "branches": branches, "value": alg.interp(s.op, s.branches)})
     return {"name": alg.name, "carrier": list(alg.carrier), "table": rows}
 
 
-def algebra_from_json(obj: dict, sig: Signature, probe: int) -> FiniteAlgebra:
+def algebra_from_json(obj: Any, sig: Signature, probe: int) -> FiniteAlgebra:
+    if not (
+        isinstance(obj, dict)
+        and isinstance(obj.get("carrier"), list)
+        and isinstance(obj.get("table"), list)
+    ):
+        raise WorkbenchError('an algebra is an object with a "carrier" list and a "table" list')
     carrier = tuple(obj["carrier"])
     table: dict = {}
     for row in obj["table"]:
+        if not (
+            isinstance(row, dict)
+            and {"op", "branches", "value"} <= row.keys()
+            and isinstance(row["branches"], list)
+        ):
+            raise WorkbenchError(
+                f'algebra table row {json.dumps(row)} needs "op", a "branches" list and "value"'
+            )
         op = row["op"]
         arity = sig.arity(op)
         vals = tuple(row["branches"])
@@ -122,19 +133,22 @@ def algebra_from_json(obj: dict, sig: Signature, probe: int) -> FiniteAlgebra:
             )
         tag = "omega" if arity.is_omega else "finite"
         table[(op, (tag,) + vals)] = row["value"]
-    for opname, arity in sig.ops:
-        for branches in branch_assignments(arity, carrier, probe):
-            key = (opname, probe_key(branches, probe))
-            if key not in table:
-                raise WorkbenchError(
-                    f"algebra table is partial: no row for {opname!r} at {key[1][1:]!r}"
-                )
+    for s in enumerate_opnodes(sig, carrier, probe):
+        key = (s.op, probe_key(s.branches, probe))
+        if key not in table:
+            raise WorkbenchError(
+                f"algebra table is partial: no row for {s.op!r} at {key[1][1:]!r}"
+            )
     return table_algebra(sig, carrier, table, probe=probe, name=obj.get("name", ""))
 
 
 def _load_algebra(args, sig: Signature) -> FiniteAlgebra:
     if getattr(args, "algebra", None):
-        return algebra_from_json(json.loads(_read(args.algebra)), sig, args.probe)
+        try:
+            obj = json.loads(_read(args.algebra))
+        except json.JSONDecodeError as exc:
+            raise WorkbenchError(f"algebra file is not JSON: {exc}") from None
+        return algebra_from_json(obj, sig, args.probe)
     return one_point_algebra()
 
 

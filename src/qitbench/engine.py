@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
-from .equations import EquationSystem, sat_check
+from .equations import ENV_BUDGET, EquationSystem, instances, sat_check
 from .errors import (
     BudgetExceededError,
     ReplayError,
@@ -55,9 +55,9 @@ from .terms import (
     Signature,
     Term,
     Var,
-    branch_assignments,
     branch_values,
     check_branches,
+    enumerate_opnodes,
     eval_alg,
     map_branches,
     node_key,
@@ -916,22 +916,8 @@ def _complete(
         envs.add(tuple(full[v] for v in range(n)))
 
 
-def new_qw(
-    signature: Signature,
-    system: EquationSystem,
-    *,
-    generators: Iterable[str] = (),
-    max_rounds: int = 40,
-    max_instances: int = 200_000,
-) -> QWState:
-    """Fresh empty construction state with recorded budgets."""
-    return QWState(
-        signature,
-        system,
-        generators=generators,
-        max_rounds=max_rounds,
-        max_instances=max_instances,
-    )
+# a fresh empty construction state with its recorded budgets
+new_qw = QWState
 
 
 # -- closed term enumeration ---------------------------------------------------
@@ -1045,22 +1031,15 @@ def check_equations_hold(
     state: QWState,
     classes: Iterable[ClassId],
     *,
-    env_budget: int = 200_000,
+    env_budget: int = ENV_BUDGET,
 ) -> CarrierSatReport:
     """Replay the satisfaction enumeration over carrier classes: every
     equation instance over the given classes must be proved equal."""
     classes = [state._live_root(c) for c in classes]
-    total = sum(len(classes) ** e.var_count for e in state.system.equations)
-    if total > env_budget:
-        raise BudgetExceededError(
-            f"{total} environments exceed the budget of {env_budget}"
-        )
-    pending = []
-    for eq in sorted(state.system.equations, key=lambda e: e.name):
-        for env in itertools.product(classes, repeat=eq.var_count):
-            lid = state._intern_instance(eq.lhs, env)
-            rid = state._intern_instance(eq.rhs, env)
-            pending.append((eq.name, env, lid, rid))
+    pending = [
+        (eq.name, env, state._intern_instance(eq.lhs, env), state._intern_instance(eq.rhs, env))
+        for eq, env in instances(state.system, classes, env_budget)
+    ]
     state.saturate()
     for name, env, lid, rid in pending:
         if state._find(lid) != state._find(rid):
@@ -1092,7 +1071,6 @@ def find_separator(
     *,
     probe: int | None = None,
     max_algebras: int = 500_000,
-    env_budget: int = 200_000,
 ) -> FiniteAlgebra | None:
     """Search for a finite algebra that satisfies the system yet evaluates
     the two closed terms differently.  Such an algebra certifies that the
@@ -1106,25 +1084,20 @@ def find_separator(
     or an equation instance's sides differ: every completion agrees, so no
     separator is cut.  A hit is re-checked with ``eval_alg`` and
     ``sat_check``.  ``max_algebras`` bounds the cells assigned over all
-    carriers; ``env_budget`` bounds each carrier's equation instances
-    before they are compiled."""
+    carriers; each carrier's equation instances are bounded by
+    ``ENV_BUDGET`` before they are compiled."""
     probe = system.probe if probe is None else probe
     validate_term(sig, t, var_domain=frozenset())
     validate_term(sig, u, var_domain=frozenset())
-    eqs = sorted(system.equations, key=lambda e: e.name)
     nodes = 0
     for m in range(1, carrier_bound + 1):
-        total = sum(m**e.var_count for e in eqs)
-        if total > env_budget:
-            raise BudgetExceededError(
-                f"{total} environments exceed the budget of {env_budget}"
-            )
         carrier = tuple(range(m))
-        slots, bases = [], {}
-        for name, arity in sig.ops:
-            bases[name] = len(slots)
-            for branches in branch_assignments(arity, carrier, probe):
-                slots.append((name, probe_key(branches, probe)))
+        envs = instances(system, carrier, ENV_BUDGET)
+        layers = enumerate_opnodes(sig, carrier, probe)
+        slots = [(s.op, probe_key(s.branches, probe)) for s in layers]
+        bases: dict[str, int] = {}
+        for i, (name, _) in enumerate(slots):
+            bases.setdefault(name, i)
         cells: list[int | None] = [None] * len(slots)
 
         def value(c: Any) -> int | None:
@@ -1155,14 +1128,13 @@ def find_separator(
             return rest
 
         tc, uc = _cell_term(t, (), bases, probe), _cell_term(u, (), bases, probe)
-        instances: dict[tuple, None] = {}
-        for e in eqs:
-            for env in itertools.product(carrier, repeat=e.var_count):
-                lhs = _cell_term(e.lhs, env, bases, probe)
-                rhs = _cell_term(e.rhs, env, bases, probe)
-                if lhs != rhs:
-                    instances[lhs, rhs] = None
-        root = undetermined(list(instances))
+        compiled: dict[tuple, None] = {}
+        for e, env in envs:
+            lhs = _cell_term(e.lhs, env, bases, probe)
+            rhs = _cell_term(e.rhs, env, bases, probe)
+            if lhs != rhs:
+                compiled[lhs, rhs] = None
+        root = undetermined(list(compiled))
         if root is None:
             continue
         # pending[k]: the instances still undetermined before cell k is set
@@ -1192,9 +1164,7 @@ def find_separator(
                 k += 1
                 continue
             alg = table_algebra(sig, carrier, dict(zip(slots, cells)), probe=probe)
-            if eval_alg(t, {}, alg) != eval_alg(u, {}, alg) and sat_check(
-                alg, system, env_budget=env_budget
-            ).satisfied:
+            if eval_alg(t, {}, alg) != eval_alg(u, {}, alg) and sat_check(alg, system).satisfied:
                 return alg
     return None
 

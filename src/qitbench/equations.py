@@ -3,13 +3,17 @@
 An equation relates two terms over a finite set of integer variables
 0..n-1.  Countably indexed variable families are truncated upstream at the
 probe depth recorded on the system, keeping satisfaction checks finite.
+
+Every check that quantifies over equation instances reads them from
+:func:`instances`: equations by name, environments in carrier order, and
+the instance count checked against a budget before the first is built.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, DuplicateNameError, FiberMismatchError
 from .terms import (
@@ -109,24 +113,38 @@ class SatReport:
         }
 
 
-def sat_check(alg: Any, system: EquationSystem, *, env_budget: int = 200_000) -> SatReport:
-    """Check every equation under every environment into the carrier.
+ENV_BUDGET = 200_000  # equation instances, where the caller sets no other budget
 
-    Enumeration is lexicographic in (equation name, then environment in
-    carrier order), so the first violation is deterministic.
-    """
-    carrier = alg.carrier
-    total = sum(len(carrier) ** e.var_count for e in system.equations)
-    if total > env_budget:
-        raise BudgetExceededError(
-            f"{total} environments exceed the budget of {env_budget}"
-        )
-    for e in sorted(system.equations, key=lambda e: e.name):
-        for env in itertools.product(carrier, repeat=e.var_count):
-            lv = eval_alg(e.lhs, env, alg)
-            rv = eval_alg(e.rhs, env, alg)
-            if lv != rv:
-                return SatReport(False, e.name, env, lv, rv)
+
+def instance_count(system: EquationSystem, size: int) -> int:
+    """Equation instances over a carrier of ``size`` elements."""
+    return sum(size**e.var_count for e in system.equations)
+
+
+def instances(
+    system: EquationSystem, carrier: Sequence, budget: int
+) -> Iterator[tuple[Equation, tuple]]:
+    """Every ``(equation, environment)`` over the carrier, lexicographic in
+    (equation name, then environment in carrier order).  The count is
+    checked against ``budget`` on the call, before any is yielded."""
+    total = instance_count(system, len(carrier))
+    if total > budget:
+        raise BudgetExceededError(f"{total} environments exceed the budget of {budget}")
+    return (
+        (e, env)
+        for e in sorted(system.equations, key=lambda e: e.name)
+        for env in itertools.product(carrier, repeat=e.var_count)
+    )
+
+
+def sat_check(alg: Any, system: EquationSystem, *, env_budget: int = ENV_BUDGET) -> SatReport:
+    """Check every equation under every environment into the carrier, in
+    :func:`instances` order, so the first violation is deterministic."""
+    for e, env in instances(system, alg.carrier, env_budget):
+        lv = eval_alg(e.lhs, env, alg)
+        rv = eval_alg(e.rhs, env, alg)
+        if lv != rv:
+            return SatReport(False, e.name, env, lv, rv)
     return SatReport(True)
 
 

@@ -10,19 +10,29 @@ elimination is the same fold through the algebra on (class, value) pairs,
 guarded by a coherence premise over the equations.
 
 All checks here are bounded: they quantify over enumerated fragments, not
-the whole carrier, and say so in their reports.
+the whole carrier, and say so in their reports.  Each settles the state
+(saturating it if stale) and picks its fragment through :func:`_fragment`,
+walks the fragment's operator layers through :func:`_introductions`, whose
+count is checked against ``LAYER_BUDGET`` before any layer is built, and
+quantifies over equations through :func:`equations.instances`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from .engine import ClassId, GenLeaf, OmegaTable, QWState
-from .equations import EquationSystem, SatReport, _lift_pair, sat_check
+from .equations import (
+    ENV_BUDGET,
+    EquationSystem,
+    SatReport,
+    _lift_pair,
+    instance_count,
+    instances,
+    sat_check,
+)
 from .errors import (
-    BudgetExceededError,
     CoherenceError,
     FiberMismatchError,
     StaleProofError,
@@ -34,10 +44,12 @@ from .terms import (
     OpNode,
     Var,
     _interp,
-    count_opnodes,
-    enumerate_opnodes,
+    budgeted_opnodes,
     map_branches,
 )
+
+LAYER_BUDGET = 100_000  # operator layers over a fragment
+DEP_ENV_BUDGET = 50_000  # dependent environments of the coherence premise
 
 
 @dataclass(frozen=True)
@@ -55,16 +67,13 @@ class RecTarget:
     )
 
 
-def rec_target(algebra: FiniteAlgebra, system: EquationSystem, *, env_budget: int = 200_000) -> RecTarget:
-    report = sat_check(algebra, system, env_budget=env_budget)
+def rec_target(algebra: FiniteAlgebra, system: EquationSystem) -> RecTarget:
+    report = sat_check(algebra, system)
     if not report.satisfied:
         raise WorkbenchError(
             f"algebra does not satisfy the equations: {report.to_json()}"
         )
     return RecTarget(algebra, system, report)
-
-
-_RECHECK_BUDGET = 200_000  # environments, as sat_check's default
 
 
 def _validate_target(state: QWState, target: RecTarget) -> None:
@@ -79,10 +88,10 @@ def _validate_target(state: QWState, target: RecTarget) -> None:
         raise StaleProofError("target was built for a different equation system")
     if not target.sat_report.satisfied:
         raise StaleProofError("target carries a violated satisfaction report")
-    table = _operation_table(target.algebra, target.system, _RECHECK_BUDGET)
+    table = _operation_table(target.algebra, target.system, ENV_BUDGET)
     if table is not None and target.passed_table == [table]:
         return
-    fresh = sat_check(target.algebra, target.system, env_budget=_RECHECK_BUDGET)
+    fresh = sat_check(target.algebra, target.system)
     if not fresh.satisfied:
         raise StaleProofError(
             f"satisfaction no longer holds: {fresh.to_json()}"
@@ -99,12 +108,9 @@ def _operation_table(
     environments) or than ``budget``, or when an operation is undefined
     somewhere or leaves the carrier, so that ``sat_check`` judges every
     use."""
-    size = len(algebra.carrier)
-    envs = sum(size**e.var_count for e in system.equations)
-    if count_opnodes(system.signature, size, system.probe) > min(envs, budget):
-        return None
-    layers = enumerate_opnodes(system.signature, algebra.carrier, system.probe)
+    cells = min(instance_count(system, len(algebra.carrier)), budget)
     try:
+        layers = budgeted_opnodes(system.signature, algebra.carrier, system.probe, cells)
         values = tuple(_interp(algebra, s.op, s.branches) for s in layers)
     except WorkbenchError:
         return None
@@ -182,12 +188,21 @@ def _opnode_branches_json(s: OpNode) -> Any:
     return [v.index for v in b]
 
 
-def _fragment_opnodes(
-    state: QWState, classes: tuple[ClassId, ...], budget: int
-):
-    if count_opnodes(state.signature, len(classes), state.probe) > budget:
-        raise BudgetExceededError("operator layer enumeration exceeds the budget")
-    yield from enumerate_opnodes(state.signature, classes, state.probe)
+def _fragment(state: QWState, classes: Iterable[ClassId] | None) -> tuple[ClassId, ...]:
+    """Saturate a stale state, then return the given classes, or every root."""
+    if state.stale:
+        state.saturate()
+    return tuple(classes) if classes is not None else state.roots()
+
+
+def _introductions(state: QWState, fragment: tuple[ClassId, ...]):
+    """Each operator layer over the fragment, in canonical order, with the
+    root index of its interned introduction, or None where it is not
+    interned.  The layer count is checked against ``LAYER_BUDGET`` on the
+    call, before any layer is built."""
+    layers = budgeted_opnodes(state.signature, fragment, state.probe, LAYER_BUDGET)
+    intros = ((s, state.lookup_intro(s)) for s in layers)
+    return ((s, None if i is None else state.canonical(i).index) for s, i in intros)
 
 
 def check_rec_hom(
@@ -196,7 +211,6 @@ def check_rec_hom(
     *,
     classes: Iterable[ClassId] | None = None,
     gen_env: Mapping | None = None,
-    budget: int = 100_000,
 ) -> FragmentHomReport:
     """Check the algebra-map law on every operator layer over the fragment:
     stepping in the algebra after recursing equals recursing from the
@@ -206,22 +220,18 @@ def check_rec_hom(
 
     Evaluation here is deliberately ungated so a corrupted target shows up
     as a counterexample rather than a refusal."""
-    if state.stale:
-        state.saturate()
-    fragment = tuple(classes) if classes is not None else state.roots()
+    layers = _introductions(state, _fragment(state, classes))
     values = _all_values(state, target.algebra, gen_env)
     checked = skipped = 0
-    for s in _fragment_opnodes(state, fragment, budget):
-        intro = state.lookup_intro(s)
-        if intro is None:
+    for s, introot in layers:
+        if introot is None:
             skipped += 1
             continue
         stepped = _interp(
             target.algebra, s.op, map_branches(lambda c: values[state.canonical(c).index], s.branches)
         )
-        recursed = values[state.canonical(intro).index]
         checked += 1
-        if stepped != recursed:
+        if stepped != values[introot]:
             return FragmentHomReport(False, s, checked, skipped)
     return FragmentHomReport(True, None, checked, skipped)
 
@@ -257,19 +267,13 @@ def check_uniq(
     h: Mapping[ClassId, Any],
     *,
     gen_env: Mapping | None = None,
-    budget: int = 100_000,
 ) -> UniqReport:
     """If ``h`` is an algebra map on the fragment it must agree with
     recursion pointwise.  Premise failures (h is not a map) are reported
     separately from conclusion failures (h is a map but differs)."""
     _validate_target(state, target)
-    hmap = {state.canonical(c).index: v for c, v in h.items()}
-    fragment = tuple(ClassId(i) for i in sorted(hmap))
-    for s in _fragment_opnodes(state, fragment, budget):
-        intro = state.lookup_intro(s)
-        if intro is None:
-            continue
-        introot = state.canonical(intro).index
+    hmap = {state.canonical(c).index: h[c] for c in _fragment(state, h)}
+    for s, introot in _introductions(state, tuple(ClassId(i) for i in sorted(hmap))):
         if introot not in hmap:
             continue
         stepped = _interp(
@@ -315,37 +319,24 @@ def check_coherence(
     step: Callable[[str, Any, Any], Any],
     *,
     classes: Iterable[ClassId] | None = None,
-    env_budget: int = 50_000,
 ) -> CoherenceReport:
     """The dependent analogue of satisfaction: for every equation and every
     assignment of (class, value) pairs to its variables, lifting the two
     sides gives provably equal indices and equal values in the common
-    fiber."""
-    if state.stale:
-        state.saturate()
-    fragment = tuple(classes) if classes is not None else state.roots()
-    options = []
-    for c in fragment:
-        for v in family(c):
-            options.append((c, v))
+    fiber.  The environments are bounded by ``DEP_ENV_BUDGET``."""
+    options = [(c, v) for c in _fragment(state, classes) for v in family(c)]
 
     def intro_alg(op: str, branches: Any) -> ClassId:
         return state.qw_intro(OpNode(op, branches))
 
-    total = sum(len(options) ** e.var_count for e in state.system.equations)
-    if total > env_budget:
-        raise BudgetExceededError(
-            f"{total} dependent environments exceed the budget of {env_budget}"
-        )
     pending = []
-    for eq in sorted(state.system.equations, key=lambda e: e.name):
-        for env in itertools.product(options, repeat=eq.var_count):
-            try:
-                li, lv = _lift_pair(family, step, env, eq.lhs, intro_alg)
-                ri, rv = _lift_pair(family, step, env, eq.rhs, intro_alg)
-            except FiberMismatchError as exc:
-                return CoherenceReport(False, eq.name, str(exc))
-            pending.append((eq.name, li, lv, ri, rv))
+    for eq, env in instances(state.system, options, DEP_ENV_BUDGET):
+        try:
+            li, lv = _lift_pair(family, step, env, eq.lhs, intro_alg)
+            ri, rv = _lift_pair(family, step, env, eq.rhs, intro_alg)
+        except FiberMismatchError as exc:
+            return CoherenceReport(False, eq.name, str(exc))
+        pending.append((eq.name, li, lv, ri, rv))
     state.saturate()
     for name, li, lv, ri, rv in pending:
         if not state.decide_eq(li, ri).proved:
@@ -363,9 +354,8 @@ def dep_target(
     step: Callable[[str, Any, Any], Any],
     *,
     classes: Iterable[ClassId] | None = None,
-    env_budget: int = 50_000,
 ) -> DepTarget:
-    report = check_coherence(state, family, step, classes=classes, env_budget=env_budget)
+    report = check_coherence(state, family, step, classes=classes)
     if not report.ok:
         raise CoherenceError(f"coherence premise failed: {report.to_json()}")
     return DepTarget(family, step, report)
@@ -452,20 +442,13 @@ def check_comp(
     *,
     classes: Iterable[ClassId] | None = None,
     gen_env: Mapping | None = None,
-    budget: int = 100_000,
 ) -> CompReport:
     """The computation rule as a decided equality: eliminating an introduced
     class gives exactly the step applied to the branchwise eliminations."""
-    if state.stale:
-        state.saturate()
-    fragment = tuple(classes) if classes is not None else state.roots()
+    layers = _introductions(state, _fragment(state, classes))
     values = _elim_values(state, dep, gen_env=gen_env)
     checked = 0
-    for s in _fragment_opnodes(state, fragment, budget):
-        intro = state.lookup_intro(s)
-        if intro is None:
-            continue
-        introot = state.canonical(intro).index
+    for s, introot in layers:
         if introot not in values:
             continue
         vals = map_branches(lambda c: values[state.canonical(c).index], s.branches)

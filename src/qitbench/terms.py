@@ -386,6 +386,16 @@ def enumerate_opnodes(sig: Signature, carrier: tuple, probe: int) -> Iterator[Op
             yield OpNode(opname, branches)
 
 
+def budgeted_opnodes(
+    sig: Signature, carrier: tuple, probe: int, budget: int
+) -> Iterator[OpNode]:
+    """:func:`enumerate_opnodes`, with the layer count checked against
+    ``budget`` on the call, before any layer is built."""
+    if count_opnodes(sig, len(carrier), probe) > budget:
+        raise BudgetExceededError("operator layer enumeration exceeds the budget")
+    return enumerate_opnodes(sig, carrier, probe)
+
+
 @dataclass(frozen=True)
 class HomReport:
     ok: bool
@@ -404,9 +414,7 @@ def check_hom(
     """Check ``h`` is an algebra homomorphism by enumerating every operator
     layer over the source carrier: the step taken after mapping must agree
     with mapping the step's result."""
-    if count_opnodes(sig, len(src.carrier), probe) > budget:
-        raise BudgetExceededError("operator layer enumeration exceeds the budget")
-    for s in enumerate_opnodes(sig, src.carrier, probe):
+    for s in budgeted_opnodes(sig, src.carrier, probe, budget):
         mapped = map_branches(lambda y: h[y], s.branches)
         lhs = _interp(dst, s.op, mapped)
         rhs = h[_interp(src, s.op, s.branches)]

@@ -7,7 +7,7 @@ from typing import Any, Iterable, Mapping
 
 from .equations import EquationSystem, make_system
 from .errors import DuplicateNameError, WorkbenchError
-from .terms import OMEGA, Arity, Node, Signature, Term, Var, map_branches, omega_table
+from .terms import Arity, Node, Signature, Term, Var, map_branches, omega_table, signature
 
 
 def free_term(t: Term) -> Term:
@@ -38,14 +38,6 @@ def freeify(
     return new_sig, make_system(new_sig, eqs, probe=system.probe)
 
 
-def _coerce_arity(a: Any) -> Arity:
-    if isinstance(a, Arity):
-        return a
-    if a is None:
-        return OMEGA
-    return Arity(int(a))
-
-
 def _block_vars(arity: Arity, offset: int, probe: int):
     """Branch map reading one variable per branch position; countable
     positions get probed variables plus a default variable."""
@@ -67,7 +59,7 @@ def from_w_suspension(
     relating two operators applied to independent branch families.  A
     cell's variables are the two operators' branch positions side by side
     (left block first), so any pair of branch assignments is equated."""
-    sig = Signature(tuple((n, _coerce_arity(a)) for n, a in point_ops))
+    sig = signature(point_ops)
     eqs = []
     for cell_name, left_op, right_op in cells:
         la = sig.arity(left_op)
@@ -93,7 +85,7 @@ def from_w_reductions(
 ) -> tuple[Signature, EquationSystem]:
     """Reduction-style presentation: every operator application collapses
     to one of its own branches, the one picked by the reindexing map."""
-    sig = Signature(tuple((n, _coerce_arity(a)) for n, a in ops))
+    sig = signature(ops)
     eqs = []
     for name, arity in sig.ops:
         if name not in reindex:

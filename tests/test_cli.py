@@ -260,6 +260,40 @@ def test_algebra_loader_rejects_partial_table(fixtures, bag):
         algebra_from_json(obj, bag.signature, 2)
 
 
+MALFORMED_ALGEBRAS = {
+    "not-json": "{carrier: [0]",
+    "not-an-object": "[0]",
+    "empty-object": "{}",
+    "no-carrier": '{"table": []}',
+    "no-table": '{"carrier": [0]}',
+    "row-not-an-object": '{"carrier": [0], "table": [0]}',
+    "row-without-op": '{"carrier": [0], "table": [{"branches": [], "value": 0}]}',
+    "row-without-branches": '{"carrier": [0], "table": [{"op": "nil", "value": 0}]}',
+    "row-without-value": '{"carrier": [0], "table": [{"op": "nil", "branches": []}]}',
+    "branches-not-a-list": '{"carrier": [0], "table": [{"op": "nil", "branches": 0, "value": 0}]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_ALGEBRAS))
+def test_malformed_algebra_file_is_a_semantic_error(capsys, fixtures, tmp_path, name):
+    path = tmp_path / "algebra.json"
+    path.write_text(MALFORMED_ALGEBRAS[name])
+    code, out, err = run(capsys, "sat", str(fixtures / "bag.qit"), "--algebra", str(path))
+    assert code == EXIT_SEMANTIC
+    assert out == ""
+    assert json.loads(err)["error"] == "WorkbenchError"
+
+
+def test_malformed_algebra_fixture_is_a_semantic_error(capsys, fixtures):
+    code, out, err = run(
+        capsys, "sat", str(fixtures / "bag.qit"),
+        "--algebra", str(fixtures / "malformed_algebra.json"),
+    )
+    assert code == EXIT_SEMANTIC
+    assert out == ""
+    assert "value" in json.loads(err)["message"]
+
+
 def test_console_entry_point(fixtures):
     proc = subprocess.run(
         [sys.executable, "-m", "qitbench.cli", "check", str(fixtures / "bag.qit")],

@@ -15,9 +15,10 @@ from qitbench.encodings import (
     one_point_algebra,
     parity_algebra,
 )
-from qitbench.engine import ClassId, new_qw
+from qitbench.engine import ClassId, check_equations_hold, new_qw
 from qitbench.equations import SatReport, make_system
 from qitbench.errors import (
+    BudgetExceededError,
     CoherenceError,
     StaleProofError,
     UnboundVariableError,
@@ -256,6 +257,58 @@ def test_check_uniq_conclusion_failure_reported_distinctly(bag_a):
     assert not report.ok
     assert report.premise_counterexample is None
     assert report.conclusion_counterexample is not None
+
+
+def test_check_uniq_settles_a_stale_state_before_keying_the_map(bag):
+    # the two orders are one class only once saturation merges them
+    st = new_qw(bag.signature, bag.system)
+    c1 = st.intern_term(bag_term(["a", "b"]))
+    c2 = st.intern_term(bag_term(["b", "a"]))
+    assert st.stale and not st.same_class(c1, c2)
+    report = check_uniq(st, rec_target(length_algebra(4), bag.system), {c1: 2, c2: 2})
+    assert report.ok
+    assert st.same_class(c1, c2)
+
+
+BUDGETED_CHECKS = (
+    "check_equations_hold",
+    "check_coherence",
+    "check_rec_hom",
+    "check_uniq",
+    "check_comp",
+)
+
+
+@pytest.mark.parametrize("check", BUDGETED_CHECKS)
+def test_budgets_are_refused_before_any_work(bag, monkeypatch, check):
+    st, classes = build(bag, 4)
+    cids = [c for c, _ in classes]
+    target = rec_target(length_algebra(4), bag.system)
+    family, step = (lambda c: ("*",)), (lambda op, idxs, vals: "*")
+    dep = dep_target(st, family, step, classes=cids)
+    st.saturate()
+    monkeypatch.setattr(initiality, "LAYER_BUDGET", 3)
+    monkeypatch.setattr(initiality, "DEP_ENV_BUDGET", 3)
+    folds = []
+    for name in ("_all_values", "_elim_values"):
+        monkeypatch.setattr(initiality, name, lambda *a, **kw: folds.append(a))
+    runs = {
+        "check_equations_hold": lambda: check_equations_hold(st, cids, env_budget=3),
+        "check_coherence": lambda: check_coherence(st, family, step, classes=cids),
+        "check_rec_hom": lambda: check_rec_hom(st, target),
+        "check_uniq": lambda: check_uniq(st, target, {c: 0 for c in cids}),
+        "check_comp": lambda: check_comp(st, dep),
+    }
+    message = (
+        "operator layer enumeration exceeds the budget"
+        if check in ("check_rec_hom", "check_uniq", "check_comp")
+        else r"^\d+ environments exceed the budget of 3$"
+    )
+    version = st.version
+    with pytest.raises(BudgetExceededError, match=message):
+        runs[check]()
+    assert st.version == version
+    assert folds == []
 
 
 def test_qw_elim_refuses_unverified_coherence(bag):
