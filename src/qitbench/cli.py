@@ -105,6 +105,11 @@ def algebra_to_json(alg: FiniteAlgebra, sig: Signature, probe: int) -> dict:
     return {"name": alg.name, "carrier": list(alg.carrier), "table": rows}
 
 
+def _is_element(v: Any) -> bool:
+    """Whether a JSON value may be a carrier element: a string or an integer."""
+    return isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool))
+
+
 def algebra_from_json(obj: Any, sig: Signature, probe: int) -> FiniteAlgebra:
     if not (
         isinstance(obj, dict)
@@ -112,12 +117,15 @@ def algebra_from_json(obj: Any, sig: Signature, probe: int) -> FiniteAlgebra:
         and isinstance(obj.get("table"), list)
     ):
         raise WorkbenchError('an algebra is an object with a "carrier" list and a "table" list')
+    if not all(_is_element(v) for v in obj["carrier"]):
+        raise WorkbenchError("carrier elements must be strings or integers")
     carrier = tuple(obj["carrier"])
     table: dict = {}
     for row in obj["table"]:
         if not (
             isinstance(row, dict)
             and {"op", "branches", "value"} <= row.keys()
+            and isinstance(row["op"], str)
             and isinstance(row["branches"], list)
         ):
             raise WorkbenchError(
@@ -126,11 +134,16 @@ def algebra_from_json(obj: Any, sig: Signature, probe: int) -> FiniteAlgebra:
         op = row["op"]
         arity = sig.arity(op)
         vals = tuple(row["branches"])
-        width = probe + 1 if arity.is_omega else arity.finite
+        width = arity.width(probe)
         if len(vals) != width:
             raise WorkbenchError(
                 f"row for {op!r} needs {width} branch values, got {len(vals)}"
             )
+        for v in vals + (row["value"],):
+            if not (_is_element(v) and v in carrier):
+                raise WorkbenchError(
+                    f"row for {op!r} has {json.dumps(v)}, which is not in the carrier"
+                )
         tag = "omega" if arity.is_omega else "finite"
         table[(op, (tag,) + vals)] = row["value"]
     for s in enumerate_opnodes(sig, carrier, probe):
@@ -255,7 +268,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_sat(args) -> int:
-    decl, sig, system, state = _load_pipeline(args)
+    sig, system = elaborate(parse_decl(_read(args.path)), probe=args.probe)
     alg = _load_algebra(args, sig)
     report = sat_check(alg, system)
     _emit(args, report.to_json(), [json.dumps(report.to_json(), sort_keys=True)])
@@ -345,21 +358,22 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _add_common(
-    p: argparse.ArgumentParser, *, budgets: bool = True, carrier_default: int = 0
-) -> None:
+_OPTIONS = {
+    "--max-rounds": dict(type=int, default=40, help="saturation round budget"),
+    "--size-bound": dict(type=int, default=4, help="closed term size bound"),
+    "--carrier-bound": dict(
+        type=int, default=0, help="separator carrier bound (0 disables the search)"
+    ),
+    "--free": dict(action="append", metavar="GEN", help="generator name (free-algebra mode)"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *options: str) -> None:
+    """``--format`` and ``--probe``, then the named ``_OPTIONS`` the command reads."""
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.add_argument("--probe", type=int, default=2, help="probe depth for countable branching")
-    if budgets:
-        p.add_argument("--max-rounds", type=int, default=40, help="saturation round budget")
-        p.add_argument("--size-bound", type=int, default=4, help="closed term size bound")
-        p.add_argument(
-            "--carrier-bound",
-            type=int,
-            default=carrier_default,
-            help="separator carrier bound (0 disables the search)",
-        )
-        p.add_argument("--free", action="append", metavar="GEN", help="generator name (free-algebra mode)")
+    for name in options:
+        p.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,24 +382,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="parse, positivity, classification")
     p.add_argument("path")
-    _add_common(p, budgets=False)
+    _add_common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("elaborate", help="compile a declaration to signature plus equations")
     p.add_argument("path")
-    _add_common(p, budgets=False)
+    _add_common(p)
     p.set_defaults(func=cmd_elaborate)
 
     p = sub.add_parser("eq", help="decide equality of two terms")
     p.add_argument("path")
     p.add_argument("term1")
     p.add_argument("term2")
-    _add_common(p)
+    _add_common(p, "--max-rounds", "--carrier-bound", "--free")
     p.set_defaults(func=cmd_eq)
 
     p = sub.add_parser("enumerate", help="classes of closed terms up to a size bound")
     p.add_argument("path")
-    _add_common(p)
+    _add_common(p, "--max-rounds", "--size-bound", "--free")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("sat", help="check an algebra satisfies the equations")
@@ -398,20 +412,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("term")
     p.add_argument("--algebra", help="algebra JSON file")
-    _add_common(p)
+    _add_common(p, "--max-rounds", "--free")
     p.set_defaults(func=cmd_rec)
 
     p = sub.add_parser("separate", help="search for a separating algebra")
     p.add_argument("path")
     p.add_argument("term1")
     p.add_argument("term2")
-    _add_common(p, carrier_default=3)
-    p.set_defaults(func=cmd_separate)
+    _add_common(p, "--max-rounds", "--carrier-bound", "--free")
+    p.set_defaults(func=cmd_separate, carrier_bound=3)
 
     p = sub.add_parser("selftest", help="run the initiality suite on an instance")
     p.add_argument("path")
     p.add_argument("--algebra", help="algebra JSON file (default: one-point)")
-    _add_common(p)
+    _add_common(p, "--max-rounds", "--size-bound", "--free")
     p.set_defaults(func=cmd_selftest)
 
     return parser

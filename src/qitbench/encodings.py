@@ -16,6 +16,7 @@ from .equations import EquationSystem, make_system
 from .errors import WorkbenchError
 from .schema import perm_repr
 from .terms import (
+    OMEGA,
     FiniteAlgebra,
     Node,
     Signature,
@@ -24,6 +25,7 @@ from .terms import (
     branch_values,
     omega_table,
     signature,
+    var_block,
 )
 
 
@@ -124,19 +126,10 @@ def omega_tree_of(
     sig = signature([("leaf", 0)] + [(f"node({x})", None) for x in elements])
     eqs = []
     for x in elements:
+        lhs = Node(f"node({x})", var_block(OMEGA, 0, probe))
         for table in perms:
-            f = dict(table)
-            lhs = Node(
-                f"node({x})",
-                omega_table([(i, Var(i)) for i in range(probe)], Var(probe)),
-            )
-            rhs = Node(
-                f"node({x})",
-                omega_table(
-                    [(i, Var(f.get(i, i))) for i in range(probe)], Var(probe)
-                ),
-            )
-            eqs.append((f"perm({x},{perm_repr(table)})", probe + 1, lhs, rhs))
+            rhs = Node(f"node({x})", var_block(OMEGA, 0, probe, dict(table)))
+            eqs.append((f"perm({x},{perm_repr(table)})", OMEGA.width(probe), lhs, rhs))
     system = make_system(sig, eqs, probe=probe)
     return EncodedInstance(
         "omega-tree",
@@ -169,16 +162,15 @@ def ordinal_notations(*, probe: int = 2) -> EncodedInstance:
     def sup(entries, default):
         return Node("sup", omega_table(entries, default))
 
-    full = [(i, Var(i)) for i in range(k)]
     eqs = [
         # sup of a constant family is its value
         ("sup_const", 1, sup([], Var(0)), Var(0)),
         # swapping the first two probed branches changes nothing
         (
             "sup_swap01",
-            k + 1,
-            sup(full, Var(k)),
-            sup([(0, Var(1)), (1, Var(0))] + full[2:], Var(k)),
+            OMEGA.width(k),
+            Node("sup", var_block(OMEGA, 0, k)),
+            Node("sup", var_block(OMEGA, 0, k, {0: 1, 1: 0})),
         ),
         # a duplicated entry is absorbed
         (

@@ -55,7 +55,9 @@ from .terms import (
     Signature,
     Term,
     Var,
+    branch_pairs,
     branch_values,
+    branches_to_json,
     check_branches,
     enumerate_opnodes,
     eval_alg,
@@ -481,11 +483,7 @@ class QWState:
         out = []
         for branches in index.get(root, {}).get(pattern.op, ()):
             if isinstance(pattern.branches, OmegaTable):
-                positions = sorted(
-                    set(pattern.branches.support()) | set(branches.support())
-                )
-                pairs = [(pattern.branches.at(i), branches.at(i)) for i in positions]
-                pairs.append((pattern.branches.default, branches.default))
+                pairs = branch_pairs(pattern.branches, branches)
             else:
                 pairs = zip(pattern.branches, branches)
             found = envs
@@ -674,21 +672,6 @@ class QWState:
 
     # -- extraction, folds and enumeration -------------------------------------
 
-    def _child_roots(self, p: ENode) -> Any:
-        """Branch map of the payload's child class roots as a term built
-        from it has them: a countable map drops entries whose class is the
-        default's."""
-        b = p.branches
-        if isinstance(b, OmegaTable):
-            droot = self._find(b.default)
-            entries = []
-            for i, v in b.entries:
-                r = self._find(v)
-                if r != droot:
-                    entries.append((i, r))
-            return OmegaTable(tuple(entries), droot)
-        return tuple(self._find(v) for v in b)
-
     def _extraction(self) -> _Extraction:
         ex = self._extracted
         if ex is None or ex.version != self._version:
@@ -701,12 +684,17 @@ class QWState:
         of child stages.  Then, in order of cost, each class chooses among
         its least-cost members the one whose term is least under
         ``term_key``; such a member's children all cost less, so their keys
-        are already known."""
+        are already known.  A member's children are its canonical branch
+        map, which drops a countable map's entries in the default's class,
+        as a term built from the member does."""
         rows = []
         for root, mids in self._members.items():
             for mid in mids:
                 p = self._payloads[mid]
-                kids = None if isinstance(p, GenLeaf) else self._child_roots(p)
+                if isinstance(p, GenLeaf):
+                    kids = None
+                else:
+                    kids = _branch_map(self._canon_branches(p.branches))
                 flat = () if kids is None else tuple(branch_values(kids))
                 rows.append((root, p, kids, flat))
         cost: dict[int, int] = {}
@@ -874,15 +862,7 @@ class _Extraction:
 def _payload_to_json(p: Payload) -> dict:
     if isinstance(p, GenLeaf):
         return {"gen": p.name}
-    if isinstance(p.branches, OmegaTable):
-        return {
-            "op": p.op,
-            "branches": {
-                "table": [[i, v] for i, v in p.branches.entries],
-                "default": p.branches.default,
-            },
-        }
-    return {"op": p.op, "branches": list(p.branches)}
+    return {"op": p.op, "branches": branches_to_json(p.branches, lambda v: v)}
 
 
 def _branch_map(canon: Any) -> Any:
@@ -1056,9 +1036,7 @@ def _cell_term(t: Term, env: tuple, bases: dict[str, int], probe: int) -> Any:
     it, countable ones read as :func:`probe_key` reads them."""
     if isinstance(t, Var):
         return env[t.name]
-    branches = t.branches
-    if isinstance(branches, OmegaTable):
-        branches = [branches.at(i) for i in range(probe)] + [branches.default]
+    branches = probe_key(t.branches, probe)[1:]
     return (bases[t.op], tuple(_cell_term(b, env, bases, probe) for b in branches))
 
 
@@ -1205,46 +1183,17 @@ def replay_merges(state: QWState) -> int:
             p = payloads[mid]
             if not isinstance(p, ENode) or p.op != t.op:
                 continue
-            if isinstance(t.branches, OmegaTable) != isinstance(
-                p.branches, OmegaTable
-            ):
-                continue
-            if isinstance(t.branches, OmegaTable):
-                positions = sorted(
-                    set(t.branches.support()) | {i for i, _ in p.branches.entries}
-                )
-                checks = [
-                    (t.branches.at(i), p.branches.at(i)) for i in positions
-                ]
-                checks.append((t.branches.default, p.branches.default))
-            else:
-                if len(t.branches) != len(p.branches):
-                    continue
-                checks = list(zip(t.branches, p.branches))
-            if all(realizes(sub, env, b) for sub, b in checks):
+            checks = branch_pairs(t.branches, p.branches)
+            if checks is not None and all(realizes(sub, env, b) for sub, b in checks):
                 return True
         return False
 
     def congruent(a: int, b: int) -> bool:
         pa, pb = payloads[a], payloads[b]
-        if not (isinstance(pa, ENode) and isinstance(pb, ENode)):
+        if not (isinstance(pa, ENode) and isinstance(pb, ENode)) or pa.op != pb.op:
             return False
-        if pa.op != pb.op:
-            return False
-        if isinstance(pa.branches, OmegaTable) != isinstance(pb.branches, OmegaTable):
-            return False
-        if isinstance(pa.branches, OmegaTable):
-            positions = sorted(
-                {i for i, _ in pa.branches.entries}
-                | {i for i, _ in pb.branches.entries}
-            )
-            pairs = [(pa.branches.at(i), pb.branches.at(i)) for i in positions]
-            pairs.append((pa.branches.default, pb.branches.default))
-        else:
-            if len(pa.branches) != len(pb.branches):
-                return False
-            pairs = list(zip(pa.branches, pb.branches))
-        return all(uf.find(x) == uf.find(y) for x, y in pairs)
+        pairs = branch_pairs(pa.branches, pb.branches)
+        return pairs is not None and all(uf.find(x) == uf.find(y) for x, y in pairs)
 
     validated = 0
     for entry in state.log:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from .engine import ClassId, GenLeaf, OmegaTable, QWState
+from .engine import ClassId, GenLeaf, QWState
 from .equations import (
     ENV_BUDGET,
     EquationSystem,
@@ -44,6 +44,7 @@ from .terms import (
     OpNode,
     Var,
     _interp,
+    branches_to_json,
     budgeted_opnodes,
     map_branches,
 )
@@ -179,13 +180,7 @@ class FragmentHomReport:
 
 
 def _opnode_branches_json(s: OpNode) -> Any:
-    b = s.branches
-    if isinstance(b, OmegaTable):
-        return {
-            "table": [[i, v.index] for i, v in b.entries],
-            "default": b.default.index,
-        }
-    return [v.index for v in b]
+    return branches_to_json(s.branches, lambda c: c.index)
 
 
 def _fragment(state: QWState, classes: Iterable[ClassId] | None) -> tuple[ClassId, ...]:
@@ -270,9 +265,17 @@ def check_uniq(
 ) -> UniqReport:
     """If ``h`` is an algebra map on the fragment it must agree with
     recursion pointwise.  Premise failures (h is not a map) are reported
-    separately from conclusion failures (h is a map but differs)."""
+    separately from conclusion failures (h is a map but differs).  Two
+    handles of one class with different values are refused, since ``h`` is
+    then no function on the carrier."""
     _validate_target(state, target)
-    hmap = {state.canonical(c).index: h[c] for c in _fragment(state, h)}
+    hmap: dict[int, Any] = {}
+    for c in _fragment(state, h):
+        i = state.canonical(c).index
+        if hmap.setdefault(i, h[c]) != h[c]:
+            raise WorkbenchError(
+                f"the map gives class {i} two values, {hmap[i]!r} and {h[c]!r}"
+            )
     for s, introot in _introductions(state, tuple(ClassId(i) for i in sorted(hmap))):
         if introot not in hmap:
             continue

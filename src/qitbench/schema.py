@@ -39,7 +39,7 @@ from .errors import (
     ScopeError,
     UnsupportedSchemeError,
 )
-from .terms import OMEGA, Arity, Node, Signature, Term, Var, omega_table
+from .terms import OMEGA, Arity, Node, Signature, Term, Var, omega_table, var_block
 
 
 # -- source positions and AST ---------------------------------------------------
@@ -716,6 +716,14 @@ class _Slot:
     values: tuple = ()  # parameter values, or finite domain index values
     pos: SrcPos = _pos_field()
 
+    @property
+    def arity(self) -> Arity:
+        """A recursive slot's branch family: one branch, one per finite
+        index value, or countably many."""
+        if self.kind == "selfomega":
+            return OMEGA
+        return Arity(len(self.values) if self.kind == "selffun" else 1)
+
 
 def _classify_entry(decl: QITDecl, b: Binder) -> _Slot:
     tp = b.type
@@ -794,9 +802,8 @@ def _ctor_shapes(decl: QITDecl) -> dict[str, tuple[tuple[_Slot, ...], Arity]]:
     shapes: dict[str, tuple[tuple[_Slot, ...], Arity]] = {}
     for ctor in decl.element_ctors:
         slots = tuple(_classify_entry(decl, b) for b in ctor.telescope)
-        omega_slots = [s for s in slots if s.kind == "selfomega"]
-        self_like = [s for s in slots if s.kind in ("self", "selffun", "selfomega")]
-        if omega_slots:
+        self_like = [s for s in slots if s.kind != "param"]
+        if any(s.arity.is_omega for s in self_like):
             if len(self_like) != 1:
                 raise UnsupportedSchemeError(
                     "a countably branching argument must be the only recursive argument",
@@ -805,10 +812,7 @@ def _ctor_shapes(decl: QITDecl) -> dict[str, tuple[tuple[_Slot, ...], Arity]]:
                 )
             arity = OMEGA
         else:
-            width = 0
-            for s in self_like:
-                width += 1 if s.kind == "self" else len(s.values)
-            arity = Arity(width)
+            arity = Arity(sum(s.arity.finite for s in self_like))
         shapes[ctor.name] = (slots, arity)
     return shapes
 
@@ -843,15 +847,9 @@ def elaborate(decl: QITDecl, *, probe: int = 2) -> tuple[Signature, EquationSyst
         var_blocks: dict[str, tuple[int, _Slot]] = {}
         offset = 0
         for s in slots:
-            if s.kind == "self":
+            if s.kind != "param":
                 var_blocks[s.binder] = (offset, s)
-                offset += 1
-            elif s.kind == "selffun":
-                var_blocks[s.binder] = (offset, s)
-                offset += len(s.values)
-            elif s.kind == "selfomega":
-                var_blocks[s.binder] = (offset, s)
-                offset += probe + 1
+                offset += s.arity.width(probe)
         var_count = offset
         params = [s for s in slots if s.kind == "param"]
         for combo in itertools.product(*(s.values for s in params)):
@@ -948,7 +946,7 @@ def _pattern_term(decl, shapes, env, var_blocks, pat, probe: int) -> Term:
                 if len(family.values) != len(slot.values):
                     pos = args[0].pos
                     raise ScopeError("expected a branch family of matching shape", pos.line, pos.col)
-                branches.extend(Var(offset + i) for i in range(len(slot.values)))
+                branches.extend(var_block(family.arity, offset, probe))
             else:
                 branches.extend(_pattern_term(decl, shapes, env, var_blocks, a, probe) for a in args)
         opname = _op_name(head, tuple(combo))
@@ -1005,11 +1003,7 @@ def _omega_branches(decl, shapes, env, var_blocks, arg, probe: int):
                 arg.pos.col,
             )
     if block is not None:
-        offset = block[0]
-        return omega_table(
-            [(i, Var(offset + table.get(i, i))) for i in range(probe)],
-            Var(offset + probe),
-        )
+        return var_block(OMEGA, block[0], probe, table)
     if isinstance(arg, PatTable):
         if any(i >= probe for i, _ in arg.entries):
             raise DeclSyntaxError(

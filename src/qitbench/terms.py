@@ -7,6 +7,12 @@ default value, so every term is finitely described and structural equality
 is decidable.  Branch tables are normalised (indices sorted, entries equal
 to the default dropped), which makes structural equality coincide with
 extensional equality probed at any depth.
+
+This module is the one home of the branch-map format; other modules call
+it rather than keep their own copy.  Two maps line up position by position
+through :func:`branch_pairs`, a probed carrier sees ``Arity.width``
+positions, :func:`var_block` fills a map with a block of equation
+variables, and :func:`branches_to_json` writes a map as JSON.
 """
 
 from __future__ import annotations
@@ -36,6 +42,11 @@ class Arity:
     @property
     def is_omega(self) -> bool:
         return self.finite is None
+
+    def width(self, probe: int) -> int:
+        """Positions a carrier probed at ``probe`` sees: the probed indices
+        plus the default for a countable operator, else every branch."""
+        return probe + 1 if self.finite is None else self.finite
 
     def to_json(self) -> dict:
         if self.is_omega:
@@ -157,6 +168,34 @@ def map_branches(f: Callable[[Any], Any], branches: Any, *, normalize: bool = Fa
     return tuple(f(v) for v in branches)
 
 
+def branch_pairs(a: Any, b: Any) -> list[tuple[Any, Any]] | None:
+    """Two branch maps lined up position by position, or None when their
+    shapes differ.  Finite maps are zipped; countable maps are paired at
+    each index either table holds, ascending, then at their defaults, which
+    covers every other index."""
+    if isinstance(a, OmegaTable):
+        if not isinstance(b, OmegaTable):
+            return None
+        positions = sorted({i for i, _ in a.entries} | {i for i, _ in b.entries})
+        pairs = [(a.at(i), b.at(i)) for i in positions]
+        pairs.append((a.default, b.default))
+        return pairs
+    if isinstance(b, OmegaTable) or len(a) != len(b):
+        return None
+    return list(zip(a, b))
+
+
+def branches_to_json(branches: Any, f: Callable[[Any], Any]) -> Any:
+    """A branch map as JSON, each value written by ``f``: a list, or a
+    ``{"table": [[i, v], ...], "default": v}`` object for a countable map."""
+    if isinstance(branches, OmegaTable):
+        return {
+            "table": [[i, f(v)] for i, v in branches.entries],
+            "default": f(branches.default),
+        }
+    return [f(v) for v in branches]
+
+
 def branch_values(branches: Any) -> Iterator[Any]:
     if isinstance(branches, OmegaTable):
         yield from branches.values()
@@ -208,6 +247,21 @@ def node(op: str, *branches: Term) -> Node:
 
 def omega_node(op: str, entries: Any, default: Term) -> Node:
     return Node(op, omega_table(entries, default))
+
+
+def var_block(
+    arity: Arity, offset: int, probe: int, perm: Mapping[int, int] | None = None
+) -> Any:
+    """The branch map reading one variable per position, from ``offset`` on:
+    position ``i`` reads variable ``offset + perm(i)`` (the identity where
+    ``perm`` is silent), and a countable map's default reads the variable
+    after its probed ones.  ``arity.width(probe)`` variables in all."""
+    perm = perm or {}
+    if arity.is_omega:
+        return omega_table(
+            [(i, Var(offset + perm.get(i, i))) for i in range(probe)], Var(offset + probe)
+        )
+    return tuple(Var(offset + perm.get(i, i)) for i in range(arity.finite))
 
 
 def iota(s: OpNode) -> Node:
@@ -373,8 +427,7 @@ def branch_assignments(arity: Arity, carrier: tuple, probe: int) -> Iterator[Any
 def count_opnodes(sig: Signature, carrier_size: int, probe: int) -> int:
     total = 0
     for _, arity in sig.ops:
-        width = probe + 1 if arity.is_omega else arity.finite
-        total += carrier_size**width
+        total += carrier_size ** arity.width(probe)
     return total
 
 
@@ -448,15 +501,7 @@ def _payload_from_json(obj: Any) -> Any:
 def term_to_json(t: Term) -> dict:
     if isinstance(t, Var):
         return {"var": _payload_to_json(t.name)}
-    b = t.branches
-    if isinstance(b, OmegaTable):
-        branches = {
-            "table": [[i, term_to_json(v)] for i, v in b.entries],
-            "default": term_to_json(b.default),
-        }
-    else:
-        branches = [term_to_json(v) for v in b]
-    return {"op": t.op, "branches": branches}
+    return {"op": t.op, "branches": branches_to_json(t.branches, term_to_json)}
 
 
 def term_from_json(obj: dict) -> Term:

@@ -7,7 +7,7 @@ from typing import Any, Iterable, Mapping
 
 from .equations import EquationSystem, make_system
 from .errors import DuplicateNameError, WorkbenchError
-from .terms import Arity, Node, Signature, Term, Var, map_branches, omega_table, signature
+from .terms import Arity, Node, Signature, Term, Var, map_branches, signature, var_block
 
 
 def free_term(t: Term) -> Term:
@@ -38,17 +38,6 @@ def freeify(
     return new_sig, make_system(new_sig, eqs, probe=system.probe)
 
 
-def _block_vars(arity: Arity, offset: int, probe: int):
-    """Branch map reading one variable per branch position; countable
-    positions get probed variables plus a default variable."""
-    if arity.is_omega:
-        return (
-            omega_table([(i, Var(offset + i)) for i in range(probe)], Var(offset + probe)),
-            probe + 1,
-        )
-    return tuple(Var(offset + i) for i in range(arity.finite)), arity.finite
-
-
 def from_w_suspension(
     point_ops: Iterable[tuple[str, Any]],
     cells: Iterable[tuple[str, str, str]],
@@ -62,18 +51,11 @@ def from_w_suspension(
     sig = signature(point_ops)
     eqs = []
     for cell_name, left_op, right_op in cells:
-        la = sig.arity(left_op)
-        ra = sig.arity(right_op)
-        lbranches, lwidth = _block_vars(la, 0, probe)
-        rbranches, rwidth = _block_vars(ra, lwidth, probe)
-        eqs.append(
-            (
-                cell_name,
-                lwidth + rwidth,
-                Node(left_op, lbranches),
-                Node(right_op, rbranches),
-            )
-        )
+        la, ra = sig.arity(left_op), sig.arity(right_op)
+        lwidth = la.width(probe)
+        lhs = Node(left_op, var_block(la, 0, probe))
+        rhs = Node(right_op, var_block(ra, lwidth, probe))
+        eqs.append((cell_name, lwidth + ra.width(probe), lhs, rhs))
     return sig, make_system(sig, eqs, probe=probe)
 
 
@@ -92,19 +74,13 @@ def from_w_reductions(
             raise WorkbenchError(f"reindexing map undefined at {name!r}")
         r = reindex[name]
         if arity.is_omega:
-            width = probe + 1
             if not 0 <= r < probe:
                 raise WorkbenchError(
                     f"reindexing of {name!r} must hit a probed branch (0..{probe - 1})"
                 )
-        else:
-            width = arity.finite
-            if width == 0:
-                raise WorkbenchError(
-                    f"operator {name!r} has no branches to collapse to"
-                )
-            if not 0 <= r < width:
-                raise WorkbenchError(f"reindexing of {name!r} out of range")
-        branches, _ = _block_vars(arity, 0, probe)
-        eqs.append((name, width, Node(name, branches), Var(r)))
+        elif arity.finite == 0:
+            raise WorkbenchError(f"operator {name!r} has no branches to collapse to")
+        elif not 0 <= r < arity.finite:
+            raise WorkbenchError(f"reindexing of {name!r} out of range")
+        eqs.append((name, arity.width(probe), Node(name, var_block(arity, 0, probe)), Var(r)))
     return sig, make_system(sig, eqs, probe=probe)

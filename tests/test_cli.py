@@ -271,6 +271,33 @@ MALFORMED_ALGEBRAS = {
     "row-without-branches": '{"carrier": [0], "table": [{"op": "nil", "value": 0}]}',
     "row-without-value": '{"carrier": [0], "table": [{"op": "nil", "branches": []}]}',
     "branches-not-a-list": '{"carrier": [0], "table": [{"op": "nil", "branches": 0, "value": 0}]}',
+    "op-not-a-string": '{"carrier": [0], "table": [{"op": [], "branches": [], "value": 0}]}',
+    "carrier-entry-a-list": (
+        '{"carrier": [[0]], "table": [{"op": "nil", "branches": [], "value": [0]},'
+        ' {"op": "cons(a)", "branches": [[0]], "value": [0]},'
+        ' {"op": "cons(b)", "branches": [[0]], "value": [0]}]}'
+    ),
+    "carrier-entry-a-boolean": (
+        '{"carrier": [true], "table": [{"op": "nil", "branches": [], "value": true},'
+        ' {"op": "cons(a)", "branches": [true], "value": true},'
+        ' {"op": "cons(b)", "branches": [true], "value": true}]}'
+    ),
+    "value-outside-the-carrier": (
+        '{"carrier": [0], "table": [{"op": "nil", "branches": [], "value": 7},'
+        ' {"op": "cons(a)", "branches": [0], "value": 0},'
+        ' {"op": "cons(b)", "branches": [0], "value": 0}]}'
+    ),
+    "value-a-list": (
+        '{"carrier": [0], "table": [{"op": "nil", "branches": [], "value": [0]},'
+        ' {"op": "cons(a)", "branches": [0], "value": 0},'
+        ' {"op": "cons(b)", "branches": [0], "value": 0}]}'
+    ),
+    "branch-outside-the-carrier": (
+        '{"carrier": [0], "table": [{"op": "nil", "branches": [], "value": 0},'
+        ' {"op": "cons(a)", "branches": [0], "value": 0},'
+        ' {"op": "cons(a)", "branches": [1], "value": 0},'
+        ' {"op": "cons(b)", "branches": [0], "value": 0}]}'
+    ),
 }
 
 
@@ -292,6 +319,51 @@ def test_malformed_algebra_fixture_is_a_semantic_error(capsys, fixtures):
     assert code == EXIT_SEMANTIC
     assert out == ""
     assert "value" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("command", ["sat", "rec"])
+def test_out_of_carrier_algebra_is_refused_by_every_command(capsys, fixtures, command):
+    # nil -> 7 on carrier [0]: sat once judged it satisfied while rec refused it
+    terms = ["a::[]"] if command == "rec" else []
+    code, out, err = run(
+        capsys, command, str(fixtures / "bag.qit"), *terms,
+        "--algebra", str(fixtures / "out_of_carrier_algebra.json"),
+    )
+    assert (code, out) == (EXIT_SEMANTIC, "")
+    assert "not in the carrier" in json.loads(err)["message"]
+
+
+# each command's options beyond --format and --probe that it does not read
+UNREAD_OPTIONS = [
+    ("sat", "--max-rounds"),
+    ("sat", "--size-bound"),
+    ("sat", "--carrier-bound"),
+    ("sat", "--free"),
+    ("rec", "--size-bound"),
+    ("rec", "--carrier-bound"),
+    ("eq", "--size-bound"),
+    ("separate", "--size-bound"),
+    ("enumerate", "--carrier-bound"),
+    ("selftest", "--carrier-bound"),
+]
+
+
+@pytest.mark.parametrize("command, option", UNREAD_OPTIONS)
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, fixtures, command, option):
+    algebra = ["--algebra", str(fixtures / "length_algebra.json")]
+    operands = {
+        "sat": algebra,
+        "rec": ["a::[]", *algebra],
+        "eq": ["a::[]", "b::[]"],
+        "separate": ["a::[]", "b::[]"],
+    }
+    argv = [command, str(fixtures / "bag.qit"), *operands.get(command, []), option, "3"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert json.loads(err)["error"] == "usage"
+    # the same call without the option succeeds
+    del argv[-2:]
+    assert run(capsys, *argv)[0] in (EXIT_OK, EXIT_UNKNOWN, EXIT_SEPARATED)
 
 
 def test_console_entry_point(fixtures):

@@ -496,6 +496,43 @@ def test_replay_rejects_forged_justification(bag):
         replay_merges(st)
 
 
+def _omega_tree_node(entries, default):
+    return Node("node(a)", omega_table(entries, default))
+
+
+@pytest.mark.parametrize("fewer_entries_first", [True, False])
+def test_replay_rejects_a_forged_countable_congruence(omega_tree, fewer_entries_first):
+    # two node(a) payloads over the same default that differ at entry 0
+    st = fresh(omega_tree)
+    leaf = Node("leaf", ())
+    const = _omega_tree_node([], leaf)
+    p = st.intern_term(_omega_tree_node([], const)).index
+    q = st.intern_term(_omega_tree_node([(0, leaf)], const)).index
+    a, b = (p, q) if fewer_entries_first else (q, p)
+    st._log.append(("merge", a, b, Justification("cong")))
+    with pytest.raises(ReplayError, match="congruence merge"):
+        replay_merges(st)
+
+
+def test_replay_rejects_a_countable_instance_altered_at_the_default(omega_tree):
+    st = fresh(omega_tree)
+    leaf = Node("leaf", ())
+    const = _omega_tree_node([], leaf)
+    st.intern_term(_omega_tree_node([(0, leaf)], const))
+    st.intern_term(_omega_tree_node([(1, leaf)], const))
+    st.saturate()
+    assert replay_merges(st) > 0
+    k = next(k for k, e in enumerate(st._log) if e[0] == "merge" and e[3].kind == "sqeq")
+    _, a, b, just = st._log[k]
+    default = len(just.env) - 1  # the variable after the probed ones
+    other = st.intern_term(leaf).index
+    assert st._find(just.env[default]) != st._find(other)
+    env = just.env[:default] + (other,)
+    st._log[k] = ("merge", a, b, Justification("sqeq", just.equation, env))
+    with pytest.raises(ReplayError, match="equation merge"):
+        replay_merges(st)
+
+
 @pytest.mark.parametrize("tag", ["sqeta", "sqsigma"])
 def test_replay_rejects_a_retired_tag(bag, tag):
     st = fresh(bag)

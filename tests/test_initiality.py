@@ -270,6 +270,21 @@ def test_check_uniq_settles_a_stale_state_before_keying_the_map(bag):
     assert st.same_class(c1, c2)
 
 
+@pytest.mark.parametrize("first", ["ab", "ba"])
+def test_check_uniq_refuses_a_map_that_is_not_a_function_on_the_carrier(bag, first):
+    # a::b::[] and b::a::[] are one class, so values 3 and 2 on their two
+    # handles define no map, whichever handle the mapping lists first
+    st = new_qw(bag.signature, bag.system)
+    c1 = st.intern_term(bag_term(["a", "b"]))
+    c2 = st.intern_term(bag_term(["b", "a"]))
+    st.enumerate_classes(3)
+    assert st.same_class(c1, c2)
+    h = {c1: 3, c2: 2} if first == "ab" else {c2: 2, c1: 3}
+    target = rec_target(length_algebra(4), bag.system)
+    with pytest.raises(WorkbenchError, match=f"class {st.canonical(c1).index} "):
+        check_uniq(st, target, h)
+
+
 BUDGETED_CHECKS = (
     "check_equations_hold",
     "check_coherence",

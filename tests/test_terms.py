@@ -14,13 +14,16 @@ from qitbench.errors import (
     UnboundVariableError,
     UnknownOperatorError,
 )
+from qitbench.schema import elaborate, parse_decl
 from qitbench.terms import (
+    OMEGA,
     Arity,
     FiniteAlgebra,
     Node,
     OmegaTable,
     OpNode,
     Var,
+    branch_pairs,
     canonical_dumps,
     check_hom,
     eval_alg,
@@ -36,6 +39,7 @@ from qitbench.terms import (
     term_size,
     term_to_json,
     validate_term,
+    var_block,
 )
 
 # the reference two-operator signature used for the law suites: one constant
@@ -286,3 +290,41 @@ def test_term_key_total_order(a, b):
     assert ka[0] == term_size(a) and kb[0] == term_size(b)
     assert (ka == kb) == (a == b)
     assert (ka < kb) or (kb < ka) or (ka == kb)
+
+
+# branch maps over small values: normalised countable tables with indices
+# below 5, and finite tuples of a few lengths
+_branch_maps = st.one_of(
+    st.builds(
+        omega_table,
+        st.dictionaries(st.integers(0, 4), st.integers(0, 2), max_size=4),
+        st.integers(0, 2),
+    ),
+    st.lists(st.integers(0, 2), max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_branch_maps, _branch_maps)
+def test_branch_pairs_is_the_extensional_pairing(a, b):
+    pairs = branch_pairs(a, b)
+    if isinstance(a, OmegaTable) and isinstance(b, OmegaTable):
+        # a normalised table holds exactly the indices where it leaves its default
+        held = [i for i in range(5) if a.at(i) != a.default or b.at(i) != b.default]
+        assert pairs == [(a.at(i), b.at(i)) for i in held] + [(a.default, b.default)]
+    elif isinstance(a, OmegaTable) or isinstance(b, OmegaTable) or len(a) != len(b):
+        assert pairs is None
+    else:
+        assert pairs == [(a[i], b[i]) for i in range(len(a))]
+
+
+def test_var_block_is_the_table_the_schema_builds(fixtures):
+    decl = parse_decl((fixtures / "omega_tree.qit").read_text())
+    _, system = elaborate(decl, probe=2)
+    eq = system.equation("perm(a,{0->1,1->0})")
+    assert eq.var_count == OMEGA.width(2) == 3
+    identity = omega_table([(0, Var(0)), (1, Var(1))], Var(2))
+    swapped = omega_table([(0, Var(1)), (1, Var(0))], Var(2))
+    assert eq.lhs.branches == var_block(OMEGA, 0, 2) == identity
+    assert eq.rhs.branches == var_block(OMEGA, 0, 2, {0: 1, 1: 0}) == swapped
+
