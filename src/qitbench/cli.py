@@ -46,6 +46,7 @@ from .terms import (
     Signature,
     enumerate_opnodes,
     probe_key,
+    row_key,
     table_algebra,
     term_to_json,
 )
@@ -120,6 +121,9 @@ def algebra_from_json(obj: Any, sig: Signature, probe: int) -> FiniteAlgebra:
     if not all(_is_element(v) for v in obj["carrier"]):
         raise WorkbenchError("carrier elements must be strings or integers")
     carrier = tuple(obj["carrier"])
+    if len(set(carrier)) != len(carrier):
+        twice = next(v for i, v in enumerate(carrier) if v in carrier[:i])
+        raise WorkbenchError(f"carrier lists {json.dumps(twice)} more than once")
     table: dict = {}
     for row in obj["table"]:
         if not (
@@ -144,8 +148,7 @@ def algebra_from_json(obj: Any, sig: Signature, probe: int) -> FiniteAlgebra:
                 raise WorkbenchError(
                     f"row for {op!r} has {json.dumps(v)}, which is not in the carrier"
                 )
-        tag = "omega" if arity.is_omega else "finite"
-        table[(op, (tag,) + vals)] = row["value"]
+        table[(op, row_key(arity.is_omega, vals))] = row["value"]
     for s in enumerate_opnodes(sig, carrier, probe):
         key = (s.op, probe_key(s.branches, probe))
         if key not in table:

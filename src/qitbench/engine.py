@@ -24,11 +24,12 @@ Stages are the concrete counterpart of the construction's ordinal
 indexing: a class's stage is the least nesting depth among its members,
 and the round budget plays the role of the stage cutoff.  Stages and each
 class's canonical member (the one its representative is built from) are
-computed for the state's current version and cached until the next
-payload or merge; folds such as recursion run over the canonical
-members.  Saturation
-reports budget exhaustion as a normal outcome; equality answers are only
-ever "proved" or "unknown".
+an e-class analysis kept on the state: a read first brings them up to
+date from the classes touched since the last read, and since a new
+payload or a merge can only lower them, only the classes whose values
+fall pass the change to their users.  Folds such as recursion run over
+the canonical members.  Saturation reports budget exhaustion as a normal
+outcome; equality answers are only ever "proved" or "unknown".
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import bisect
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 from .equations import ENV_BUDGET, EquationSystem, instances, sat_check
@@ -195,7 +196,15 @@ class QWState:
         # position at the start of the last round that ran to its end
         self._fixpoint_version = -1
         self._mark = 0
-        self._extracted: _Extraction | None = None
+        # the e-class analysis per class root (cost, stage, representative
+        # key and term, chosen member as payload index, payload and child
+        # roots), refreshed at the next ``_analysis()`` from the queued payloads
+        self._cost: dict[int, int] = {}
+        self._stage: dict[int, int] = {}
+        self._key: dict[int, tuple] = {}
+        self._chosen: dict[int, tuple[int, Payload, Any]] = {}
+        self._reps: dict[int, Term] = {}
+        self._unanalysed: list[int] = []
         # the operator index once built, and the payloads whose class entry
         # it must refresh at the next ``_enodes()``
         self._index: dict[int, dict[str, dict[Any, None]]] | None = None
@@ -227,7 +236,11 @@ class QWState:
             self._uses.setdefault(ra, []).extend(users)
             self._pending.extend(users)
             self._unindexed.extend(users)
+            if rb in self._cost:
+                # their chosen members may name rb as a child root
+                self._unanalysed.extend(users)
         self._unindexed.append(rb)
+        self._unanalysed.append(rb)
         self._version += 1
         return True
 
@@ -282,6 +295,7 @@ class QWState:
         self._memo[key] = idx
         self._keys.append(key)
         self._unindexed.append(idx)
+        self._unanalysed.append(idx)
         self._log.append(("intern", idx, stored))
         self._version += 1
         return idx
@@ -342,8 +356,8 @@ class QWState:
 
     @property
     def version(self) -> int:
-        """Counts new payloads and merges; every carrier-derived cache is
-        keyed on it."""
+        """Counts new payloads and merges; saturation's fixpoint and
+        staleness are judged on it."""
         return self._version
 
     @property
@@ -353,7 +367,9 @@ class QWState:
         return self._version != self._saturated_version
 
     def stage_of(self, c: ClassId) -> int:
-        return self._extraction().stage[self._live_root(c)]
+        root = self._live_root(c)
+        self._analysis()
+        return self._stage[root]
 
     def coerce(self, c: ClassId, stage: int) -> ClassId:
         """Stage coercion is the identity on payloads; only upward moves
@@ -495,7 +511,12 @@ class QWState:
         return out
 
     def _instance_envs(
-        self, eq, roots: list[int], index: dict, touched: set[int] | None = None
+        self,
+        eq,
+        roots: list[int],
+        index: dict,
+        touched: set[int] | None = None,
+        nears: dict[int, set[int]] | None = None,
     ) -> list[tuple[int, ...]]:
         """Environments worth instantiating: those under which at least one
         side's instance already exists in ``index``, completed over
@@ -508,12 +529,16 @@ class QWState:
         and those matches complete over all roots; a match elsewhere
         completes only over combinations holding a root of a touched class.
         Every environment left out was instantiated in that round over the
-        same canonical layers."""
+        same canonical layers.  ``nears`` keeps the near sets by height for
+        as long as the carrier and ``touched`` stay as they are."""
         n = eq.var_count
         near = hot = None  # None: every root counts as changed
         if touched is not None:
             hot = {r for r in roots if self._find(r) in touched}
-            near = self._near(touched, max(_height(eq.lhs), _height(eq.rhs)))
+            height = max(_height(eq.lhs), _height(eq.rhs))
+            near = nears.get(height)
+            if near is None:
+                near = nears[height] = self._near(touched, height)
         envs: set[tuple[int, ...]] = set()
         for side in (eq.lhs, eq.rhs):
             bound = term_vars(side)
@@ -580,18 +605,21 @@ class QWState:
             # the roots of the classes touched since the mark, kept canonical
             # as the round merges; None once that is every class
             changed: set[int] | None = set()
-            seen = self._mark
+            seen, nears = self._mark, None
             for eq in eqs:
                 index = self._enodes()
-                if changed is not None:
+                if changed is not None and (nears is None or seen != len(self._log)):
+                    # the touched classes, and the near sets by height, move
+                    # only with the log
                     changed = {self._find(r) for r in changed}
                     changed.update(self._find(e[1]) for e in self._log[seen:])
                     seen = len(self._log)
+                    nears = {}
                     if len(changed) == len(self._members):
                         changed = None
                 touched = changed
                 old = len(self._payloads)
-                envs = self._instance_envs(eq, roots, index, touched)
+                envs = self._instance_envs(eq, roots, index, touched, nears)
                 k = 0
                 while k < len(envs):
                     raw = envs[k]
@@ -672,67 +700,102 @@ class QWState:
 
     # -- extraction, folds and enumeration -------------------------------------
 
-    def _extraction(self) -> _Extraction:
-        ex = self._extracted
-        if ex is None or ex.version != self._version:
-            ex = self._extracted = self._extract()
-        return ex
+    def _analysis(self) -> None:
+        """Bring the e-class analysis up to date from the payloads queued
+        since the last call: new payloads, classes that lost their root,
+        and the users of those that had been analysed.
 
-    def _extract(self) -> _Extraction:
-        """Costs and stages are least fixpoints over the members: a class's
-        cost is the least 1 + sum of child costs, its stage the least 1 + max
-        of child stages.  Then, in order of cost, each class chooses among
-        its least-cost members the one whose term is least under
-        ``term_key``; such a member's children all cost less, so their keys
-        are already known.  A member's children are its canonical branch
-        map, which drops a countable map's entries in the default's class,
-        as a term built from the member does."""
-        rows = []
-        for root, mids in self._members.items():
-            for mid in mids:
-                p = self._payloads[mid]
-                if isinstance(p, GenLeaf):
-                    kids = None
-                else:
-                    kids = _branch_map(self._canon_branches(p.branches))
-                flat = () if kids is None else tuple(branch_values(kids))
-                rows.append((root, p, kids, flat))
-        cost: dict[int, int] = {}
-        stage: dict[int, int] = {}
-        changed = True
-        while changed:
-            changed = False
-            for root, _, _, flat in rows:
-                c = s = 0
-                for r in flat:
-                    rc = cost.get(r)
-                    if rc is None:
-                        break
-                    c += rc
-                    s = max(s, stage[r])
-                else:
-                    if c + 1 < cost.get(root, c + 2):
-                        cost[root] = c + 1
-                        changed = True
-                    if s + 1 < stage.get(root, s + 2):
-                        stage[root] = s + 1
-                        changed = True
-        if len(cost) != len(self._members):
-            raise WorkbenchError("class has no well-founded representative")
-        key: dict[int, tuple] = {}
-        chosen: dict[int, tuple[Payload, Any]] = {}
-        rows.sort(key=lambda row: cost[row[0]])
-        for root, p, kids, flat in rows:
-            if 1 + sum(cost[r] for r in flat) != cost[root]:
+        A class's cost and stage are the least 1 + sum, and 1 + max, of its
+        members' child values; its key is the least ``term_key`` among its
+        least-cost members over the children's representatives, and the
+        member giving it is chosen.  A member's children are its canonical
+        branch map, which drops a countable map's entries in the default's
+        class, as its term does.  Payloads and merges only lower these
+        values (a countable map keys higher only if classes that shared a
+        term stop sharing it, and such classes are congruent, so the rebuild
+        before any merge merges them).  So a merged class keeps the lesser
+        values of its parts, and only a class whose values fall queues its
+        users.  Costs and stages settle first, then keys in order of cost,
+        so a least-cost member's children are final when it is keyed."""
+        if not self._unanalysed:
+            return
+        find, payloads, uses = self._find, self._payloads, self._uses
+        cost, stage, key, chosen = self._cost, self._stage, self._key, self._chosen
+        kids_of: dict[int, Any] = {}
+
+        def measure(m: int) -> tuple[int, int]:
+            p = payloads[m]
+            if p.__class__ is GenLeaf:
+                kids_of[m] = None
+                return 1, 1
+            kids = kids_of[m] = _branch_map(self._canon_branches(p.branches))
+            c = s = 0
+            for x in kids if kids.__class__ is tuple else kids.values():
+                c += cost[x]
+                s = max(s, stage[x])
+            return c + 1, s + 1
+
+        queued = set(self._unanalysed)
+        self._unanalysed.clear()
+        for i in sorted(queued):
+            r = find(i)
+            if r == i or i not in cost:
                 continue
-            if kids is None:
-                k = term_key(Var(p.name))
-            else:
-                k = node_key(p.op, map_branches(key.__getitem__, kids, normalize=True))
-            if root not in key or k < key[root]:
-                key[root] = k
-                chosen[root] = (p, kids)
-        return _Extraction(self._version, stage, key, chosen)
+            # a merged class keeps the lesser values of its parts
+            c, s, k, ch = cost.pop(i), stage.pop(i), key.pop(i), chosen.pop(i)
+            self._reps.pop(i, None)
+            if r not in cost:
+                cost[r], stage[r], key[r], chosen[r] = c, s, k, ch
+                continue
+            if (c, k) < (cost[r], key[r]):
+                cost[r], key[r], chosen[r] = c, k, ch
+                self._reps.pop(r, None)
+            elif s >= stage[r]:
+                continue
+            stage[r] = min(stage[r], s)
+            queued.update(uses.get(r, ()))
+        # costs and stages; the first pass, in payload order, weighs each
+        # payload after a member of each child class
+        mcost: dict[int, int] = {}
+        batch = sorted(queued)
+        while batch:
+            later = []
+            for m in batch:
+                queued.discard(m)
+                c, s = measure(m)
+                mcost[m] = c
+                r = find(m)
+                if r in cost and c >= cost[r] and s >= stage[r]:
+                    continue
+                cost[r] = min(cost.get(r, c), c)
+                stage[r] = min(stage.get(r, s), s)
+                users = [u for u in uses.get(r, ()) if u not in queued]
+                queued.update(users)
+                later.extend(users)
+            batch = sorted(set(later))
+        # keys, cost level by cost level, over the least-cost members
+        levels: dict[int, list[int]] = {}
+        for m, c in mcost.items():
+            if c == cost[find(m)]:
+                levels.setdefault(c, []).append(m)
+        while levels:
+            for m in levels.pop(min(levels)):
+                r, p, kids = find(m), payloads[m], kids_of[m]
+                if kids is None:
+                    k = term_key(Var(p.name))
+                else:
+                    k = node_key(p.op, map_branches(key.__getitem__, kids, normalize=True))
+                if r in key and k >= key[r]:
+                    if chosen[r][0] == m:
+                        chosen[r] = (m, p, kids)
+                    continue
+                key[r], chosen[r] = k, (m, p, kids)
+                self._reps.pop(r, None)
+                for u in uses.get(r, ()):
+                    if u not in mcost:
+                        mcost[u] = measure(u)[0]
+                        if mcost[u] == cost[find(u)]:
+                            levels.setdefault(mcost[u], []).append(u)
 
     def canonical(self, c: ClassId) -> ClassId:
         """Canonical handle for the class (stable until the next merge)."""
@@ -740,12 +803,25 @@ class QWState:
 
     def representative(self, c: ClassId) -> Term:
         """Least member term under the canonical order (size, then shape)."""
-        return self._extraction().rep(self._live_root(c))
+        root = self._live_root(c)
+        self._analysis()
+        return self._rep(root)
 
     def representatives(self, classes: Iterable[ClassId]) -> dict[ClassId, Term]:
         """Representatives for many classes with shared extraction work."""
-        ex = self._extraction()
-        return {c: ex.rep(self._live_root(c)) for c in classes}
+        self._analysis()
+        return {c: self._rep(self._live_root(c)) for c in classes}
+
+    def _rep(self, root: int) -> Term:
+        t = self._reps.get(root)
+        if t is None:
+            _, p, kids = self._chosen[root]
+            if kids is None:
+                t = Var(p.name)
+            else:
+                t = Node(p.op, map_branches(self._rep, kids, normalize=True))
+            self._reps[root] = t
+        return t
 
     def fold(
         self,
@@ -754,20 +830,23 @@ class QWState:
         roots: Iterable[int] | None = None,
     ) -> dict[int, Any]:
         """Value of every class root, or given ``roots`` of those roots and
-        the classes below them, computed bottom up over the members
+        the classes below them, computed bottom up over the chosen members
         representatives are built from and memoised within the call:
         ``leaf(name)`` on a generator leaf, ``step(op, values)`` on an
         operator layer, with ``values`` the branch map of its children's
         values.  Countable maps drop entries whose class is the default's,
         as the representative does, so each value is the representative
-        evaluated in the algebra that ``leaf`` and ``step`` describe."""
-        chosen = self._extraction().chosen
+        evaluated in the algebra that ``leaf`` and ``step`` describe.  The
+        chosen members are kept current from the classes touched since the
+        last read, so a fold walks only the classes it values."""
+        self._analysis()
+        chosen = self._chosen
         values: dict[int, Any] = {}
 
         def value(root: int) -> Any:
             if root in values:
                 return values[root]
-            p, kids = chosen[root]
+            _, p, kids = chosen[root]
             if kids is None:
                 v = leaf(p.name)
             else:
@@ -801,21 +880,21 @@ class QWState:
                 f"{count} classes exceed the budget of {class_budget}"
             )
         self.saturate()
-        ex = self._extraction()
-        roots = sorted({self._find(i) for i in ids}, key=ex.key.__getitem__)
-        return [(ClassId(r), ex.rep(r)) for r in roots]
+        self._analysis()
+        roots = sorted({self._find(i) for i in ids}, key=self._key.__getitem__)
+        return [(ClassId(r), self._rep(r)) for r in roots]
 
     # -- export ---------------------------------------------------------------
 
     def export_json(self) -> dict:
-        ex = self._extraction()
+        self._analysis()
         classes = []
         for root in sorted(self._members):
             classes.append(
                 {
                     "id": root,
-                    "stage": ex.stage[root],
-                    "representative": term_to_json(ex.rep(root)),
+                    "stage": self._stage[root],
+                    "representative": term_to_json(self._rep(root)),
                     "members": [
                         _payload_to_json(self._payloads[m])
                         for m in self._members[root]
@@ -832,31 +911,6 @@ class QWState:
             "classes": classes,
             "proof_forest": edges,
         }
-
-
-@dataclass
-class _Extraction:
-    """What the carrier determines at one version, per class root: its
-    stage, its representative's ``term_key``, the chosen member with the
-    branch map of its child roots (None for a generator leaf), and the
-    representative terms built so far."""
-
-    version: int
-    stage: dict[int, int]
-    key: dict[int, tuple]
-    chosen: dict[int, tuple[Payload, Any]]
-    reps: dict[int, Term] = field(default_factory=dict)
-
-    def rep(self, root: int) -> Term:
-        t = self.reps.get(root)
-        if t is None:
-            p, kids = self.chosen[root]
-            if kids is None:
-                t = Var(p.name)
-            else:
-                t = Node(p.op, map_branches(self.rep, kids, normalize=True))
-            self.reps[root] = t
-        return t
 
 
 def _payload_to_json(p: Payload) -> dict:

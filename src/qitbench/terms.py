@@ -208,10 +208,17 @@ def probe_key(branches: Any, probe: int) -> tuple:
     itself, countable maps are compared at indices 0..probe-1 and the
     default."""
     if isinstance(branches, OmegaTable):
-        return ("omega",) + tuple(branches.at(i) for i in range(probe)) + (
-            branches.default,
-        )
-    return ("finite",) + tuple(branches)
+        probed = tuple(branches.at(i) for i in range(probe)) + (branches.default,)
+        return row_key(True, probed)
+    return row_key(False, tuple(branches))
+
+
+def row_key(omega: bool, values: tuple) -> tuple:
+    """:func:`probe_key` of a branch map from whether its operator is
+    countable (``Arity.is_omega``) and the values at its probed positions
+    (``Arity.width`` of them): each branch of a finite map; indices
+    0..probe-1, then the default, of a countable one."""
+    return ("omega" if omega else "finite",) + values
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -292,6 +293,11 @@ MALFORMED_ALGEBRAS = {
         ' {"op": "cons(a)", "branches": [0], "value": 0},'
         ' {"op": "cons(b)", "branches": [0], "value": 0}]}'
     ),
+    "carrier-entry-repeated": (
+        '{"carrier": [0, 0], "table": [{"op": "nil", "branches": [], "value": 0},'
+        ' {"op": "cons(a)", "branches": [0], "value": 0},'
+        ' {"op": "cons(b)", "branches": [0], "value": 0}]}'
+    ),
     "branch-outside-the-carrier": (
         '{"carrier": [0], "table": [{"op": "nil", "branches": [], "value": 0},'
         ' {"op": "cons(a)", "branches": [0], "value": 0},'
@@ -319,6 +325,41 @@ def test_malformed_algebra_fixture_is_a_semantic_error(capsys, fixtures):
     assert code == EXIT_SEMANTIC
     assert out == ""
     assert "value" in json.loads(err)["message"]
+
+
+def test_repeated_carrier_fixture_is_a_semantic_error(capsys, fixtures):
+    # a carrier listing 0 twice once passed sat, and every enumeration over
+    # it visited 0 twice
+    code, out, err = run(
+        capsys, "sat", str(fixtures / "bag.qit"),
+        "--algebra", str(fixtures / "repeated_carrier_algebra.json"),
+    )
+    assert (code, out) == (EXIT_SEMANTIC, "")
+    assert json.loads(err)["message"] == "carrier lists 0 more than once"
+
+
+@pytest.mark.parametrize(
+    "value,verdict,code",
+    [
+        (lambda g: sum(g) % 2, "satisfied", EXIT_OK),
+        (lambda g: g[0], "violated", EXIT_CHECK_FAILED),
+    ],
+    ids=["symmetric", "first-branch"],
+)
+def test_countable_algebra_file_is_keyed_as_probe_key_keys_it(
+    capsys, fixtures, tmp_path, value, verdict, code
+):
+    # node(x) reads three positions at probe 2 (indices 0 and 1, then the
+    # default); a row keyed unlike probe_key would leave the table partial
+    rows = [{"op": "leaf", "branches": [], "value": 1}]
+    for x in ("a", "b"):
+        for g in itertools.product([0, 1], repeat=3):
+            rows.append({"op": f"node({x})", "branches": list(g), "value": value(g)})
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"carrier": [0, 1], "table": rows}))
+    got, out, err = run(capsys, "sat", str(fixtures / "omega_tree.qit"), "--algebra", str(path))
+    assert (got, err) == (code, "")
+    assert json.loads(out)["verdict"] == verdict
 
 
 @pytest.mark.parametrize("command", ["sat", "rec"])

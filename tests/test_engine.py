@@ -43,7 +43,9 @@ from qitbench.terms import (
     branch_values,
     enumerate_opnodes,
     eval_alg,
+    map_branches,
     node,
+    node_key,
     omega_table,
     probe_key,
     signature,
@@ -114,6 +116,18 @@ def test_stage_is_least_fixpoint_after_merge():
     assert st.stage_of(st.intern_term(ffc)) == 1
     assert st.stage_of(fffc) == 2
     assert st.coerce(fffc, 2) == fffc
+
+
+def test_near_sets_are_reused_while_the_log_stands():
+    # in the second round of enumerating bag(a, b, c) the nine swap
+    # equations see the same 98 touched classes over an unchanged carrier:
+    # one walk up the use lists serves them all
+    st = fresh(bag_of(("a", "b", "c")))
+    walks = []
+    near = st._near
+    st._near = lambda touched, height: walks.append(len(touched)) or near(touched, height)
+    st.enumerate_classes(8)
+    assert walks == [98]
 
 
 def test_version_moves_on_fresh_intern_and_merge_only(bag):
@@ -774,6 +788,17 @@ def _full_pass_rebuild(st):
     return merges
 
 
+def _scratch_children(st, p):
+    """A payload's branch map of canonical child roots (a countable map
+    without the entries in its default's class); None for a leaf."""
+    if isinstance(p, GenLeaf):
+        return None
+    canon = _reference_key(st, p)[2]
+    if canon and canon[0] == "w":
+        return OmegaTable(canon[1], canon[2])
+    return canon
+
+
 def _scratch_index(st):
     """Every class root's distinct canonical operator layers by head
     operator, built from the members."""
@@ -783,10 +808,7 @@ def _scratch_index(st):
         for mid in mids:
             p = st._payloads[mid]
             if isinstance(p, ENode):
-                canon = _reference_key(st, p)[2]
-                if canon and canon[0] == "w":
-                    canon = OmegaTable(canon[1], canon[2])
-                by_op.setdefault(p.op, {})[canon] = None
+                by_op.setdefault(p.op, {})[_scratch_children(st, p)] = None
     return index
 
 
@@ -971,6 +993,149 @@ def test_stages_are_the_least_fixpoint_over_members(system):
                         stage[c] = s
                         changed = True
     assert stage == {c: st.stage_of(c) for c in st.roots()}
+
+
+def _scratch_extraction(st):
+    """Stages, representative keys and chosen members from scratch: costs
+    and stages as least fixpoints over every member of every class, then,
+    in order of cost, each class's least key among its least-cost members,
+    whose children all cost less and so are keyed already."""
+    rows = [
+        (root, st._payloads[mid], _scratch_children(st, st._payloads[mid]))
+        for root, mids in st._members.items()
+        for mid in mids
+    ]
+    flat = lambda kids: () if kids is None else tuple(branch_values(kids))
+    cost, stage = {}, {}
+    changed = True
+    while changed:
+        changed = False
+        for root, _, kids in rows:
+            if all(r in cost for r in flat(kids)):
+                c = 1 + sum(cost[r] for r in flat(kids))
+                s = 1 + max((stage[r] for r in flat(kids)), default=0)
+                if c < cost.get(root, c + 1):
+                    cost[root] = c
+                    changed = True
+                if s < stage.get(root, s + 1):
+                    stage[root] = s
+                    changed = True
+    key, chosen = {}, {}
+    for root, p, kids in sorted(rows, key=lambda row: cost[row[0]]):
+        if 1 + sum(cost[r] for r in flat(kids)) != cost[root]:
+            continue
+        if kids is None:
+            k = term_key(Var(p.name))
+        else:
+            k = node_key(p.op, map_branches(key.__getitem__, kids, normalize=True))
+        if root not in key or k < key[root]:
+            key[root], chosen[root] = k, (p, kids)
+    return stage, key, chosen
+
+
+def _leaf_value(name):
+    return ("leaf", name)
+
+
+def _layer_value(op, values):
+    return (op, values)
+
+
+def _assert_analysis_is_scratch(st):
+    """Every class's stage, key, representative and fold value (over the
+    chosen members, in an algebra that records each layer) as from
+    scratch, with each chosen member naming current child roots."""
+    stage, key, chosen = _scratch_extraction(st)
+
+    def rep(root):
+        p, kids = chosen[root]
+        return Var(p.name) if kids is None else Node(p.op, map_branches(rep, kids, normalize=True))
+
+    def value(root):
+        p, kids = chosen[root]
+        return _leaf_value(p.name) if kids is None else _layer_value(p.op, map_branches(value, kids))
+
+    assert {c.index: st.stage_of(c) for c in st.roots()} == stage
+    assert {c.index: st.representative(c) for c in st.roots()} == {r: rep(r) for r in key}
+    assert st.fold(_leaf_value, _layer_value) == {r: value(r) for r in key}
+    assert st._key == key
+    assert st._chosen.keys() == key.keys()
+    for _, _, kids in st._chosen.values():
+        assert kids is None or all(st._find(r) == r for r in branch_values(kids))
+    exported = st.export_json()["classes"]
+    assert [(c["id"], c["stage"]) for c in exported] == sorted(stage.items())
+    assert [c["representative"] for c in exported] == [term_to_json(rep(r)) for r in sorted(key)]
+
+
+_ANALYSIS_OPS = hst.lists(
+    hst.one_of(
+        hst.tuples(hst.just("intern"), hst.lists(hst.integers(0, 199), min_size=1, max_size=4)),
+        hst.tuples(hst.just("saturate"), hst.integers(1, 3)),
+        hst.tuples(
+            hst.sampled_from(["stage_of", "representative", "fold", "export_json"]),
+            hst.integers(0, 49),
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _run_analysis_ops(st, pool, ops):
+    """Interleaved interning, saturation and reads, each step followed by
+    the from-scratch comparison; reads on a stale state included."""
+    ids = []
+    for kind, arg in ops:
+        if kind == "intern":
+            ids.extend(st.intern_term(pool[i % len(pool)]) for i in arg)
+        elif kind == "saturate":
+            st.saturate(max_rounds=arg)
+        elif ids:
+            c = ids[arg % len(ids)]
+            if kind == "stage_of":
+                st.stage_of(c)
+            elif kind == "representative":
+                st.representative(c)
+            elif kind == "fold":
+                st.fold(_leaf_value, _layer_value, [st.canonical(c).index])
+            else:
+                st.export_json()
+        _assert_analysis_is_scratch(st)
+
+
+_ANALYSIS_SIZES = {"bag.qit": 6, "omega_tree.qit": 5}
+
+
+@settings(max_examples=150, deadline=None)
+@example(  # a merge whose root keeps its users while its key falls
+    path="omega_tree.qit", max_instances=15, ops=[("intern", [13, 164]), ("saturate", 1)]
+)
+@given(hst.sampled_from(sorted(_ANALYSIS_SIZES)), hst.sampled_from([15, 2000]), _ANALYSIS_OPS)
+def test_analysis_equals_from_scratch_extraction(fixtures, path, max_instances, ops):
+    # the analysis kept current from the touched classes is the from-scratch
+    # extraction after every step; small instance budgets exit mid-round
+    # and leave congruences to the next saturation
+    sig, system = elaborate(parse_decl((fixtures / path).read_text()), probe=2)
+    pool = closed_terms(sig, _ANALYSIS_SIZES[path], probe=2)
+    _run_analysis_ops(new_qw(sig, system, max_instances=max_instances), pool, ops)
+
+
+@settings(max_examples=150, deadline=None)
+@example(  # the class that loses its root in a merge had the lesser stage
+    system=make_system(
+        SMALL_SIG,
+        [("e0", 1, node("g", Var(0), node("c")), node("d")), ("e1", 2, Var(1), node("f", Var(1)))],
+    ),
+    max_instances=15,
+    ops=[("intern", [107]), ("saturate", 1), ("saturate", 1)],
+)
+@given(_small_systems(max_equations=3), hst.sampled_from([15, 200]), _ANALYSIS_OPS)
+def test_analysis_equals_from_scratch_extraction_as_costs_fall(system, max_instances, ops):
+    # equations between terms of different sizes: merges lower costs and
+    # stages, and keys change with them.  A two-variable equation can
+    # square the carrier each round, so the instance budgets are small.
+    st = new_qw(SMALL_SIG, system, max_instances=max_instances)
+    _run_analysis_ops(st, closed_terms(SMALL_SIG, 4), ops)
 
 
 @settings(max_examples=15, deadline=500)
