@@ -12,11 +12,16 @@ began, and a call at a fixpoint returns at once; the merge log is the one
 full rounds make.  Congruence upkeep is incremental too: each class keeps
 a use list of the operator payloads over it, a merge marks the losing
 class's users stale, and the rebuild re-keys only those, in payload order,
-making the merges that passes over every payload would.  Matching reads
-each class's distinct canonical e-nodes (operator layers over canonical
-child classes, with congruent duplicates collapsed), indexed by head
-operator; the index is refreshed only for the classes touched since it
-was last read.  Every merge is recorded in a proof forest whose edges
+making the merges that passes over every payload would.  Each equation
+is compiled once per state into a plan: each side's match is a join, nested
+loops over one relation per head operator that maps a class to its
+distinct canonical e-nodes (operator layers over canonical child classes,
+congruent duplicates collapsed), refreshed only for the classes touched
+since it was last read; a side's instance is interned layer by layer from
+canonical keys.  A variable the matched side leaves unbound ranges over
+the classes as a lexicographic product, and the products are merged
+lazily in order, so a round takes at most one environment past its
+instance budget.  Every merge is recorded in a proof forest whose edges
 carry their justification, and an independent replay validator re-derives
 the whole merge log with its own scan over the payloads.
 
@@ -177,6 +182,10 @@ class QWState:
                 raise WorkbenchError(f"generator {g!r} clashes with an operator name")
         self.max_rounds = max_rounds
         self.max_instances = max_instances
+        # each equation compiled once, in the order rounds visit them
+        self._plans = {
+            e.name: _Plan(e) for e in sorted(system.equations, key=lambda e: e.name)
+        }
         self._parent: list[int] = []
         self._rank: list[int] = []
         self._payloads: list[Payload] = []
@@ -205,9 +214,10 @@ class QWState:
         self._chosen: dict[int, tuple[int, Payload, Any]] = {}
         self._reps: dict[int, Term] = {}
         self._unanalysed: list[int] = []
-        # the operator index once built, and the payloads whose class entry
-        # it must refresh at the next ``_enodes()``
-        self._index: dict[int, dict[str, dict[Any, None]]] | None = None
+        # the operator index once built (a relation per head operator), and
+        # the payloads whose class entries it must refresh at the next
+        # ``_enodes()``
+        self._index: dict[str, dict[int, dict[Any, None]]] | None = None
         self._unindexed: list[int] = []
 
     # -- union-find ---------------------------------------------------------
@@ -281,11 +291,15 @@ class QWState:
         hit = self._memo.get(key)
         if hit is not None:
             return self._find(hit)
+        return self._new(key)
+
+    def _new(self, key: Any) -> int:
+        """Store the payload of a canonical key the memo lacks, as a new class."""
         idx = len(self._payloads)
-        if isinstance(payload, GenLeaf):
-            stored = payload
+        if key[0] == "g":
+            stored = GenLeaf(key[1])
         else:
-            stored = ENode(payload.op, _branch_map(key[2]))
+            stored = ENode(key[1], _branch_map(key[2]))
             for child in dict.fromkeys(branch_values(stored.branches)):
                 self._uses.setdefault(child, []).append(idx)
         self._payloads.append(stored)
@@ -432,34 +446,34 @@ class QWState:
 
     # -- matching and saturation ---------------------------------------------
 
-    def _enodes(self) -> dict[int, dict[str, dict[Any, None]]]:
-        """Each class root's distinct canonical operator layers: branch maps
-        of child roots, grouped by head operator.  Congruent duplicates
-        among a class's payloads collapse to one layer, and a countable map
-        drops entries whose class is the default's.
+    def _enodes(self) -> dict[str, dict[int, dict[Any, None]]]:
+        """One relation per head operator, ``op -> root -> layers``: each
+        class root's distinct canonical operator layers with that head, as
+        branch maps of child roots.  Congruent duplicates among a class's
+        payloads collapse to one layer, and a countable map drops entries
+        whose class is the default's.
 
         The index is built once and then refreshed in place, here only, for
         the classes touched since the last call: those that gained a payload
         or a member, or hold a layer over a class that lost its root."""
         index = self._index
         if index is None:
-            index = self._index = {}
+            index = self._index = {name: {} for name in self.signature.names()}
             todo: Iterable[int] = self._members
         else:
-            parent = self._parent
-            todo = set()
-            for i in self._unindexed:
-                if parent[i] != i:
-                    index.pop(i, None)
-                todo.add(self._find(i))
+            todo = {self._find(i) for i in self._unindexed}
+            # classes that lost their root, and those refreshed below, leave
+            # every relation
+            for i in todo.union(self._unindexed):
+                for rel in index.values():
+                    rel.pop(i, None)
         self._unindexed.clear()
         for root in todo:
-            by_op = index[root] = {}
             for mid in self._members[root]:
                 p = self._payloads[mid]
-                if isinstance(p, ENode):
+                if p.__class__ is ENode:
                     canon = _branch_map(self._canon_branches(p.branches))
-                    by_op.setdefault(p.op, {})[canon] = None
+                    index[p.op].setdefault(root, {})[canon] = None
         return index
 
     def _near(self, touched: set[int], height: int) -> set[int]:
@@ -477,99 +491,91 @@ class QWState:
             near |= frontier
         return near
 
-    def _match(
-        self, pattern: Term, root: int, index: dict, envs: list | None = None
-    ) -> list[dict[int, int]]:
-        """Environments (variable -> class root) under which the pattern's
-        instance is this class, judged structurally against the class's
-        distinct canonical operator layers in ``index`` (an ``_enodes()``)
-        with the pattern's head.  Given ``envs``, those of them that extend
-        consistently, each extended."""
-        if envs is None:
-            envs = [{}]
-        if isinstance(pattern, Var):
-            name, out = pattern.name, []
-            for env in envs:
-                bound = env.get(name)
-                if bound is None:
-                    out.append({**env, name: root})
-                elif bound == root:
-                    out.append(env)
-            return out
-        out = []
-        for branches in index.get(root, {}).get(pattern.op, ()):
-            if isinstance(pattern.branches, OmegaTable):
-                pairs = branch_pairs(pattern.branches, branches)
-            else:
-                pairs = zip(pattern.branches, branches)
-            found = envs
-            for sub, broot in pairs:
-                found = self._match(sub, broot, index, found)
-                if not found:
-                    break
-            out.extend(found)
-        return out
-
     def _instance_envs(
         self,
-        eq,
+        plan: _Plan,
         roots: list[int],
         index: dict,
-        touched: set[int] | None = None,
-        nears: dict[int, set[int]] | None = None,
-    ) -> list[tuple[int, ...]]:
-        """Environments worth instantiating: those under which at least one
-        side's instance already exists in ``index``, completed over
-        ``roots`` for variables the matched side does not mention.
+        touched: _Touched | None = None,
+        after: tuple[int, ...] | None = None,
+    ) -> Iterator[tuple[int, ...]]:
+        """Environments worth instantiating, ascending and each once: those
+        under which at least one side's instance already exists in
+        ``index`` (an ``_enodes()``), completed over ``roots`` for the
+        variables the matched side does not bind.  Given ``after``, only
+        the environments above it.
 
-        Given ``touched``, the class roots changed since the last completed
+        Each side's join runs at once over the relation of its head, at the
+        keys that were among ``roots`` (those up to the last of them: later
+        classes are new since ``roots`` was taken).  Completions are not
+        built: each match gives one lexicographic product over the roots at
+        its unbound variables, and the products are merged lazily, so a
+        caller that stops early pays for what it took.
+
+        Given ``touched``, the classes changed since the last completed
         round began, only environments that involve a change are kept.  A
         side is matched anew at the roots near a touched class (within the
         equation's height above one; a bare variable at a touched class),
         and those matches complete over all roots; a match elsewhere
         completes only over combinations holding a root of a touched class.
         Every environment left out was instantiated in that round over the
-        same canonical layers.  ``nears`` keeps the near sets by height for
-        as long as the carrier and ``touched`` stay as they are."""
-        n = eq.var_count
-        near = hot = None  # None: every root counts as changed
-        if touched is not None:
-            hot = {r for r in roots if self._find(r) in touched}
-            height = max(_height(eq.lhs), _height(eq.rhs))
-            near = nears.get(height)
-            if near is None:
-                near = nears[height] = self._near(touched, height)
-        envs: set[tuple[int, ...]] = set()
-        for side in (eq.lhs, eq.rhs):
-            bound = term_vars(side)
-            missing = [v for v in range(n) if v not in bound]
-            head = None if isinstance(side, Var) else side.op
-            # a bare variable matches anew only at a touched class itself
-            zone = hot if head is None else near
-            fresh = roots if zone is None else [r for r in roots if r in zone]
-            if head is not None:
-                # an operator side matches only at a class with a layer it heads
-                fresh = [r for r in fresh if head in index.get(r, ())]
-            for r in fresh:
-                for env in self._match(side, r, index):
-                    if missing:
-                        everywhere = itertools.product(roots, repeat=len(missing))
-                        _complete(envs, env, missing, everywhere, n)
-                    else:
-                        envs.add(tuple(env[v] for v in range(n)))
-            if missing and hot:
-                for r in roots:
-                    if r not in zone and (head is None or head in index.get(r, ())):
-                        for env in self._match(side, r, index):
-                            touching = _touching(roots, hot, len(missing))
-                            _complete(envs, env, missing, touching, n)
-        return sorted(envs)
+        same canonical layers."""
+        last = roots[-1] if roots else -1
+        zone = None if touched is None else touched.near(plan.height)
+        complete: set[tuple[int, ...]] = set()
+        products: list[list] = []
+        for side in (plan.lhs, plan.rhs):
+            k = len(side.missing)
+            # whether a match away from the zone completes over combinations
+            # holding a touched root
+            widen = k > 0 and touched is not None and len(touched.hot) > 0
+            if side.head is None:
+                # a bare variable matches at every root, anew at a touched one
+                near = [[roots if touched is None else touched.hot]]
+                away = [[touched.cold]] if widen else []
+            else:
+                rel = index[side.head]
+                fresh = [r for r in rel if r <= last and (zone is None or r in zone)]
+                found: set = set()
+                side.join(index, fresh, found)
+                if not k:
+                    complete |= found
+                    continue
+                rest: set = set()
+                if widen:
+                    side.join(index, [r for r in rel if r <= last and r not in zone], rest)
+                near = [[(v,) for v in m] for m in found]
+                away = [[(v,) for v in m] for m in rest - found]
+            for bound in near:
+                products.append(side.domains(bound, [roots] * k))
+            for bound in away:
+                # each combination holding a touched root, once: the first
+                # position that holds one takes it, earlier ones the others
+                for i in range(k):
+                    tail = [touched.cold] * i + [touched.hot] + [roots] * (k - 1 - i)
+                    products.append(side.domains(bound, tail))
+        ordered = sorted(complete)
+        if after is not None:
+            ordered = ordered[bisect.bisect_right(ordered, after) :]
+        if not products:
+            return iter(ordered)
+        runs = [_product_after(domains, after) for domains in products]
+        return (env for env, _ in itertools.groupby(heapq.merge(ordered, *runs)))
 
-    def _intern_instance(self, t: Term, env: tuple[int, ...]) -> int:
-        if isinstance(t, Var):
-            return self._find(env[t.name])
-        ids = map_branches(lambda b: self._intern_instance(b, env), t.branches)
-        return self._add(ENode(t.op, ids))
+    def _instantiate(self, side: _Side, env: tuple[int, ...]) -> int:
+        """Intern a side's instance under an environment of class roots:
+        its layers bottom up, each looked up by its canonical key, making
+        the ``_add`` calls of interning the instance term."""
+        memo, find = self._memo, self._find
+        vals = list(env)
+        for op, kids in side.layers:
+            if kids.__class__ is tuple:
+                key = ("n", op, tuple([vals[k] for k in kids]))
+            else:
+                key = ("n", op, self._canon_branches(map_branches(vals.__getitem__, kids)))
+            hit = memo.get(key)
+            vals.append(self._new(key) if hit is None else find(hit))
+        return vals[side.out]
 
     def saturate(self, *, max_rounds: int | None = None) -> SaturationResult:
         """Run saturation rounds to a fixpoint or the round budget.
@@ -586,15 +592,16 @@ class QWState:
         since the last completed round began; the rest would intern and
         merge nothing.  Should a merge move the root of an untouched class,
         the keys of the environments left out may change, and the equation
-        finishes over all of them.  ``max_instances`` counts the instances
-        made.
+        finishes over all of them.  Environments are streamed in ascending
+        order from each equation's compiled plan, and ``max_instances``
+        counts the instances a round makes, so a round takes at most one
+        environment past its budget.
         """
         budget = self.max_rounds if max_rounds is None else max_rounds
         if budget >= 1 and self._version == self._fixpoint_version:
             return SaturationResult(True, 1, 0, 0)
         merges = self._rebuild()
         before_all = len(self._payloads)
-        eqs = sorted(self.system.equations, key=lambda e: e.name)
         rounds = 0
         for rounds in range(1, budget + 1):
             round_merges = 0
@@ -605,25 +612,22 @@ class QWState:
             # the roots of the classes touched since the mark, kept canonical
             # as the round merges; None once that is every class
             changed: set[int] | None = set()
-            seen, nears = self._mark, None
-            for eq in eqs:
+            seen, view = self._mark, None
+            for plan in self._plans.values():
                 index = self._enodes()
-                if changed is not None and (nears is None or seen != len(self._log)):
-                    # the touched classes, and the near sets by height, move
-                    # only with the log
+                if changed is not None and (view is None or seen != len(self._log)):
+                    # the touched classes, and what is near them, move only
+                    # with the log
                     changed = {self._find(r) for r in changed}
                     changed.update(self._find(e[1]) for e in self._log[seen:])
                     seen = len(self._log)
-                    nears = {}
                     if len(changed) == len(self._members):
                         changed = None
-                touched = changed
+                    view = None if changed is None else _Touched(self, changed, roots)
+                touched = view
                 old = len(self._payloads)
-                envs = self._instance_envs(eq, roots, index, touched, nears)
-                k = 0
-                while k < len(envs):
-                    raw = envs[k]
-                    k += 1
+                envs = self._instance_envs(plan, roots, index, touched)
+                while (raw := next(envs, None)) is not None:
                     instances += 1
                     if instances > self.max_instances:
                         # as saturated as budgeted, like the round-budget exit below
@@ -631,21 +635,21 @@ class QWState:
                         return SaturationResult(
                             False, rounds, merges, len(self._payloads) - before_all
                         )
-                    env = tuple(self._find(v) for v in raw)
-                    lid = self._intern_instance(eq.lhs, env)
-                    rid = self._intern_instance(eq.rhs, env)
+                    env = tuple(map(self._find, raw))
+                    lid = self._instantiate(plan.lhs, env)
+                    rid = self._instantiate(plan.rhs, env)
                     if touched is not None:
                         lroot, rroot = self._find(lid), self._find(rid)
-                    if self._union(lid, rid, Justification("sqeq", eq.name, env)):
+                    if self._union(lid, rid, Justification("sqeq", plan.name, env)):
                         round_merges += 1
                         if touched is None:
                             continue
                         lost = lroot if self._parent[lroot] != lroot else rroot
-                        if lost < old and lost not in touched:
+                        if lost < old and lost not in touched.classes:
                             # an untouched class lost its root, so the keys of
                             # environments left out may be new: finish over all
-                            full = self._instance_envs(eq, roots, index)
-                            envs, k, touched = full[bisect.bisect_right(full, raw) :], 0, None
+                            envs = self._instance_envs(plan, roots, index, after=raw)
+                            touched = None
             round_merges += self._rebuild()
             merges += round_merges
             self._mark = start
@@ -932,22 +936,200 @@ def _height(t: Term) -> int:
     return 1 + max((_height(b) for b in branch_values(t.branches)), default=0)
 
 
-def _touching(roots: list[int], hot: set[int], k: int) -> Iterator[tuple[int, ...]]:
-    """Each ``k``-tuple over ``roots`` that holds a root from ``hot``, once:
-    the first such position takes it, earlier ones take the others."""
-    cold = [r for r in roots if r not in hot]
-    for i in range(k):
-        yield from itertools.product(*[cold] * i, hot, *[roots] * (k - 1 - i))
+class _Side:
+    """One side of an equation, compiled.  ``join(index, roots, found)``
+    adds to ``found`` the values of the side's variables (``bound``,
+    ascending) under each way the side matches one of ``roots``; a bare
+    variable has no join.  ``layers`` interns an instance bottom up: each
+    layer's operator and the slots of its children, where slots below the
+    variable count hold the environment and each layer's class takes the
+    next; ``out`` is the side's slot."""
+
+    __slots__ = ("head", "bound", "missing", "join", "layers", "out")
+
+    def __init__(self, t: Term, n: int):
+        names = term_vars(t)
+        self.bound = tuple(sorted(names))
+        self.missing = tuple(v for v in range(n) if v not in names)
+        self.head = None if isinstance(t, Var) else t.op
+        self.join = None if self.head is None else _compile_join(t, self.bound)
+        layers: list[tuple[str, Any]] = []
+
+        def place(u: Term) -> int:
+            if isinstance(u, Var):
+                return u.name
+            kids = map_branches(place, u.branches)
+            layers.append((u.op, kids))
+            return n + len(layers) - 1
+
+        self.out = place(t)
+        self.layers = tuple(layers)
+
+    def domains(self, bound: list, missing: list) -> list:
+        """Per variable, the ascending values a product takes there."""
+        out: list = [None] * (len(bound) + len(missing))
+        for v, d in zip(self.bound, bound):
+            out[v] = d
+        for v, d in zip(self.missing, missing):
+            out[v] = d
+        return out
 
 
-def _complete(
-    envs: set, env: dict[int, int], missing: list[int], combos: Iterable, n: int
-) -> None:
-    """Add ``env`` extended by each combination of roots for ``missing``."""
-    for combo in combos:
-        full = dict(env)
-        full.update(zip(missing, combo))
-        envs.add(tuple(full[v] for v in range(n)))
+class _Plan:
+    """An equation compiled once per state: both sides and its height."""
+
+    __slots__ = ("name", "var_count", "height", "lhs", "rhs")
+
+    def __init__(self, eq):
+        self.name, self.var_count = eq.name, eq.var_count
+        self.height = max(_height(eq.lhs), _height(eq.rhs))
+        self.lhs, self.rhs = _Side(eq.lhs, eq.var_count), _Side(eq.rhs, eq.var_count)
+
+
+class _Touched:
+    """The classes touched since the last completed round began, as a
+    round's roots see them while the log stands: those roots in a touched
+    class (``hot``) and the others (``cold``), ascending, and the roots
+    near a touched class by pattern height."""
+
+    def __init__(self, state: QWState, classes: set[int], roots: list[int]):
+        self.state, self.classes = state, classes
+        self.hot = [r for r in roots if state._find(r) in classes]
+        hot = set(self.hot)
+        self.cold = [r for r in roots if r not in hot]
+        self._near: dict[int, set[int]] = {}
+
+    def near(self, height: int) -> set[int]:
+        near = self._near.get(height)
+        if near is None:
+            near = self._near[height] = self.state._near(self.classes, height)
+        return near
+
+
+def _compile_join(t: Node, bound: tuple[int, ...]) -> Callable:
+    """A pattern's match as nested loops over the operator relations.
+
+    Every pattern position below the root gets a slot in one flat list.
+    One loop per operator node, in preorder, runs over the layers of the
+    class in the node's slot and fills the slots of the node's children;
+    a variable seen before is compared in place rather than stored.  A
+    countable node pairs positions as :func:`branch_pairs` does, the
+    pattern's entries and then its default; the layer's other entries must
+    hold the default's instance too, which is checked once every variable
+    is bound."""
+    slots: dict[int, int] = {}
+    steps: list[tuple] = []
+    defaults: list[tuple[Term, int]] = []  # with the slot of the other entries
+    size = 1
+
+    def plan(u: Node, src: int) -> None:
+        nonlocal size
+        subs = list(branch_values(u.branches))
+        support = xslot = None
+        if isinstance(u.branches, OmegaTable):
+            support = u.branches.support()
+            xslot, size = size, size + 1
+            defaults.append((subs[-1], xslot))
+        stores, checks, below = [], [], []
+        for pos, sub in enumerate(subs):
+            if isinstance(sub, Var) and sub.name in slots:
+                checks.append((pos, slots[sub.name]))
+                continue
+            stores.append((pos, size))
+            if isinstance(sub, Var):
+                slots[sub.name] = size
+            else:
+                below.append((sub, size))
+            size += 1
+        steps.append((u.op, src, stores, checks, support, xslot))
+        for sub, slot in below:
+            plan(sub, slot)
+
+    plan(t, 0)
+    result = tuple(slots[v] for v in bound)
+    ends = [(_template(sub, slots), xslot) for sub, xslot in defaults]
+
+    def emit(regs: list, index: dict, found: set) -> None:
+        for tpl, xslot in ends:
+            for c in regs[xslot]:
+                if not _holds(tpl, c, regs, index):
+                    return
+        found.add(tuple([regs[s] for s in result]))
+
+    first = emit
+    for step in reversed(steps):
+        first = _scan(*step, first)
+
+    def join(index: dict, roots: Iterable[int], found: set) -> None:
+        regs: list = [None] * size
+        for root in roots:
+            regs[0] = root
+            first(regs, index, found)
+
+    return join
+
+
+def _scan(
+    op: str, src: int, stores: list, checks: list, support: tuple | None, xslot: int | None,
+    nxt: Callable,
+) -> Callable:
+    """The loop over the ``op`` layers of the class in slot ``src``.  A
+    countable layer pairs as :func:`branch_pairs` pairs it with the
+    pattern: read at the pattern's entry indexes (``support``), then at
+    its default; its other entries, paired with the default, go to slot
+    ``xslot``."""
+
+    def scan(regs: list, index: dict, found: set) -> None:
+        for kids in index[op].get(regs[src], ()):
+            if support is not None:
+                at, d = dict(kids.entries), kids.default
+                regs[xslot] = [v for i, v in kids.entries if i not in support]
+                kids = [at.get(i, d) for i in support] + [d]
+            for pos, slot in stores:
+                regs[slot] = kids[pos]
+            for pos, slot in checks:
+                if kids[pos] != regs[slot]:
+                    break
+            else:
+                nxt(regs, index, found)
+
+    return scan
+
+
+def _template(t: Term, slots: dict[int, int]) -> Any:
+    """A pattern with each variable replaced by its slot."""
+    if isinstance(t, Var):
+        return slots[t.name]
+    return (t.op, map_branches(lambda b: _template(b, slots), t.branches))
+
+
+def _holds(tpl: Any, root: int, regs: list, index: dict) -> bool:
+    """Whether class ``root`` holds the instance of a template whose
+    variables are all bound."""
+    if tpl.__class__ is int:
+        return regs[tpl] == root
+    op, subs = tpl
+    return any(
+        all(_holds(s, c, regs, index) for s, c in branch_pairs(subs, kids))
+        for kids in index[op].get(root, ())
+    )
+
+
+def _product_after(domains: list, after: tuple[int, ...] | None) -> Iterator[tuple]:
+    """The product of ascending ``domains`` in lexicographic order; given
+    ``after``, only the tuples above it: those that keep a prefix of
+    ``after`` lying in the product and go above it at the next position,
+    the longest prefix first."""
+    if after is None:
+        return itertools.product(*domains)
+    blocks = []
+    for i, (dom, v) in enumerate(zip(domains, after)):
+        j = bisect.bisect_right(dom, v)
+        if j < len(dom):
+            blocks.append(itertools.product(*[(u,) for u in after[:i]], dom[j:], *domains[i + 1 :]))
+        if not (j and dom[j - 1] == v):
+            break
+    return itertools.chain.from_iterable(reversed(blocks))
 
 
 # a fresh empty construction state with its recorded budgets
@@ -1070,10 +1252,11 @@ def check_equations_hold(
     """Replay the satisfaction enumeration over carrier classes: every
     equation instance over the given classes must be proved equal."""
     classes = [state._live_root(c) for c in classes]
-    pending = [
-        (eq.name, env, state._intern_instance(eq.lhs, env), state._intern_instance(eq.rhs, env))
-        for eq, env in instances(state.system, classes, env_budget)
-    ]
+    pending = []
+    for eq, env in instances(state.system, classes, env_budget):
+        plan = state._plans[eq.name]
+        lid, rid = state._instantiate(plan.lhs, env), state._instantiate(plan.rhs, env)
+        pending.append((eq.name, env, lid, rid))
     state.saturate()
     for name, env, lid, rid in pending:
         if state._find(lid) != state._find(rid):

@@ -19,6 +19,7 @@ from qitbench.engine import (
     QWState,
     SaturationResult,
     _closed_term_count,
+    _Touched,
     closed_terms,
     check_equations_hold,
     find_separator,
@@ -40,6 +41,7 @@ from qitbench.terms import (
     OpNode,
     Var,
     branch_assignments,
+    branch_pairs,
     branch_values,
     enumerate_opnodes,
     eval_alg,
@@ -598,6 +600,7 @@ def test_matching_sees_a_merge_made_earlier_in_the_round():
 # -- properties over random small systems -------------------------------------------
 
 SMALL_SIG = signature([("c", 0), ("d", 0), ("f", 1), ("g", 2)])
+SMALL_TERMS = closed_terms(SMALL_SIG, 4)
 
 
 def test_a_repeated_variable_matches_equal_children_only():
@@ -633,7 +636,8 @@ def _var_count(t) -> int:
 
 
 @hst.composite
-def _small_systems(draw, max_equations=2):
+def _small_systems(draw, max_equations=2, spare=0):
+    # ``spare``: up to that many more variables, which no side binds
     pairs = draw(
         hst.lists(hst.tuples(_sides(2), _sides(2)), min_size=1, max_size=max_equations)
     )
@@ -641,6 +645,8 @@ def _small_systems(draw, max_equations=2):
         (f"e{i}", max(_var_count(lhs), _var_count(rhs)), lhs, rhs)
         for i, (lhs, rhs) in enumerate(pairs)
     ]
+    if spare:
+        eqs = [(name, n + draw(hst.integers(0, spare)), l, r) for name, n, l, r in eqs]
     return make_system(SMALL_SIG, eqs)
 
 
@@ -716,10 +722,68 @@ def test_a_call_after_an_instance_budget_exit_continues():
     assert st.class_count > count
 
 
+def _pulls_by_round(monkeypatch):
+    """Record the environments saturation pulls from ``_instance_envs``,
+    as ``(equation, environment)`` lists, one per round: each rebuild
+    (at a call's start and at each round's end) opens the next list."""
+    rounds = []
+    envs_of, rebuild = QWState._instance_envs, QWState._rebuild
+
+    def pulled(self, plan, *args, **kw):
+        envs = envs_of(self, plan, *args, **kw)
+        assert iter(envs) is envs  # streamed, not built
+        for env in envs:
+            rounds[-1].append((plan.name, env))
+            yield env
+
+    def marked(self):
+        rounds.append([])
+        return rebuild(self)
+
+    monkeypatch.setattr(QWState, "_instance_envs", pulled)
+    monkeypatch.setattr(QWState, "_rebuild", marked)
+    return rounds
+
+
+def test_an_instance_budget_bounds_the_environments_a_round_pulls(monkeypatch):
+    # c binds neither variable, so its match completes over the square of
+    # the carrier; a round pulls at most one environment past its budget,
+    # and the log is the one of completing every match before counting
+    rounds = _pulls_by_round(monkeypatch)
+    system = make_system(
+        SMALL_SIG,
+        [
+            ("e0", 2, node("c"), node("f", node("g", Var(0), Var(1)))),
+            ("e1", 0, node("c"), node("d")),
+        ],
+    )
+    st = new_qw(SMALL_SIG, system, max_instances=400)
+    st.enumerate_classes(3)
+    assert not st.saturate().fixpoint
+    assert max(len(pulls) for pulls in rounds) == 401
+    digest = "65d4f1e9ad417fdf0387fb19a165f58698995911ad4bbc690b4943d7d6869e99"
+    assert hashlib.sha256(repr(st.log).encode()).hexdigest() == digest
+
+
+def test_a_round_pulls_each_environment_once_in_order(monkeypatch):
+    # the merges move d's root while d is untouched, so e0 finishes over
+    # every environment, from the one after where it stopped
+    rounds = _pulls_by_round(monkeypatch)
+    st = new_qw(SMALL_SIG, make_system(SMALL_SIG, [("e0", 2, Var(1), Var(0))]))
+    st.intern_term(node("d"))
+    st.saturate(max_rounds=1)
+    st.intern_term(node("g", node("d"), node("f", node("c"))))
+    st.saturate(max_rounds=1)
+    for pulls in rounds:
+        envs = [env for _, env in pulls]
+        assert envs == sorted(set(envs))
+
+
 def _reference_match(st, pattern, root):
     """Environments under which ``pattern``'s instance is class ``root``,
-    read off the class's stored payloads (finite branches only, as in
-    ``SMALL_SIG``) rather than the state's operator index."""
+    read off the class's stored payloads rather than the state's operator
+    index; a countable map pairs with the pattern's as ``branch_pairs``
+    lines them up."""
     if isinstance(pattern, Var):
         return [{pattern.name: root}]
     out = []
@@ -728,7 +792,7 @@ def _reference_match(st, pattern, root):
         if not isinstance(p, ENode) or p.op != pattern.op:
             continue
         envs = [{}]
-        for sub, child in zip(pattern.branches, st._canon_branches(p.branches)):
+        for sub, child in branch_pairs(pattern.branches, _scratch_children(st, p)):
             envs = [
                 {**env, **cand}
                 for env in envs
@@ -739,18 +803,34 @@ def _reference_match(st, pattern, root):
     return out
 
 
-def _reference_envs(st, eq, roots):
+def _pattern_height(t):
+    if isinstance(t, Var):
+        return 0
+    return 1 + max((_pattern_height(b) for b in branch_values(t.branches)), default=0)
+
+
+def _reference_envs(st, eq, roots, touched=None):
     """Every environment under which one side's instance exists, its
-    unbound variables completed over all roots."""
+    unbound variables completed over all roots.  Given the touched class
+    roots, a match counts in full only near them (a bare variable only at
+    a root in a touched class), and elsewhere only with a completion
+    holding a root in a touched class."""
     n = eq.var_count
+    hot = near = None
+    if touched is not None:
+        hot = {r for r in roots if st._find(r) in touched}
+        height = max(_pattern_height(eq.lhs), _pattern_height(eq.rhs))
+        near = _scratch_near(st, touched, height)
     envs = set()
     for side in (eq.lhs, eq.rhs):
+        zone = hot if isinstance(side, Var) else near
         for r in roots:
             for env in _reference_match(st, side, r):
                 missing = [v for v in range(n) if v not in env]
                 for combo in itertools.product(roots, repeat=len(missing)):
-                    full = {**env, **dict(zip(missing, combo))}
-                    envs.add(tuple(full[v] for v in range(n)))
+                    if zone is None or r in zone or any(c in hot for c in combo):
+                        full = {**env, **dict(zip(missing, combo))}
+                        envs.add(tuple(full[v] for v in range(n)))
     return sorted(envs)
 
 
@@ -800,15 +880,15 @@ def _scratch_children(st, p):
 
 
 def _scratch_index(st):
-    """Every class root's distinct canonical operator layers by head
-    operator, built from the members."""
-    index = {}
+    """One relation per head operator, ``op -> root -> layers``, holding
+    every class root's distinct canonical operator layers, built from the
+    members."""
+    index = {name: {} for name in st.signature.names()}
     for root, mids in st._members.items():
-        by_op = index[root] = {}
         for mid in mids:
             p = st._payloads[mid]
             if isinstance(p, ENode):
-                by_op.setdefault(p.op, {})[_scratch_children(st, p)] = None
+                index[p.op].setdefault(root, {})[_scratch_children(st, p)] = None
     return index
 
 
@@ -816,8 +896,8 @@ def _scratch_near(st, touched, height):
     """The roots within ``height`` parent steps of a touched root, with
     parents read off the from-scratch index."""
     parents = {}
-    for root, by_op in _scratch_index(st).items():
-        for layers in by_op.values():
+    for rel in _scratch_index(st).values():
+        for root, layers in rel.items():
             for branches in layers:
                 for child in branch_values(branches):
                     parents.setdefault(child, set()).add(root)
@@ -836,6 +916,15 @@ def _full_pass_state(sig, system, **kw):
     st._enodes = lambda: _scratch_index(st)
     st._near = lambda touched, height: _scratch_near(st, touched, height)
     return st
+
+
+def _reference_instance(st, t, env):
+    """Intern an equation side's instance term by term through ``_add``,
+    not through the compiled plans."""
+    if isinstance(t, Var):
+        return st._find(env[t.name])
+    ids = map_branches(lambda b: _reference_instance(st, b, env), t.branches)
+    return st._add(ENode(t.op, ids))
 
 
 def _reference_saturate(st, max_rounds):
@@ -858,8 +947,8 @@ def _reference_saturate(st, max_rounds):
                     new = len(st._payloads) - before
                     return SaturationResult(False, rounds, merges, new), True
                 env = tuple(st._find(v) for v in env)
-                lid = st._intern_instance(eq.lhs, env)
-                rid = st._intern_instance(eq.rhs, env)
+                lid = _reference_instance(st, eq.lhs, env)
+                rid = _reference_instance(st, eq.rhs, env)
                 if st._union(lid, rid, Justification("sqeq", eq.name, env)):
                     round_merges += 1
         round_merges += _full_pass_rebuild(st)
@@ -974,6 +1063,116 @@ def test_congruence_upkeep_equals_full_passes(system, max_instances, ops):
         assert st._memo == ref._memo
         assert _partition(st) == _partition(ref)
         assert st._enodes() == _scratch_index(st)
+
+
+def _assert_plans_stream_the_reference(st, picks):
+    """Each equation's streamed environments are the reference's, over
+    every class and over the touched classes ``picks`` selects among the
+    roots; restarted after one of them, the stream is the rest."""
+    roots = sorted(st._members)
+    index = st._enodes()
+    touched = {roots[i % len(roots)] for i in picks} if roots else set()
+    for eq in st.system.equations:
+        plan = st._plans[eq.name]
+        want = _reference_envs(st, eq, roots)
+        got = st._instance_envs(plan, roots, index)
+        assert iter(got) is got
+        assert list(got) == want
+        near = _reference_envs(st, eq, roots, touched)
+        assert list(st._instance_envs(plan, roots, index, _Touched(st, touched, roots))) == near
+        for after in want[:: max(1, len(want) // 20)]:
+            rest = st._instance_envs(plan, roots, index, after=after)
+            assert list(rest) == [e for e in want if e > after]
+
+
+@settings(deadline=None)  # examples: the profile's
+@example(  # a nonlinear side, a nullary head and a variable no side binds
+    system=make_system(
+        SMALL_SIG,
+        [("e0", 2, node("g", Var(0), Var(0)), node("c")), ("e1", 2, node("f", Var(0)), node("d"))],
+    ),
+    ops=[node("g", node("c"), node("c")), node("f", node("d")), 1, node("g", node("d"), node("c"))],
+    picks=[0, 3],
+)
+@example(  # restarted after g(c, g(d, c))'s environment, f(c)'s product
+    # over x0 and x2 goes on above x0 = c only where x1 is c
+    system=make_system(
+        SMALL_SIG, [("e0", 3, node("g", Var(0), node("g", Var(1), Var(2))), node("f", Var(1)))]
+    ),
+    ops=[node("f", node("c")), node("g", node("c"), node("g", node("d"), node("c")))],
+    picks=[],
+)
+@example(  # bare-variable sides, one leaving a variable to the other
+    system=make_system(SMALL_SIG, [("e0", 2, Var(1), Var(0)), ("e1", 1, Var(0), node("f", Var(0)))]),
+    ops=[node("c"), node("g", node("d"), node("f", node("c"))), 1, node("d")],
+    picks=[1],
+)
+@given(
+    _small_systems(max_equations=3, spare=1),
+    hst.lists(
+        hst.one_of(hst.sampled_from(SMALL_TERMS), hst.integers(0, 2)), min_size=1, max_size=6
+    ),
+    hst.lists(hst.integers(0, 63), max_size=4),
+)
+def test_plans_stream_the_reference_environments(system, ops, picks):
+    # at every step of an interleaved session, the compiled joins and the
+    # merged completion products give what the matcher over the stored
+    # payloads and full products give, with and without touched classes
+    st = new_qw(SMALL_SIG, system, max_instances=40)
+    for op in ops:
+        if isinstance(op, int):
+            st.saturate(max_rounds=op)
+        else:
+            st.intern_term(op)
+        _assert_plans_stream_the_reference(st, picks)
+
+
+# s({0 -> x}; f(x)): a layer's entries off the pattern's must hold f(x) too
+FAMILY_OF_F = (
+    "fam",
+    1,
+    Node("s", omega_table([(0, Var(0))], node("f", Var(0)))),
+    node("f", node("f", node("f", Var(0)))),
+)
+SUP_POOL = closed_terms(SUP_SIG, 5)
+_COUNTABLE_POOLS = {
+    "omega_tree.qit": lambda fx: _qit(fx, "omega_tree.qit"),
+    "ordinal": lambda fx: _instance(ordinal_notations()),
+    "sup": lambda fx: (SUP_SIG, make_system(SUP_SIG, [CONST_FAMILY, FAMILY_OF_F])),
+}
+
+
+@settings(deadline=None)  # examples: the profile's
+@example(  # an entry off the pattern's that does not hold the default's f(a)
+    build="sup",
+    ops=[SUP_POOL.index(Node("s", omega_table([(0, node("a")), (1, node("z"))], node("f", node("a")))))],
+    picks=[],
+)
+@example(  # a layer the family matches: its round interns f(f(f(a)))
+    build="sup",
+    ops=[SUP_POOL.index(Node("s", omega_table([(0, node("a"))], node("f", node("a"))))), -1],
+    picks=[2],
+)
+@given(
+    hst.sampled_from(sorted(_COUNTABLE_POOLS)),
+    hst.lists(hst.one_of(hst.integers(0, 10_000), hst.integers(-2, -1)), min_size=1, max_size=8),
+    hst.lists(hst.integers(0, 63), max_size=4),
+)
+def test_plans_stream_the_reference_environments_on_countable_patterns(
+    fixtures, build, ops, picks
+):
+    # countable patterns pair the layer's entries with the pattern's and
+    # its default; ops are pool indexes to intern and -1, -2 to saturate
+    # with one or two rounds
+    sig, system = _COUNTABLE_POOLS[build](fixtures)
+    pool = closed_terms(sig, 5, probe=system.probe)
+    st = new_qw(sig, system, max_instances=60)
+    for op in ops:
+        if op < 0:
+            st.saturate(max_rounds=-op)
+        else:
+            st.intern_term(pool[op % len(pool)])
+        _assert_plans_stream_the_reference(st, picks)
 
 
 @settings(max_examples=30, deadline=500)
@@ -1187,9 +1386,6 @@ def _assert_same_separator(sig, system, t, u, carrier_bound):
     return got
 
 
-SMALL_TERMS = closed_terms(SMALL_SIG, 4)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     _small_systems(),
@@ -1382,9 +1578,9 @@ def _bag_session(fx):
     return inst.signature, inst.system, _bag_pair
 
 
-def _omega_tree_session(fx):
+def _omega_tree_session(fx, size=5):
     sig, system = _qit(fx, "omega_tree.qit")
-    pool = closed_terms(sig, 5, probe=2)
+    pool = closed_terms(sig, size, probe=2)
 
     def pair(rng):
         t = rng.choice(pool)
@@ -1393,9 +1589,27 @@ def _omega_tree_session(fx):
     return sig, system, pair
 
 
+# e0's x1 is bound by neither side, so each match completes over every
+# root; e1's right side is a bare variable, which matches at every root
+UNBOUND_SYSTEM = make_system(
+    SMALL_SIG,
+    [
+        ("e0", 2, node("g", Var(0), node("c")), node("g", node("c"), Var(0))),
+        ("e1", 1, node("f", node("f", Var(0))), Var(0)),
+    ],
+)
+
+
+def _unbound_variable_session(fx):
+    def pair(rng):
+        return rng.choice(SMALL_TERMS), rng.choice(SMALL_TERMS)
+
+    return SMALL_SIG, UNBOUND_SYSTEM, pair
+
+
 # Digests of the log and of the derivations after a seeded mix of interning
 # pairs of terms, saturating with 0..3 rounds and deciding earlier pairs;
-# the second case's small instance budget exits mid-round.
+# the cases with 30 instances exit mid-round, one on the countable path.
 PINNED_SESSIONS = [
     pytest.param(
         _bag_session, 1, 200_000,
@@ -1414,6 +1628,18 @@ PINNED_SESSIONS = [
         "e79e1577e23f8814307a2f8d769f7b4bf229e96bc1aedf38b35e56d19f8b1ac2",
         "01460c7ded8f7b594009a847fd4bce3d73c8eb9fa9d29cb4f5fd39d3bcf9dd76",
         id="omega_tree.qit",
+    ),
+    pytest.param(
+        lambda fx: _omega_tree_session(fx, 7), 7, 30,
+        "3e7a27c9a48623c325af15dbc0c54cfd58afe0690b935e19607bdbe94929406c",
+        "1f4b55b8a060566322ebdc58c068fc17d9ef0d65d118b4a8c59b1585f4ecd667",
+        id="omega_tree.qit-30-instances",
+    ),
+    pytest.param(
+        _unbound_variable_session, 5, 200_000,
+        "8e6e5ef9b265fbb50719bdfa38dd9c94a6f8644ca144020f596e9e1a2a3d33de",
+        "1e00fbe65d4cbd227344c8ee7165deca1042d26f4c1692a89c354d7db06afc15",
+        id="unbound-variable",
     ),
 ]
 
