@@ -978,10 +978,10 @@ class _Side:
 class _Plan:
     """An equation compiled once per state: both sides and its height."""
 
-    __slots__ = ("name", "var_count", "height", "lhs", "rhs")
+    __slots__ = ("name", "height", "lhs", "rhs")
 
     def __init__(self, eq):
-        self.name, self.var_count = eq.name, eq.var_count
+        self.name = eq.name
         self.height = max(_height(eq.lhs), _height(eq.rhs))
         self.lhs, self.rhs = _Side(eq.lhs, eq.var_count), _Side(eq.rhs, eq.var_count)
 
