@@ -27,14 +27,15 @@ the whole merge log with its own scan over the payloads.
 
 Stages are the concrete counterpart of the construction's ordinal
 indexing: a class's stage is the least nesting depth among its members,
-and the round budget plays the role of the stage cutoff.  Stages and each
-class's canonical member (the one its representative is built from) are
-an e-class analysis kept on the state: a read first brings them up to
-date from the classes touched since the last read, and since a new
-payload or a merge can only lower them, only the classes whose values
-fall pass the change to their users.  Folds such as recursion run over
-the canonical members.  Saturation reports budget exhaustion as a normal
-outcome; equality answers are only ever "proved" or "unknown".
+and the round budget plays the role of the stage cutoff.  Stages, keys and
+each class's canonical member are an e-class analysis kept on the state:
+a read first brings them up to date from the classes touched since the
+last read, and since a new payload or a merge can only lower them, only
+the classes whose values fall pass the change to their users.  Folds run
+over the canonical members: a representative is the fold into the term
+algebra, and recursion the fold into the target algebra.  Saturation
+reports budget exhaustion as a normal outcome; equality answers are only
+ever "proved" or "unknown".
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ from .terms import (
     node_key,
     probe_key,
     table_algebra,
+    term_algebra,
     term_key,
     term_to_json,
     term_vars,
@@ -206,13 +208,12 @@ class QWState:
         self._fixpoint_version = -1
         self._mark = 0
         # the e-class analysis per class root (cost, stage, representative
-        # key and term, chosen member as payload index, payload and child
-        # roots), refreshed at the next ``_analysis()`` from the queued payloads
+        # key, chosen member as payload index, payload and child roots),
+        # refreshed at the next ``_analysis()`` from the queued payloads
         self._cost: dict[int, int] = {}
         self._stage: dict[int, int] = {}
         self._key: dict[int, tuple] = {}
         self._chosen: dict[int, tuple[int, Payload, Any]] = {}
-        self._reps: dict[int, Term] = {}
         self._unanalysed: list[int] = []
         # the operator index once built (a relation per head operator), and
         # the payloads whose class entries it must refresh at the next
@@ -747,13 +748,11 @@ class QWState:
                 continue
             # a merged class keeps the lesser values of its parts
             c, s, k, ch = cost.pop(i), stage.pop(i), key.pop(i), chosen.pop(i)
-            self._reps.pop(i, None)
             if r not in cost:
                 cost[r], stage[r], key[r], chosen[r] = c, s, k, ch
                 continue
             if (c, k) < (cost[r], key[r]):
                 cost[r], key[r], chosen[r] = c, k, ch
-                self._reps.pop(r, None)
             elif s >= stage[r]:
                 continue
             stage[r] = min(stage[r], s)
@@ -794,7 +793,6 @@ class QWState:
                         chosen[r] = (m, p, kids)
                     continue
                 key[r], chosen[r] = k, (m, p, kids)
-                self._reps.pop(r, None)
                 for u in uses.get(r, ()):
                     if u not in mcost:
                         mcost[u] = measure(u)[0]
@@ -806,26 +804,16 @@ class QWState:
         return ClassId(self._live_root(c))
 
     def representative(self, c: ClassId) -> Term:
-        """Least member term under the canonical order (size, then shape)."""
+        """Least member term under the canonical order (size, then shape):
+        the class folded into the term algebra."""
         root = self._live_root(c)
-        self._analysis()
-        return self._rep(root)
+        return self.fold(Var, term_algebra, (root,))[root]
 
     def representatives(self, classes: Iterable[ClassId]) -> dict[ClassId, Term]:
-        """Representatives for many classes with shared extraction work."""
-        self._analysis()
-        return {c: self._rep(self._live_root(c)) for c in classes}
-
-    def _rep(self, root: int) -> Term:
-        t = self._reps.get(root)
-        if t is None:
-            _, p, kids = self._chosen[root]
-            if kids is None:
-                t = Var(p.name)
-            else:
-                t = Node(p.op, map_branches(self._rep, kids, normalize=True))
-            self._reps[root] = t
-        return t
+        """Representatives for many classes, from one fold."""
+        roots = {c: self._live_root(c) for c in classes}
+        terms = self.fold(Var, term_algebra, roots.values())
+        return {c: terms[r] for c, r in roots.items()}
 
     def fold(
         self,
@@ -835,14 +823,15 @@ class QWState:
     ) -> dict[int, Any]:
         """Value of every class root, or given ``roots`` of those roots and
         the classes below them, computed bottom up over the chosen members
-        representatives are built from and memoised within the call:
-        ``leaf(name)`` on a generator leaf, ``step(op, values)`` on an
-        operator layer, with ``values`` the branch map of its children's
-        values.  Countable maps drop entries whose class is the default's,
-        as the representative does, so each value is the representative
-        evaluated in the algebra that ``leaf`` and ``step`` describe.  The
-        chosen members are kept current from the classes touched since the
-        last read, so a fold walks only the classes it values."""
+        and memoised within the call: ``leaf(name)`` on a generator leaf,
+        ``step(op, values)`` on an operator layer, with ``values`` the
+        branch map of its children's values.  Countable maps drop entries
+        whose class is the default's.  Folded into the term algebra
+        (``fold(Var, term_algebra)``) each value is the class's
+        representative, so any other fold is the representative evaluated
+        in the algebra that ``leaf`` and ``step`` describe.  The chosen
+        members are kept current from the classes touched since the last
+        read, so a fold walks only the classes it values."""
         self._analysis()
         chosen = self._chosen
         values: dict[int, Any] = {}
@@ -886,19 +875,20 @@ class QWState:
         self.saturate()
         self._analysis()
         roots = sorted({self._find(i) for i in ids}, key=self._key.__getitem__)
-        return [(ClassId(r), self._rep(r)) for r in roots]
+        terms = self.fold(Var, term_algebra, roots)
+        return [(ClassId(r), terms[r]) for r in roots]
 
     # -- export ---------------------------------------------------------------
 
     def export_json(self) -> dict:
-        self._analysis()
+        terms = self.fold(Var, term_algebra)
         classes = []
         for root in sorted(self._members):
             classes.append(
                 {
                     "id": root,
                     "stage": self._stage[root],
-                    "representative": term_to_json(self._rep(root)),
+                    "representative": term_to_json(terms[root]),
                     "members": [
                         _payload_to_json(self._payloads[m])
                         for m in self._members[root]

@@ -1,20 +1,23 @@
 """Executable initiality for a constructed carrier.
 
 Recursion into a finite algebra is one memoised fold over the carrier:
-each class takes the step of its canonical member (the one its
-representative is built from) over its children's values, which equals
-evaluating the representative.  A dynamic check confirms the value does
-not depend on the member chosen.  Homomorphism and uniqueness are checked
-exhaustively over a bounded fragment of classes, and dependent
-elimination is the same fold through the algebra on (class, value) pairs,
-guarded by a coherence premise over the equations.
+each class takes the step of its canonical member over its children's
+values.  Into the term algebra that fold gives the representative, so
+recursion equals evaluating the representative.  A dynamic check
+confirms the value does not depend on the member chosen.  Homomorphism
+and uniqueness are checked exhaustively over a bounded fragment of
+classes, and dependent elimination is the same fold through the algebra
+on (class, value) pairs, guarded by a coherence premise over the
+equations.
 
 All checks here are bounded: they quantify over enumerated fragments, not
 the whole carrier, and say so in their reports.  Each settles the state
 (saturating it if stale) and picks its fragment through :func:`_fragment`,
-walks the fragment's operator layers through :func:`_introductions`, whose
-count is checked against ``LAYER_BUDGET`` before any layer is built, and
-quantifies over equations through :func:`equations.instances`.
+checks the algebra-map law (for recursion, for uniqueness's premise and
+for the computation rule) by one walk over the fragment's operator
+layers, :func:`_law_walk`, whose count is checked against ``LAYER_BUDGET``
+before any layer is built, and quantifies over equations through
+:func:`equations.instances`.
 """
 
 from __future__ import annotations
@@ -190,14 +193,33 @@ def _fragment(state: QWState, classes: Iterable[ClassId] | None) -> tuple[ClassI
     return tuple(classes) if classes is not None else state.roots()
 
 
-def _introductions(state: QWState, fragment: tuple[ClassId, ...]):
-    """Each operator layer over the fragment, in canonical order, with the
-    root index of its interned introduction, or None where it is not
-    interned.  The layer count is checked against ``LAYER_BUDGET`` on the
-    call, before any layer is built."""
+def _law_walk(
+    state: QWState,
+    fragment: tuple[ClassId, ...],
+    values: Callable[[], Mapping[int, Any]],
+    step: Callable[[OpNode, Any], Any],
+) -> tuple[OpNode | None, int, int]:
+    """The algebra-map law on each operator layer over the fragment, in
+    canonical order: ``step(layer, branch_values)`` equals the value of the
+    layer's introduction, with ``values()`` giving each class root's value.
+    The layer count is checked against ``LAYER_BUDGET`` before any layer is
+    built or ``values`` called.  A layer whose introduction is not
+    interned, or has no value, is skipped.  Returns the first layer that
+    breaks the law, or None, with the layers checked and skipped."""
     layers = budgeted_opnodes(state.signature, fragment, state.probe, LAYER_BUDGET)
-    intros = ((s, state.lookup_intro(s)) for s in layers)
-    return ((s, None if i is None else state.canonical(i).index) for s, i in intros)
+    vals = values()
+    checked = skipped = 0
+    for s in layers:
+        intro = state.lookup_intro(s)
+        root = None if intro is None else state.canonical(intro).index
+        if root not in vals:
+            skipped += 1
+            continue
+        checked += 1
+        kids = map_branches(lambda c: vals[state.canonical(c).index], s.branches)
+        if step(s, kids) != vals[root]:
+            return s, checked, skipped
+    return None, checked, skipped
 
 
 def check_rec_hom(
@@ -215,20 +237,12 @@ def check_rec_hom(
 
     Evaluation here is deliberately ungated so a corrupted target shows up
     as a counterexample rather than a refusal."""
-    layers = _introductions(state, _fragment(state, classes))
-    values = _all_values(state, target.algebra, gen_env)
-    checked = skipped = 0
-    for s, introot in layers:
-        if introot is None:
-            skipped += 1
-            continue
-        stepped = _interp(
-            target.algebra, s.op, map_branches(lambda c: values[state.canonical(c).index], s.branches)
-        )
-        checked += 1
-        if stepped != values[introot]:
-            return FragmentHomReport(False, s, checked, skipped)
-    return FragmentHomReport(True, None, checked, skipped)
+    broken, checked, skipped = _law_walk(
+        state, _fragment(state, classes),
+        lambda: _all_values(state, target.algebra, gen_env),
+        lambda s, kids: _interp(target.algebra, s.op, kids),
+    )
+    return FragmentHomReport(broken is None, broken, checked, skipped)
 
 
 @dataclass(frozen=True)
@@ -276,16 +290,12 @@ def check_uniq(
             raise WorkbenchError(
                 f"the map gives class {i} two values, {hmap[i]!r} and {h[c]!r}"
             )
-    for s, introot in _introductions(state, tuple(ClassId(i) for i in sorted(hmap))):
-        if introot not in hmap:
-            continue
-        stepped = _interp(
-            target.algebra,
-            s.op,
-            map_branches(lambda c: hmap[state.canonical(c).index], s.branches),
-        )
-        if stepped != hmap[introot]:
-            return UniqReport(False, premise_counterexample=s)
+    broken, _, _ = _law_walk(
+        state, tuple(ClassId(i) for i in sorted(hmap)), lambda: hmap,
+        lambda s, kids: _interp(target.algebra, s.op, kids),
+    )
+    if broken is not None:
+        return UniqReport(False, premise_counterexample=broken)
     values = _all_values(state, target.algebra, gen_env)
     for i in sorted(hmap):
         if hmap[i] != values[i]:
@@ -448,18 +458,12 @@ def check_comp(
 ) -> CompReport:
     """The computation rule as a decided equality: eliminating an introduced
     class gives exactly the step applied to the branchwise eliminations."""
-    layers = _introductions(state, _fragment(state, classes))
-    values = _elim_values(state, dep, gen_env=gen_env)
-    checked = 0
-    for s, introot in layers:
-        if introot not in values:
-            continue
-        vals = map_branches(lambda c: values[state.canonical(c).index], s.branches)
-        stepped = dep.step(s.op, s.branches, vals)
-        checked += 1
-        if stepped != values[introot]:
-            return CompReport(False, s, checked)
-    return CompReport(True, None, checked)
+    broken, checked, _ = _law_walk(
+        state, _fragment(state, classes),
+        lambda: _elim_values(state, dep, gen_env=gen_env),
+        lambda s, kids: dep.step(s.op, s.branches, kids),
+    )
+    return CompReport(broken is None, broken, checked)
 
 
 @dataclass(frozen=True)

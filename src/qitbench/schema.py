@@ -192,7 +192,8 @@ class _Tok:
 
 def _lex(source: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
+    # an empty source is one empty line, so the tokens end in an "end"
+    for lineno, raw in enumerate(source.splitlines() or [""], start=1):
         line = raw.split("#", 1)[0]
         i = 0
         while i < len(line):
@@ -207,9 +208,9 @@ def _lex(source: str) -> list[_Tok]:
                     i += len(sym)
                     break
             else:
-                if ch.isdigit():
+                if ch.isdecimal():
                     j = i
-                    while j < len(line) and line[j].isdigit():
+                    while j < len(line) and line[j].isdecimal():
                         j += 1
                     toks.append(_Tok("int", line[i:j], lineno, col))
                     i = j
@@ -223,6 +224,17 @@ def _lex(source: str) -> list[_Tok]:
                     raise DeclSyntaxError(f"stray character {ch!r}", lineno, col)
         toks.append(_Tok("end", "", lineno, len(line) + 1))
     return toks
+
+
+def _numeral(t: _Tok) -> int:
+    """The value of an ``int`` token; a numeral ``int`` refuses (one past
+    the interpreter's digit limit) is a syntax error at the token."""
+    try:
+        return int(t.text)
+    except ValueError:
+        raise DeclSyntaxError(
+            f"numeral of {len(t.text)} digits is too long", t.line, t.col
+        ) from None
 
 
 class _Cursor:
@@ -338,7 +350,7 @@ def _parse_enum(cur: _Cursor) -> tuple:
         if t.kind == "name":
             values.append(t.text)
         elif t.kind == "int":
-            values.append(int(t.text))
+            values.append(_numeral(t))
         else:
             raise DeclSyntaxError("enumeration values are names or numbers", t.line, t.col)
         if cur.at_sym(","):
@@ -371,7 +383,7 @@ def _parse_perm_table(cur: _Cursor) -> PermTable:
         b = cur.next()
         if b.kind != "int":
             raise DeclSyntaxError("permutation entries map numbers", b.line, b.col)
-        entries.append((int(a.text), int(b.text)))
+        entries.append((_numeral(a), _numeral(b)))
         if cur.at_sym(","):
             cur.next()
     cur.expect_sym("}")
@@ -491,7 +503,7 @@ def _parse_pattern(cur: _Cursor):
 def _parse_pattern_atom(cur: _Cursor):
     t = cur.next()
     if t.kind == "int":
-        return PatName(int(t.text), _pos(t))
+        return PatName(_numeral(t), _pos(t))
     if t.kind == "sym" and t.text == "[]":
         return PatApply("nil", (), _pos(t))
     if t.kind == "sym" and t.text == "{":
@@ -525,7 +537,7 @@ def _parse_pattern_table(cur: _Cursor, open_tok: _Tok) -> PatTable:
             if i.kind != "int":
                 raise DeclSyntaxError("table entries are indexed by numbers", i.line, i.col)
             cur.expect_sym("->")
-            entries.append((int(i.text), _parse_pattern(cur)))
+            entries.append((_numeral(i), _parse_pattern(cur)))
             if cur.at_sym(","):
                 cur.next()
     cur.expect_sym("}")
@@ -612,6 +624,11 @@ def _validate_pattern(decl: QITDecl, binders: dict, pat) -> None:
             raise ScopeError(f"unbound name {pat.fun!r}", pat.pos.line, pat.pos.col)
         if pat.perm not in binders:
             raise ScopeError(f"unbound name {pat.perm!r}", pat.pos.line, pat.pos.col)
+        tp = binders[pat.perm]
+        if not (isinstance(tp, ConstType) and decl.perm_set(tp.name) is not None):
+            raise ScopeError(
+                f"{pat.perm!r} is not a permutation parameter", pat.pos.line, pat.pos.col
+            )
         return
     if isinstance(pat, PatApply):
         if pat.head in binders:

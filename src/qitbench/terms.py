@@ -365,27 +365,20 @@ def eval_alg(t: Term, env: Any, alg: Any) -> Any:
 
 
 def subst(t: Term, rho: Any) -> Term:
-    """Kleisli extension: replace every leaf by its image term."""
-    if isinstance(t, Var):
-        try:
-            return rho[t.name]
-        except (KeyError, IndexError, TypeError):
-            raise UnboundVariableError(
-                f"variable {t.name!r} outside the substitution"
-            ) from None
-    return Node(t.op, map_branches(lambda b: subst(b, rho), t.branches, normalize=True))
+    """Kleisli extension: replace every leaf by its image term, that is,
+    evaluate in the term algebra with ``rho`` as the environment."""
+    return eval_alg(t, rho, term_algebra)
 
 
 def map_term(f: Callable[[Any], Any], t: Term) -> Term:
-    """Relabel leaves; equal to substituting leaf-for-leaf."""
-    if isinstance(t, Var):
-        return Var(f(t.name))
-    return Node(t.op, map_branches(lambda b: map_term(f, b), t.branches, normalize=True))
+    """Relabel leaves: substitute each leaf's relabelled leaf."""
+    return subst(t, {v: Var(f(v)) for v in term_vars(t)})
 
 
 def term_algebra(op: str, branches: Any) -> Node:
-    """The free algebra step: build the node itself. Usable as ``alg`` in
-    :func:`eval_alg` for substitution-by-evaluation checks."""
+    """The free algebra step: build the node itself, a countable map
+    normalised.  Substitution is evaluation into it, and a class's
+    representative the fold into it."""
     if isinstance(branches, OmegaTable):
         return Node(op, omega_table(branches.entries, branches.default))
     return Node(op, branches)

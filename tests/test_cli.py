@@ -49,6 +49,20 @@ def test_check_conditional_failure(capsys, fixtures):
     assert json.loads(err)["error"] == "ConditionalUnsupportedError"
 
 
+@pytest.mark.parametrize("command", ["check", "elaborate"])
+def test_composition_with_a_value_is_a_scope_error(capsys, fixtures, command):
+    code, out, err = run(capsys, command, str(fixtures / "compose_with_a_value.qit"))
+    assert (code, out) == (EXIT_SEMANTIC, "")
+    diag = json.loads(err)
+    assert (diag["error"], diag["line"], diag["col"]) == ("ScopeError", 6, 74)
+
+
+def test_a_digit_int_refuses_is_a_syntax_error(capsys, fixtures):
+    code, out, err = run(capsys, "eq", str(fixtures / "bag.qit"), "a::[]", "cons(²)")
+    assert (code, out) == (EXIT_SEMANTIC, "")
+    assert json.loads(err)["message"] == "1:6: stray character '²'"
+
+
 def test_missing_file_is_io_error(capsys, fixtures):
     code, out, err = run(capsys, "check", str(fixtures / "missing.qit"))
     assert code == EXIT_USAGE
@@ -415,3 +429,34 @@ def test_console_entry_point(fixtures):
     )
     assert proc.returncode == 0
     assert "Bag: ok" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, digest",
+    [
+        (
+            ("bag.qit",), EXIT_OK,
+            "07cd5d6cdce014611155215bc61ea4c78f3048263aec2c816779b9ecb3ac5bb1",
+        ),
+        (
+            ("bag.qit", "--algebra", "length_algebra.json"), EXIT_OK,
+            "07cd5d6cdce014611155215bc61ea4c78f3048263aec2c816779b9ecb3ac5bb1",
+        ),
+        (
+            ("bag.qit", "--algebra", "corrupted_length_algebra.json"),
+            EXIT_CHECK_FAILED,
+            "b236164138fdeba8d8e7bd412f67a53bab6192289b42b102edf5cb85f2957fe0",
+        ),
+        (
+            ("wreductions.qit", "--free", "v", "--size-bound", "3"), EXIT_OK,
+            "3e5d1edb3af08d7dd9719519fd80eb5a82a1aa4644f4823d69ae51f0f29e14fe",
+        ),
+    ],
+)
+def test_selftest_json_output_is_pinned(capsys, fixtures, argv, exit_code, digest):
+    # the whole report as bytes, the law walks' counts and counterexamples
+    # included
+    argv = [str(fixtures / a) if a.endswith((".qit", ".json")) else a for a in argv]
+    code, out, err = run(capsys, "selftest", *argv, "--format", "json")
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -567,3 +567,65 @@ def test_elimination_equals_walking_representatives(
         assert st.same_class(idx, c)
         expected[c.index] = val
     assert _elim_values(st, dep, gen_env=env) == expected
+
+
+def _height(op, branches):
+    # tree height capped at 2: symmetric in the branches, so a model
+    if op == "leaf":
+        return 0
+    return min(2, 1 + max(branch_values(branches)))
+
+
+def _first_branch(op, branches):
+    # reads position 0 alone, which the perm equation swaps with position 1
+    if op == "leaf":
+        return 0
+    return min(2, 1 + branches.at(0))
+
+
+def test_law_walk_reports_are_pinned_on_omega_tree(fixtures):
+    # every report of the algebra-map law, as the walk over the fragment's
+    # layers gives it: its verdict, counts and first breaking layer
+    sig, system = elaborate(parse_decl((fixtures / "omega_tree.qit").read_text()))
+    st = new_qw(sig, system)
+    cids = [c for c, _ in st.enumerate_classes(4)]
+    assert len(cids) == 23
+    family = lambda c: (0, 1, 2)
+    good_dep = dep_target(
+        st, family, lambda op, idxs, vals: _height(op, vals), classes=cids[:6]
+    )
+    # a forged coherence report: the step is not invariant under perm
+    bad_dep = DepTarget(
+        family, lambda op, idxs, vals: _first_branch(op, vals), CoherenceReport(True)
+    )
+    good = rec_target(FiniteAlgebra((0, 1, 2), _height), system)
+    bad = RecTarget(FiniteAlgebra((0, 1, 2), _first_branch), system, SatReport(True))
+    swapped = {
+        "verdict": "counterexample", "operator": "node(a)",
+        "branches": {"table": [[1, 1]], "default": 0},
+    }
+
+    report = check_rec_hom(st, good, classes=cids)
+    assert (report.checked, report.skipped) == (435, 23900)
+    assert report.to_json() == {"verdict": "ok", "checked": 435, "skipped": 23900}
+    report = check_rec_hom(st, bad, classes=cids)
+    assert (report.checked, report.skipped) == (8, 17)
+    assert report.to_json() == {**swapped, "checked": 8, "skipped": 17}
+
+    h = {c: qw_rec(st, good, c) for c in cids}
+    assert check_uniq(st, good, h).to_json() == {"verdict": "ok"}
+    assert check_uniq(st, good, {c: 0 for c in cids}).to_json() == {
+        "verdict": "premise-counterexample", "operator": "node(a)",
+        "branches": {"table": [], "default": 0},
+    }
+    # the leaf layer's introduction lies outside a one-class map: skipped
+    assert check_uniq(st, good, {cids[1]: 0}).to_json() == {
+        "verdict": "conclusion-counterexample", "class": cids[1].index,
+    }
+
+    report = check_comp(st, good_dep, classes=cids)
+    assert report.checked == 435
+    assert report.to_json() == {"verdict": "ok", "checked": 435}
+    report = check_comp(st, bad_dep, classes=cids)
+    assert report.checked == 8
+    assert report.to_json() == {**swapped, "checked": 8}

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from positivity_fuzz import decl_with_telescope, conforming_telescope, violating_telescope
 from qitbench.errors import (
@@ -15,9 +18,11 @@ from qitbench.errors import (
     SchemaError,
     ScopeError,
     UnsupportedSchemeError,
+    WorkbenchError,
 )
 from qitbench.engine import closed_terms
 from qitbench.schema import (
+    _SYMBOLS,
     PiType,
     SelfType,
     check_positivity,
@@ -81,6 +86,31 @@ def test_unknown_type_rejected():
     src = "data T : Set where\n  c : (x : Mystery) -> T\n"
     with pytest.raises(ScopeError):
         parse_decl(src)
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        # a digit int() refuses is no numeral, nor is one past the digit limit
+        ("data T : Set with X = {²} where\n  c : T\n", "1:24: stray character '²'"),
+        (
+            "data T : Set with X = {" + "9" * 5000 + "} where\n  c : T\n",
+            "1:24: numeral of 5000 digits is too long",
+        ),
+        ("", "1:1: expected the keyword 'data', found ''"),
+    ],
+)
+def test_lexical_errors_are_positioned(src, message):
+    with pytest.raises(DeclSyntaxError) as err:
+        parse_decl(src)
+    assert str(err.value) == message
+
+
+def test_composition_with_a_value_rejected(fixtures):
+    # g . x with x : X, which is no perms set: refused at the composition
+    with pytest.raises(ScopeError) as err:
+        parse_decl(read_fixture(fixtures, "compose_with_a_value.qit"))
+    assert str(err.value) == "6:74: 'x' is not a permutation parameter"
 
 
 def test_condition_in_element_constructor_rejected():
@@ -315,6 +345,10 @@ GROUND_TERM_ERRORS = [
     ("omega_tree.qit", (), "[]", ScopeError, 1, 1),
     ("wreductions.qit", ("v", "w"), "mk(v)", DeclSyntaxError, 1, 1),
     ("wreductions.qit", ("v", "w"), "mk(i0, i1)", DeclSyntaxError, 1, 4),
+    # a digit int() refuses is no numeral, nor is one past the digit limit
+    ("bag.qit", (), "cons(²)", DeclSyntaxError, 1, 6),
+    ("bag.qit", (), "cons(" + "9" * 5000 + ", nil)", DeclSyntaxError, 1, 6),
+    ("bag.qit", (), "", DeclSyntaxError, 1, 1),
 ]
 
 
@@ -365,3 +399,60 @@ def test_ground_term_round_trip(fixtures, name, size, probe, generators):
     for t in terms:
         text = surface(t)
         assert parse_ground_term(text, decl, probe=probe, generators=generators) == t, text
+
+
+# -- the parsers on arbitrary text --------------------------------------------------------
+
+FIXTURE_TEXTS = tuple(
+    (Path(__file__).parent / "fixtures" / name).read_text()
+    for name in ("bag.qit", "omega_tree.qit", "wreductions.qit", "conditional.qit")
+)
+TERM_DECLS = tuple(parse_decl(t) for t in FIXTURE_TEXTS[:2])  # bag, omega_tree
+
+_TOKENS = hst.one_of(
+    hst.sampled_from(
+        ("data", "Set", "with", "where", "perms", "Nat", "T", "X", "F", "x", "f",
+         "g", "a", "b", "leaf", "node", "cons", "nil", "mk", "v", "Bag", "OmegaTree")
+    ),
+    hst.sampled_from(("0", "1", "2", "7", "²", "9" * 5000)),
+    hst.sampled_from(_SYMBOLS),
+    hst.sampled_from((". x", "\n")),
+)
+
+
+def _soup(max_size: int):
+    return hst.lists(_TOKENS, max_size=max_size).map(" ".join)
+
+
+@hst.composite
+def _spliced_fixture(draw):
+    """A fixture text with one span replaced by a few tokens."""
+    text = draw(hst.sampled_from(FIXTURE_TEXTS))
+    i = draw(hst.integers(0, len(text)))
+    j = draw(hst.integers(i, min(len(text), i + 16)))
+    return text[:i] + draw(_soup(4)) + text[j:]
+
+
+@settings(deadline=None)
+@example("")
+@example("data T : Set with X = {²} where\n  c : T\n")
+@example("cons(²)")
+@example("cons(" + "9" * 5000 + ", nil)")
+@example(FIXTURE_TEXTS[1].replace("g . f)", "g . x)"))
+@given(hst.one_of(_soup(30), _spliced_fixture()))
+def test_parsers_raise_only_workbench_errors(text):
+    def declare():
+        decl = parse_decl(text)
+        for probe in (1, 2, 3):
+            elaborate(decl, probe=probe)
+
+    calls = [declare] + [
+        lambda decl=decl, gens=gens: parse_ground_term(text, decl, generators=gens)
+        for decl in TERM_DECLS
+        for gens in ((), ("v",))
+    ]
+    for call in calls:
+        try:
+            call()
+        except WorkbenchError:
+            pass
