@@ -13,8 +13,7 @@ equations.
 All checks here are bounded: they quantify over enumerated fragments, not
 the whole carrier, and say so in their reports.  Each settles the state
 (saturating it if stale) and picks its fragment through :func:`_fragment`,
-checks the algebra-map law (for recursion, for uniqueness's premise and
-for the computation rule) by one walk over the fragment's operator
+checks the algebra-map law by one walk over the fragment's operator
 layers, :func:`_law_walk`, whose count is checked against ``LAYER_BUDGET``
 before any layer is built, and quantifies over equations through
 :func:`equations.instances`.
