@@ -25,8 +25,10 @@ elaboration.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from functools import cached_property
+from typing import Any, Iterable, NamedTuple
 
 from .equations import EquationSystem, make_system
 from .errors import (
@@ -45,8 +47,7 @@ from .terms import OMEGA, Arity, Node, Signature, Term, Var, omega_table, var_bl
 # -- source positions and AST ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SrcPos:
+class SrcPos(NamedTuple):
     line: int = 0
     col: int = 0
 
@@ -162,6 +163,17 @@ class QITDecl:
                 return ts
         return None
 
+    # Built on first use and kept beside the fields, out of comparisons; a
+    # declaration whose constructors do not elaborate raises on every use.
+    @cached_property
+    def _shapes(self) -> dict:
+        return _ctor_shapes(self)
+
+    @cached_property
+    def _values(self) -> frozenset:
+        """Every declared enumeration value."""
+        return frozenset(v for _, vs in self.enums for v in vs)
+
 
 @dataclass(frozen=True)
 class Classification:
@@ -180,14 +192,19 @@ class Classification:
 # -- lexer -----------------------------------------------------------------------
 
 _SYMBOLS = ("->", "==", "::", "[]", "(", ")", "{", "}", ",", ":", ";", "*", ".", "=")
+# Whitespace, then a symbol (the first of _SYMBOLS that matches), a run of
+# decimal digits, a word, or any other character, which is stray.
+_TOKEN = re.compile(r"(\s*)(?:(%s)|(\d+)|(\w[\w']*)|(\S))" % "|".join(map(re.escape, _SYMBOLS)))
 
 
-@dataclass(frozen=True)
 class _Tok:
-    kind: str  # "name" | "int" | "sym" | "end"
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # "name" | "int" | "sym" | "end"
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _lex(source: str) -> list[_Tok]:
@@ -195,33 +212,18 @@ def _lex(source: str) -> list[_Tok]:
     # an empty source is one empty line, so the tokens end in an "end"
     for lineno, raw in enumerate(source.splitlines() or [""], start=1):
         line = raw.split("#", 1)[0]
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch.isspace():
-                i += 1
-                continue
-            col = i + 1
-            for sym in _SYMBOLS:
-                if line.startswith(sym, i):
-                    toks.append(_Tok("sym", sym, lineno, col))
-                    i += len(sym)
-                    break
+        col = 1
+        for space, sym, num, name, stray in _TOKEN.findall(line):
+            col += len(space)
+            if sym:
+                toks.append(_Tok("sym", sym, lineno, col))
+            elif num:
+                toks.append(_Tok("int", num, lineno, col))
+            elif name and (name[0].isalpha() or name[0] == "_"):  # not "²"
+                toks.append(_Tok("name", name, lineno, col))
             else:
-                if ch.isdecimal():
-                    j = i
-                    while j < len(line) and line[j].isdecimal():
-                        j += 1
-                    toks.append(_Tok("int", line[i:j], lineno, col))
-                    i = j
-                elif ch.isalpha() or ch == "_":
-                    j = i
-                    while j < len(line) and (line[j].isalnum() or line[j] in "_'"):
-                        j += 1
-                    toks.append(_Tok("name", line[i:j], lineno, col))
-                    i = j
-                else:
-                    raise DeclSyntaxError(f"stray character {ch!r}", lineno, col)
+                raise DeclSyntaxError(f"stray character {(name or stray)[0]!r}", lineno, col)
+            col += len(sym or num or name)
         toks.append(_Tok("end", "", lineno, len(line) + 1))
     return toks
 
@@ -242,18 +244,17 @@ class _Cursor:
         self.toks = toks
         self.i = 0
 
+    # the tokens end in an "end", which nothing consumes without raising
     def peek(self, ahead: int = 0) -> _Tok:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+        return self.toks[self.i + ahead]
 
     def next(self) -> _Tok:
-        t = self.peek()
         self.i += 1
-        return t
+        return self.toks[self.i - 1]
 
     def at_sym(self, text: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t.kind == "sym" and t.text == text
+        t = self.toks[self.i + ahead]
+        return t.text == text and t.kind == "sym"
 
     def at_name(self, text: str | None = None) -> bool:
         t = self.peek()
@@ -285,6 +286,10 @@ def _pos(t: _Tok) -> SrcPos:
 
 
 # -- parser ------------------------------------------------------------------------
+
+# Deeper patterns are refused, so that parsing, elaborating and interning a
+# term stay inside the interpreter's recursion limit.
+MAX_TERM_DEPTH = 400
 
 
 def parse_decl(source: str) -> QITDecl:
@@ -491,57 +496,62 @@ def _parse_type_atom(cur: _Cursor, decl_name: str):
     return ConstType(t.text, _pos(t))
 
 
-def _parse_pattern(cur: _Cursor):
-    """A pattern, where ``x :: t`` stands for ``cons(x, t)``."""
-    head = _parse_pattern_atom(cur)
-    if cur.at_sym("::"):
-        tok = cur.next()
-        return PatApply("cons", (head, _parse_pattern(cur)), _pos(tok))
-    return head
+def _parse_pattern(cur: _Cursor, depth: int = 0):
+    """A pattern, where ``x :: t`` stands for ``cons(x, t)``.  An argument,
+    a table entry or a list cell's tail lies one level below its parent, and
+    a pattern more than MAX_TERM_DEPTH levels deep is refused."""
+    heads = [_parse_pattern_atom(cur, depth)]
+    cells = []  # the "::" of each list cell, outermost first
+    while cur.at_sym("::"):
+        cells.append(cur.next())
+        heads.append(_parse_pattern_atom(cur, depth + len(cells)))
+    pat = heads.pop()
+    while cells:
+        pat = PatApply("cons", (heads.pop(), pat), _pos(cells.pop()))
+    return pat
 
 
-def _parse_pattern_atom(cur: _Cursor):
+def _parse_pattern_atom(cur: _Cursor, depth: int):
     t = cur.next()
+    if depth > MAX_TERM_DEPTH:
+        raise DeclSyntaxError(
+            f"term nested more than {MAX_TERM_DEPTH} levels deep", t.line, t.col
+        )
+    if t.kind == "name":
+        if cur.at_sym("."):
+            cur.next()
+            f = cur.expect_name("a permutation parameter")
+            return PatCompose(t.text, f.text, _pos(t))
+        if not cur.at_sym("("):
+            return PatName(t.text, _pos(t))
+        cur.next()
+        args: list[Any] = []
+        while not cur.at_sym(")"):
+            args.append(_parse_pattern(cur, depth + 1))
+            if cur.at_sym(","):
+                cur.next()
+        cur.expect_sym(")")
+        return PatApply(t.text, tuple(args), _pos(t))
     if t.kind == "int":
         return PatName(_numeral(t), _pos(t))
     if t.kind == "sym" and t.text == "[]":
         return PatApply("nil", (), _pos(t))
-    if t.kind == "sym" and t.text == "{":
-        return _parse_pattern_table(cur, t)
-    if t.kind != "name":
-        raise DeclSyntaxError(f"expected a pattern, found {t.text!r}", t.line, t.col)
-    head = t.text
-    if cur.at_sym("."):
-        cur.next()
-        f = cur.expect_name("a permutation parameter")
-        return PatCompose(head, f.text, _pos(t))
-    if cur.at_sym("("):
-        cur.next()
-        args: list[Any] = []
-        while not cur.at_sym(")"):
-            args.append(_parse_pattern(cur))
-            if cur.at_sym(","):
-                cur.next()
-        cur.expect_sym(")")
-        return PatApply(head, tuple(args), _pos(t))
-    return PatName(head, _pos(t))
-
-
-def _parse_pattern_table(cur: _Cursor, open_tok: _Tok) -> PatTable:
-    default = _parse_pattern(cur)
-    entries: list[tuple[int, Any]] = []
-    if cur.at_sym(";"):
-        cur.next()
-        while not cur.at_sym("}"):
-            i = cur.next()
-            if i.kind != "int":
-                raise DeclSyntaxError("table entries are indexed by numbers", i.line, i.col)
-            cur.expect_sym("->")
-            entries.append((_numeral(i), _parse_pattern(cur)))
-            if cur.at_sym(","):
-                cur.next()
-    cur.expect_sym("}")
-    return PatTable(default, tuple(entries), _pos(open_tok))
+    if t.kind == "sym" and t.text == "{":  # a countable branch map
+        default = _parse_pattern(cur, depth + 1)
+        entries: list[tuple[int, Any]] = []
+        if cur.at_sym(";"):
+            cur.next()
+            while not cur.at_sym("}"):
+                i = cur.next()
+                if i.kind != "int":
+                    raise DeclSyntaxError("table entries are indexed by numbers", i.line, i.col)
+                cur.expect_sym("->")
+                entries.append((_numeral(i), _parse_pattern(cur, depth + 1)))
+                if cur.at_sym(","):
+                    cur.next()
+        cur.expect_sym("}")
+        return PatTable(default, tuple(entries), _pos(t))
+    raise DeclSyntaxError(f"expected a pattern, found {t.text!r}", t.line, t.col)
 
 
 # -- validation ----------------------------------------------------------------------
@@ -612,11 +622,10 @@ def _validate_type(decl: QITDecl, ctor, tp, *, allow_condition: bool) -> None:
 
 def _validate_pattern(decl: QITDecl, binders: dict, pat) -> None:
     ctor_names = {c.name for c in decl.element_ctors}
-    enum_values = {v for _, vs in decl.enums for v in vs}
     if isinstance(pat, PatName):
         if isinstance(pat.name, int):
             return
-        if pat.name in binders or pat.name in ctor_names or pat.name in enum_values:
+        if pat.name in binders or pat.name in ctor_names or pat.name in decl._values:
             return
         raise ScopeError(f"unbound name {pat.name!r} in pattern", pat.pos.line, pat.pos.col)
     if isinstance(pat, PatCompose):
@@ -814,9 +823,11 @@ def _op_name(ctor: str, combo: tuple) -> str:
     return f"{ctor}({','.join(_value_repr(v) for v in combo)})"
 
 
-def _ctor_shapes(decl: QITDecl) -> dict[str, tuple[tuple[_Slot, ...], Arity]]:
-    """Each element constructor's classified telescope and operator arity."""
-    shapes: dict[str, tuple[tuple[_Slot, ...], Arity]] = {}
+def _ctor_shapes(decl: QITDecl) -> dict[str, tuple[tuple[_Slot, ...], Arity, tuple]]:
+    """Each element constructor's classified telescope, operator arity and
+    operator names, one per choice of parameters in ``itertools.product``
+    order.  Read it as ``decl._shapes``, which is built once."""
+    shapes: dict[str, tuple[tuple[_Slot, ...], Arity, tuple]] = {}
     for ctor in decl.element_ctors:
         slots = tuple(_classify_entry(decl, b) for b in ctor.telescope)
         self_like = [s for s in slots if s.kind != "param"]
@@ -830,7 +841,9 @@ def _ctor_shapes(decl: QITDecl) -> dict[str, tuple[tuple[_Slot, ...], Arity]]:
             arity = OMEGA
         else:
             arity = Arity(sum(s.arity.finite for s in self_like))
-        shapes[ctor.name] = (slots, arity)
+        params = [s.values for s in slots if s.kind == "param"]
+        names = tuple(_op_name(ctor.name, combo) for combo in itertools.product(*params))
+        shapes[ctor.name] = (slots, arity, names)
     return shapes
 
 
@@ -850,13 +863,8 @@ def elaborate(decl: QITDecl, *, probe: int = 2) -> tuple[Signature, EquationSyst
             "conditional equality constructors cannot be compiled to equations"
         )
 
-    shapes = _ctor_shapes(decl)
-    ops: list[tuple[str, Arity]] = []
-    for name, (slots, arity) in shapes.items():
-        params = [s.values for s in slots if s.kind == "param"]
-        for combo in itertools.product(*params):
-            ops.append((_op_name(name, combo), arity))
-    sig = Signature(tuple(ops))
+    shapes = decl._shapes
+    sig = Signature(tuple((n, arity) for _, arity, names in shapes.values() for n in names))
 
     eqs = []
     for ctor in decl.equality_ctors:
@@ -880,9 +888,7 @@ def elaborate(decl: QITDecl, *, probe: int = 2) -> tuple[Signature, EquationSyst
 
 def _is_value(decl: QITDecl, pat) -> bool:
     """A numeral or a declared enumeration value."""
-    return isinstance(pat, PatName) and (
-        isinstance(pat.name, int) or any(pat.name in vs for _, vs in decl.enums)
-    )
+    return isinstance(pat, PatName) and (isinstance(pat.name, int) or pat.name in decl._values)
 
 
 def _resolve_value(decl: QITDecl, env: dict, pat) -> Any:
@@ -944,8 +950,8 @@ def _pattern_term(decl, shapes, env, var_blocks, pat, probe: int) -> Term:
                 )
             return Var(offset + i)
     if head in shapes:
-        slots, arity = shapes[head]
-        combo = []
+        slots, arity, names = shapes[head]
+        index = 0  # of the choice of parameters among the names
         branches: list[Term] = []
         omega_branch = None
         for slot, args in _slot_args(pat, head, slots, var_blocks):
@@ -955,7 +961,7 @@ def _pattern_term(decl, shapes, env, var_blocks, pat, probe: int) -> Term:
                     raise ScopeError(
                         f"{head!r} takes one of {list(slot.values)} here", pat.pos.line, pat.pos.col
                     )
-                combo.append(value)
+                index = index * len(slot.values) + slot.values.index(value)
             elif slot.kind == "selfomega":
                 omega_branch = _omega_branches(decl, shapes, env, var_blocks, args[0], probe)
             elif slot.kind == "selffun" and (block := _block(var_blocks, args[0], "selffun")):
@@ -964,12 +970,12 @@ def _pattern_term(decl, shapes, env, var_blocks, pat, probe: int) -> Term:
                     pos = args[0].pos
                     raise ScopeError("expected a branch family of matching shape", pos.line, pos.col)
                 branches.extend(var_block(family.arity, offset, probe))
-            else:
-                branches.extend(_pattern_term(decl, shapes, env, var_blocks, a, probe) for a in args)
-        opname = _op_name(head, tuple(combo))
+            else:  # a loop, not a generator: one frame per level of a deep term
+                for a in args:
+                    branches.append(_pattern_term(decl, shapes, env, var_blocks, a, probe))
         if arity.is_omega:
-            return Node(opname, omega_branch)
-        return Node(opname, tuple(branches))
+            return Node(names[index], omega_branch)
+        return Node(names[index], tuple(branches))
     if isinstance(pat, PatTable) or _is_value(decl, pat):
         raise DeclSyntaxError("expected a term here", pat.pos.line, pat.pos.col)
     what = "pattern" if head is None else repr(head)
@@ -1055,7 +1061,7 @@ def parse_ground_term(
     branch families take one argument: either a term (the constant family)
     or ``{default; i -> term, ...}``.  ``x :: t`` and ``[]`` stand for
     ``cons(x, t)`` and ``nil``.  Generators are leaves."""
-    shapes = _ctor_shapes(decl)
+    shapes = decl._shapes
     cur = _Cursor(_lex(text))
     cur.skip_ends()
     pat = _parse_pattern(cur)

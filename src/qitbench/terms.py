@@ -165,7 +165,7 @@ def map_branches(f: Callable[[Any], Any], branches: Any, *, normalize: bool = Fa
         if normalize:
             return omega_table(mapped, default)
         return OmegaTable(mapped, default)
-    return tuple(f(v) for v in branches)
+    return tuple(map(f, branches))
 
 
 def branch_pairs(a: Any, b: Any) -> list[tuple[Any, Any]] | None:

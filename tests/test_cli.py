@@ -21,6 +21,7 @@ from qitbench.cli import (
 from qitbench.encodings import length_algebra
 from qitbench.equations import sat_check
 from qitbench.errors import WorkbenchError
+from qitbench.schema import MAX_TERM_DEPTH
 
 
 def run(capsys, *argv):
@@ -61,6 +62,32 @@ def test_a_digit_int_refuses_is_a_syntax_error(capsys, fixtures):
     code, out, err = run(capsys, "eq", str(fixtures / "bag.qit"), "a::[]", "cons(²)")
     assert (code, out) == (EXIT_SEMANTIC, "")
     assert json.loads(err)["message"] == "1:6: stray character '²'"
+
+
+@pytest.mark.parametrize(
+    "deep, deepest",
+    [
+        # a list cell's head is at the cell's level, its tail one below
+        (lambda n: "a::" * n + "[]", "[]"),
+        # an argument is one level below its application
+        (lambda n: "cons(a, " * n + "nil" + ")" * n, "a, nil"),
+    ],
+    ids=["sugar", "spelled"],
+)
+def test_eq_is_pinned_at_the_term_depth_limit(capsys, fixtures, deep, deepest):
+    # at the limit the whole pipeline runs; one past it the parser refuses
+    # the first atom below the limit, instead of a RecursionError (exit 1)
+    bag = str(fixtures / "bag.qit")
+    at_limit = deep(MAX_TERM_DEPTH)
+    code, out, err = run(capsys, "eq", bag, at_limit, at_limit)
+    assert (code, out) == (EXIT_OK, "proved\n  derivation steps: 0\n")
+    past = deep(MAX_TERM_DEPTH + 1)
+    code, out, err = run(capsys, "eq", bag, past, "a::[]")
+    assert (code, out) == (EXIT_SEMANTIC, "")
+    col = past.index(deepest) + 1
+    assert json.loads(err)["message"] == (
+        f"1:{col}: term nested more than {MAX_TERM_DEPTH} levels deep"
+    )
 
 
 def test_missing_file_is_io_error(capsys, fixtures):

@@ -23,6 +23,7 @@ from qitbench.errors import (
 from qitbench.engine import closed_terms
 from qitbench.schema import (
     _SYMBOLS,
+    _lex,
     PiType,
     SelfType,
     check_positivity,
@@ -34,6 +35,9 @@ from qitbench.schema import (
 )
 from qitbench.terms import Node, OmegaTable, Var
 from qitbench.translate import from_w_reductions
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def read_fixture(fixtures, name: str) -> str:
@@ -401,10 +405,151 @@ def test_ground_term_round_trip(fixtures, name, size, probe, generators):
         assert parse_ground_term(text, decl, probe=probe, generators=generators) == t, text
 
 
+# -- the declaration's constructor table ------------------------------------------------------
+
+
+def ground_texts(name: str, probe: int) -> list[str]:
+    """Surface texts of the closed terms up to size 4, from an elaboration
+    of a separate copy of the declaration (at probe 2 or more: the omega
+    tree's permutation does not fit probe 1); the conditional fixture does
+    not elaborate, so its texts are written out."""
+    if name == "conditional.qit":
+        return ["base", "mk(a)", "mk(b)", "mk(c)", "base(a)", "mk(base)"]
+    sig, _ = elaborate(parse_decl(read_fixture(FIXTURES, name)), probe=max(probe, 2))
+    generators = ("v", "w") if name == "wreductions.qit" else ()
+    return [surface(t) for t in closed_terms(sig, 4, probe=max(probe, 2), generators=generators)]
+
+
+def parse_all(texts: list[str], decl, probe: int, generators: tuple) -> list:
+    out = []
+    for text in texts:
+        try:
+            out.append(parse_ground_term(text, decl, probe=probe, generators=generators))
+        except SchemaError as err:
+            out.append((type(err), str(err)))
+    return out
+
+
+def elaborated(decl, probe: int):
+    try:
+        return elaborate(decl, probe=probe)
+    except SchemaError as err:
+        return (type(err), str(err))
+
+
+@pytest.mark.parametrize("probe", [1, 2, 3])
+@pytest.mark.parametrize(
+    "name", ["bag.qit", "omega_tree.qit", "wreductions.qit", "conditional.qit"]
+)
+def test_constructor_table_is_the_same_whichever_reader_builds_it(name, probe):
+    text = read_fixture(FIXTURES, name)
+    generators = ("v", "w") if name == "wreductions.qit" else ()
+    texts = ground_texts(name, probe)
+    assert texts
+    elaborated_first, parsed_first = parse_decl(text), parse_decl(text)
+    signature = elaborated(elaborated_first, probe)
+    terms = parse_all(texts, parsed_first, probe, generators)
+    assert parse_all(texts, elaborated_first, probe, generators) == terms
+    assert elaborated(parsed_first, probe) == signature
+    assert any(isinstance(t, Node) for t in terms)
+
+
+def test_a_refused_constructor_table_is_refused_on_every_read():
+    decl = parse_decl(
+        "data T : Set with X = {a} where\n"
+        "  leaf : T\n"
+        "  c : (f : Nat -> T) (y : T) -> T\n"
+    )
+    messages = set()
+    for read in [lambda: elaborate(decl), lambda: parse_ground_term("leaf", decl)] * 2:
+        with pytest.raises(UnsupportedSchemeError) as err:
+            read()
+        messages.add(str(err.value))
+    assert messages == {"3:3: a countably branching argument must be the only recursive argument"}
+
+
+def test_declarations_compare_equal_whether_or_not_their_table_is_built(fixtures):
+    text = read_fixture(fixtures, "omega_tree.qit")
+    built, bare = parse_decl(text), parse_decl(text)
+    parse_ground_term("node(a, leaf)", built)
+    assert built == bare and hash(built) == hash(bare)
+    assert parse_decl(pretty_print(built)) == bare
+
+
+# -- the lexer against its character-by-character reference ----------------------------------
+
+
+def _reference_lex(source: str) -> list[tuple]:
+    """The lexer as a character loop: whitespace is skipped, then the first
+    of ``_SYMBOLS`` that matches, a run of decimal digits, or a word that
+    starts with a letter or "_"; any other character is stray."""
+    toks = []
+    for lineno, raw in enumerate(source.splitlines() or [""], start=1):
+        line = raw.split("#", 1)[0]
+        i = 0
+        while i < len(line):
+            ch = line[i]
+            if ch.isspace():
+                i += 1
+                continue
+            col = i + 1
+            for sym in _SYMBOLS:
+                if line.startswith(sym, i):
+                    toks.append(("sym", sym, lineno, col))
+                    i += len(sym)
+                    break
+            else:
+                if ch.isdecimal():
+                    j = i
+                    while j < len(line) and line[j].isdecimal():
+                        j += 1
+                    toks.append(("int", line[i:j], lineno, col))
+                    i = j
+                elif ch.isalpha() or ch == "_":
+                    j = i
+                    while j < len(line) and (line[j].isalnum() or line[j] in "_'"):
+                        j += 1
+                    toks.append(("name", line[i:j], lineno, col))
+                    i = j
+                else:
+                    raise DeclSyntaxError(f"stray character {ch!r}", lineno, col)
+        toks.append(("end", "", lineno, len(line) + 1))
+    return toks
+
+
+def _lexed(lex, text: str):
+    """The tokens as ``(kind, text, line, col)``, or the error's message."""
+    try:
+        toks = lex(text)
+    except DeclSyntaxError as err:
+        return str(err)
+    return [t if isinstance(t, tuple) else (t.kind, t.text, t.line, t.col) for t in toks]
+
+
+# "²" is a digit int() refuses, "٣" a decimal digit outside ASCII, "ª" and
+# "µ" letters outside ASCII; "\x0b", "\x1c" and "\u2028" end a line for
+# str.splitlines, "\xa0" is whitespace inside one
+_LEX_PIECES = hst.one_of(
+    hst.sampled_from(_SYMBOLS),
+    hst.sampled_from(("-", "[", "]", "<", "!", "@", "$", "'", "_", "#", "# note")),
+    hst.sampled_from(("a", "Bag", "x'", "_y", "ª", "µ", "7", "٣", "²", "½", "09")),
+    hst.sampled_from((" ", "  ", "\t", "\xa0", "\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028")),
+)
+
+
+@settings(deadline=None)
+@example("a²b ² 7٣x ªµ _' 'a")
+@example("x # ² stray after a comment\x0by\u2028z\x1c@")
+@example("cons(a, nil) -> == :: [] . * ; = { }\n\n  \t")
+@given(hst.lists(_LEX_PIECES, max_size=40).map("".join) | hst.text(max_size=40))
+def test_lexer_matches_the_character_loop(text):
+    assert _lexed(_lex, text) == _lexed(_reference_lex, text)
+
+
 # -- the parsers on arbitrary text --------------------------------------------------------
 
 FIXTURE_TEXTS = tuple(
-    (Path(__file__).parent / "fixtures" / name).read_text()
+    (FIXTURES / name).read_text()
     for name in ("bag.qit", "omega_tree.qit", "wreductions.qit", "conditional.qit")
 )
 TERM_DECLS = tuple(parse_decl(t) for t in FIXTURE_TEXTS[:2])  # bag, omega_tree
