@@ -315,9 +315,15 @@ class QWState:
         self._version += 1
         return idx
 
-    def _lookup(self, payload: Payload) -> int | None:
-        hit = self._memo.get(self._canon_key(payload))
-        return None if hit is None else self._find(hit)
+    def _layer(self, op: str, roots: Any, intern: bool) -> int | None:
+        """The class of the operator layer ``op`` over a branch map of class
+        roots, found by its canonical key.  A key the memo lacks is a new
+        class when ``intern`` is set, else None."""
+        key = ("n", op, roots if roots.__class__ is tuple else self._canon_branches(roots))
+        hit = self._memo.get(key)
+        if hit is not None:
+            return self._find(hit)
+        return self._new(key) if intern else None
 
     def _intern(self, t: Term) -> int:
         if isinstance(t, Var):
@@ -327,8 +333,7 @@ class QWState:
                 return self._add(GenLeaf(t.name))
             raise UnboundVariableError(f"unknown generator {t.name!r}")
         check_branches(self.signature, t.op, t.branches)
-        ids = map_branches(self._intern, t.branches)
-        return self._add(ENode(t.op, ids))
+        return self._layer(t.op, map_branches(self._intern, t.branches), True)
 
     def _live_root(self, c: ClassId) -> int:
         if not isinstance(c, ClassId) or not 0 <= c.index < len(self._payloads):
@@ -343,15 +348,13 @@ class QWState:
     def qw_intro(self, s: OpNode) -> ClassId:
         """The algebra step on the carrier: one operator layer over classes."""
         check_branches(self.signature, s.op, s.branches)
-        ids = map_branches(lambda c: self._live_root(c), s.branches)
-        return ClassId(self._add(ENode(s.op, ids)))
+        return ClassId(self._layer(s.op, map_branches(self._live_root, s.branches), True))
 
     def lookup_intro(self, s: OpNode) -> ClassId | None:
         """Class of an operator layer if it is already interned, else None.
         Never creates classes."""
         check_branches(self.signature, s.op, s.branches)
-        ids = map_branches(lambda c: self._live_root(c), s.branches)
-        hit = self._lookup(ENode(s.op, ids))
+        hit = self._layer(s.op, map_branches(self._live_root, s.branches), False)
         return None if hit is None else ClassId(hit)
 
     # -- views --------------------------------------------------------------

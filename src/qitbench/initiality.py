@@ -16,7 +16,11 @@ the whole carrier, and say so in their reports.  Each settles the state
 checks the algebra-map law by one walk over the fragment's operator
 layers, :func:`_law_walk`, whose count is checked against ``LAYER_BUDGET``
 before any layer is built, and quantifies over equations through
-:func:`equations.instances`.
+:func:`equations.instances`.  Layers are looked up by canonical key over
+class roots, with the fragment's handles checked once.  The coherence
+premise instantiates each side through the equation's compiled plan, as
+saturation does, with the interning and log of lifting the side's term
+layer by layer, and its step and fiber checks in the term's post-order.
 """
 
 from __future__ import annotations
@@ -24,12 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from .engine import ClassId, GenLeaf, QWState
+from .engine import ClassId, GenLeaf, QWState, _Side
 from .equations import (
     ENV_BUDGET,
     EquationSystem,
     SatReport,
-    _lift_pair,
     instance_count,
     instances,
     sat_check,
@@ -207,15 +210,15 @@ def _law_walk(
     breaks the law, or None, with the layers checked and skipped."""
     layers = budgeted_opnodes(state.signature, fragment, state.probe, LAYER_BUDGET)
     vals = values()
+    roots = {c: state._live_root(c) for c in fragment}
     checked = skipped = 0
     for s in layers:
-        intro = state.lookup_intro(s)
-        root = None if intro is None else state.canonical(intro).index
+        root = state._layer(s.op, map_branches(roots.__getitem__, s.branches), False)
         if root not in vals:
             skipped += 1
             continue
         checked += 1
-        kids = map_branches(lambda c: vals[state.canonical(c).index], s.branches)
+        kids = map_branches(lambda c: vals[roots[c]], s.branches)
         if step(s, kids) != vals[root]:
             return s, checked, skipped
     return None, checked, skipped
@@ -336,28 +339,94 @@ def check_coherence(
     assignment of (class, value) pairs to its variables, lifting the two
     sides gives provably equal indices and equal values in the common
     fiber.  The environments are bounded by ``DEP_ENV_BUDGET``."""
-    options = [(c, v) for c in _fragment(state, classes) for v in family(c)]
-
-    def intro_alg(op: str, branches: Any) -> ClassId:
-        return state.qw_intro(OpNode(op, branches))
-
+    # each option keeps its class root, for the layers' canonical keys
+    options = [
+        (c, state._live_root(c), v) for c in _fragment(state, classes) for v in family(c)
+    ]
+    sides = {
+        e.name: [
+            (side, _post_order(side, e.var_count))
+            for side in (state._plans[e.name].lhs, state._plans[e.name].rhs)
+        ]
+        for e in state.system.equations
+    }
     pending = []
     for eq, env in instances(state.system, options, DEP_ENV_BUDGET):
         try:
-            li, lv = _lift_pair(family, step, env, eq.lhs, intro_alg)
-            ri, rv = _lift_pair(family, step, env, eq.rhs, intro_alg)
+            lhs, rhs = [
+                _lift(state, side, order, env, family, step) for side, order in sides[eq.name]
+            ]
         except FiberMismatchError as exc:
             return CoherenceReport(False, eq.name, str(exc))
-        pending.append((eq.name, li, lv, ri, rv))
+        pending.append((eq.name, lhs, rhs))
     state.saturate()
-    for name, li, lv, ri, rv in pending:
-        if not state.decide_eq(li, ri).proved:
+    for name, (li, lv), (ri, rv) in pending:
+        if state._find(li) != state._find(ri):
             return CoherenceReport(False, name, "instantiated sides not provably equal")
         if lv != rv:
             return CoherenceReport(
                 False, name, f"values differ in the common fiber: {lv!r} vs {rv!r}"
             )
     return CoherenceReport(True)
+
+
+def _post_order(side: _Side, n: int) -> list[int]:
+    """A compiled side's slots in the post-order of its term, each variable
+    occurrence and each layer once: the order lifting visits them."""
+    order: list[int] = []
+
+    def visit(slot: int) -> None:
+        if slot >= n:
+            map_branches(visit, side.layers[slot - n][1])
+        order.append(slot)
+
+    visit(side.out)
+    return order
+
+
+def _lift(
+    state: QWState,
+    side: _Side,
+    order: list[int],
+    env: tuple,
+    family: Callable[[ClassId], tuple],
+    step: Callable[[str, Any, Any], Any],
+) -> tuple[int, Any]:
+    """Dependent evaluation of a compiled side under an environment of
+    ``(class, root, value)`` options, in ``order`` (its :func:`_post_order`):
+    each leaf's value is checked against its fiber, and each layer is
+    interned from its canonical key before the step's value is checked
+    against the fiber over it.  Returns the side's class root and value."""
+    n = len(env)
+    ids = [o[0] for o in env]
+    roots = [o[1] for o in env]
+    vals = [o[2] for o in env]
+    layers = side.layers
+    for slot in order:
+        if slot < n:
+            if vals[slot] not in family(ids[slot]):
+                raise FiberMismatchError(
+                    f"leaf value {vals[slot]!r} outside the fiber over {ids[slot]!r}"
+                )
+            continue
+        op, kids = layers[slot - n]
+        if kids.__class__ is tuple:
+            at = tuple([roots[k] for k in kids])
+            idxs = tuple([ids[k] for k in kids])
+            vs = tuple([vals[k] for k in kids])
+        else:
+            at, idxs, vs = (map_branches(x.__getitem__, kids) for x in (roots, ids, vals))
+        root = state._layer(op, at, True)
+        idx = ClassId(root)
+        val = step(op, idxs, vs)
+        if val not in family(idx):
+            raise FiberMismatchError(
+                f"step value {val!r} outside the fiber over {idx!r} at {op!r}"
+            )
+        ids.append(idx)
+        roots.append(root)
+        vals.append(val)
+    return roots[side.out], vals[side.out]
 
 
 def dep_target(
@@ -398,9 +467,11 @@ def _elim_values(
     def step(op: str, pairs: Any) -> tuple[ClassId, Any]:
         idxs = map_branches(lambda p: p[0], pairs)
         vals = map_branches(lambda p: p[1], pairs)
-        intro = state.lookup_intro(OpNode(op, idxs))
-        if intro is None:
+        # the fold's classes are roots
+        root = state._layer(op, map_branches(lambda c: c.index, idxs), False)
+        if root is None:
             raise WorkbenchError("representative layer unexpectedly not interned")
+        intro = ClassId(root)
         val = dep.step(op, idxs, vals)
         if val not in dep.family(intro):
             raise FiberMismatchError(

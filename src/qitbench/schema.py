@@ -370,7 +370,11 @@ def _parse_perm_set(cur: _Cursor) -> tuple:
     cur.expect_sym("{")
     tables: list[PermTable] = []
     while not cur.at_sym("}"):
-        tables.append(_parse_perm_table(cur))
+        tok = cur.peek()
+        table = _parse_perm_table(cur)
+        if table in tables:
+            raise DeclSyntaxError("duplicate permutation table", tok.line, tok.col)
+        tables.append(table)
         if cur.at_sym(","):
             cur.next()
     cur.expect_sym("}")

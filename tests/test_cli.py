@@ -58,6 +58,15 @@ def test_composition_with_a_value_is_a_scope_error(capsys, fixtures, command):
     assert (diag["error"], diag["line"], diag["col"]) == ("ScopeError", 6, 74)
 
 
+@pytest.mark.parametrize("command", ["check", "elaborate"])
+def test_repeated_permutation_table_is_a_syntax_error(capsys, fixtures, command):
+    code, out, err = run(capsys, command, str(fixtures / "repeated_perms.qit"))
+    assert (code, out) == (EXIT_SEMANTIC, "")
+    diag = json.loads(err)
+    assert (diag["error"], diag["line"], diag["col"]) == ("DeclSyntaxError", 3, 64)
+    assert diag["message"] == "3:64: duplicate permutation table"
+
+
 def test_a_digit_int_refuses_is_a_syntax_error(capsys, fixtures):
     code, out, err = run(capsys, "eq", str(fixtures / "bag.qit"), "a::[]", "cons(²)")
     assert (code, out) == (EXIT_SEMANTIC, "")

@@ -16,10 +16,11 @@ from qitbench.encodings import (
     parity_algebra,
 )
 from qitbench.engine import ClassId, check_equations_hold, new_qw
-from qitbench.equations import SatReport, make_system
+from qitbench.equations import SatReport, _lift_pair, instances, make_system
 from qitbench.errors import (
     BudgetExceededError,
     CoherenceError,
+    FiberMismatchError,
     StaleProofError,
     UnboundVariableError,
     WorkbenchError,
@@ -56,6 +57,7 @@ from qitbench.terms import (
     table_algebra,
     term_key,
 )
+from test_engine import SMALL_SIG, UNBOUND_SYSTEM
 
 
 def build(inst, bound):
@@ -629,3 +631,148 @@ def test_law_walk_reports_are_pinned_on_omega_tree(fixtures):
     report = check_comp(st, bad_dep, classes=cids)
     assert report.checked == 8
     assert report.to_json() == {**swapped, "checked": 8}
+
+
+# -- the coherence premise on the compiled plans ------------------------------------
+
+
+def _reference_coherence(state, family, step, classes=None):
+    # lifts each side through the term, one qw_intro per layer, and decides
+    # each pair with decide_eq
+    options = [(c, v) for c in initiality._fragment(state, classes) for v in family(c)]
+
+    def intro_alg(op, branches):
+        return state.qw_intro(OpNode(op, branches))
+
+    pending = []
+    for eq, env in instances(state.system, options, initiality.DEP_ENV_BUDGET):
+        try:
+            li, lv = _lift_pair(family, step, env, eq.lhs, intro_alg)
+            ri, rv = _lift_pair(family, step, env, eq.rhs, intro_alg)
+        except FiberMismatchError as exc:
+            return CoherenceReport(False, eq.name, str(exc))
+        pending.append((eq.name, li, lv, ri, rv))
+    state.saturate()
+    for name, li, lv, ri, rv in pending:
+        if not state.decide_eq(li, ri).proved:
+            return CoherenceReport(False, name, "instantiated sides not provably equal")
+        if lv != rv:
+            return CoherenceReport(
+                False, name, f"values differ in the common fiber: {lv!r} vs {rv!r}"
+            )
+    return CoherenceReport(True)
+
+
+def _bag3_state(fixtures):
+    text = (fixtures / "bag.qit").read_text().replace("X = {a, b}", "X = {a, b, c}")
+    sig, system = elaborate(parse_decl(text))
+    st = new_qw(sig, system)
+    # b::a::[] joins a::b::[], so this handle is not its class's root
+    late = st.intern_term(bag_term(["b", "a"]))
+    cids = [c for c, _ in st.enumerate_classes(4)]
+    assert st.canonical(late) != late
+    return st, cids + [late]
+
+
+def _omega_tree_state(fixtures):
+    sig, system = elaborate(parse_decl((fixtures / "omega_tree.qit").read_text()))
+    st = new_qw(sig, system)
+    # three variables per equation: a small fragment keeps it to 729 instances
+    return st, [c for c, _ in st.enumerate_classes(3)][:3]
+
+
+def _unbound_state(_fixtures):
+    # e0 puts a leaf before a layer on one side and after it on the other,
+    # and e1's right side is a bare variable
+    st = new_qw(SMALL_SIG, UNBOUND_SYSTEM)
+    st.enumerate_classes(3)
+    return st, None
+
+
+def _first(vals):
+    return next(iter(branch_values(vals)), 0)
+
+
+def _total(vals):
+    return sum(branch_values(vals))
+
+
+# per fixture, its state and fragment, a family, and three steps: one
+# coherent, one not, and one that leaves its fiber after a layer has passed
+COHERENCE_CASES = {
+    "bag-abc": (_bag3_state, lambda c: tuple(range(5)), {
+        "coherent": lambda op, idxs, vals: 0 if op == "nil" else (_first(vals) + 1) % 5,
+        "order_sensitive": lambda op, idxs, vals: (
+            0 if op == "nil" else (2 * _first(vals) + (op == "cons(a)")) % 5
+        ),
+        "leaves_fiber": lambda op, idxs, vals: 0 if op == "nil" else _first(vals) + 1,
+    }),
+    "omega_tree": (_omega_tree_state, lambda c: (0, 1, 2), {
+        "coherent": lambda op, idxs, vals: _height(op, vals),
+        "order_sensitive": lambda op, idxs, vals: _first_branch(op, vals),
+        "leaves_fiber": lambda op, idxs, vals: 0 if op == "leaf" else 1 + _total(vals),
+    }),
+    "unbound": (_unbound_state, lambda c: (0, 1), {
+        "coherent": lambda op, idxs, vals: (
+            1 - _first(vals) if op == "f" else _total(vals) % 2
+        ),
+        "order_sensitive": lambda op, idxs, vals: (
+            1 - _first(vals) if op == "f" else _first(vals)
+        ),
+        "leaves_fiber": lambda op, idxs, vals: _total(vals) + (op == "g"),
+    }),
+}
+
+
+@pytest.mark.parametrize("kind", ["coherent", "order_sensitive", "leaves_fiber"])
+@pytest.mark.parametrize("case", sorted(COHERENCE_CASES))
+def test_coherence_on_the_compiled_plans_equals_lifting_the_terms(fixtures, case, kind):
+    make, family, steps = COHERENCE_CASES[case]
+    runs = []
+    for check in (check_coherence, _reference_coherence):
+        st, classes = make(fixtures)
+        calls = []
+
+        # each call with the class count it sees, which pins when layers
+        # are interned
+        def fam(c, calls=calls, st=st):
+            calls.append(("family", c, st.class_count))
+            return family(c)
+
+        def step(op, idxs, vals, calls=calls, st=st):
+            calls.append(("step", op, idxs, vals, st.class_count))
+            return steps[kind](op, idxs, vals)
+
+        report = check(st, fam, step, classes=classes)
+        runs.append((report, st.log, st.class_count, calls))
+    (report, log, count, calls), expected = runs
+    assert report == expected[0]
+    assert (log, count) == expected[1:3]
+    assert calls == expected[3]
+    assert report.ok == (kind == "coherent")
+    if kind == "leaves_fiber":
+        # refused at a step's fiber check, after other layers were lifted
+        assert report.reason.startswith("step value")
+        assert [call[0] for call in calls[-2:]] == ["step", "family"]
+
+
+@pytest.mark.parametrize(
+    "bad", [ClassId(-1), "end", ClassId(10**9)], ids=["negative", "past-the-end", "far-out"]
+)
+def test_stale_handles_are_refused_by_every_law_walk(bag, bad):
+    # a handle outside the carrier is refused wherever the fragment holds it
+    st, classes = build(bag, 4)
+    cids = [c for c, _ in classes]
+    target = rec_target(length_algebra(4), bag.system)
+    family, step = (lambda c: ("*",)), (lambda op, idxs, vals: "*")
+    dep = dep_target(st, family, step, classes=cids)
+    if bad == "end":
+        bad = ClassId(sum(entry[0] == "intern" for entry in st.log))
+    with pytest.raises(WorkbenchError, match="stale class handle"):
+        check_rec_hom(st, target, classes=cids + [bad])
+    with pytest.raises(WorkbenchError, match="stale class handle"):
+        check_comp(st, dep, classes=[bad] + cids)
+    with pytest.raises(WorkbenchError, match="stale class handle"):
+        check_coherence(st, family, step, classes=cids + [bad])
+    with pytest.raises(WorkbenchError, match="stale class handle"):
+        check_uniq(st, target, {**{c: 0 for c in cids}, bad: 0})

@@ -117,6 +117,17 @@ def test_composition_with_a_value_rejected(fixtures):
     assert str(err.value) == "6:74: 'x' is not a permutation parameter"
 
 
+def test_repeated_permutation_table_rejected(fixtures):
+    # {1->0, 0->1} sorts to the table before it, which would name one
+    # equation twice: refused at the repeated table, as a value is
+    with pytest.raises(DeclSyntaxError) as err:
+        parse_decl(read_fixture(fixtures, "repeated_perms.qit"))
+    assert str(err.value) == "3:64: duplicate permutation table"
+    # distinct tables, however written, are kept
+    text = read_fixture(fixtures, "repeated_perms.qit").replace("{1->0, 0->1}", "{}")
+    assert parse_decl(text).perms == (("F", (((0, 1), (1, 0)), ())),)
+
+
 def test_condition_in_element_constructor_rejected():
     src = "data T : Set where\n  c : T\n  d : (q : c == c) -> T\n"
     with pytest.raises(DeclSyntaxError):
