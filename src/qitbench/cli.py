@@ -175,7 +175,7 @@ def _find_separator(args, sig, system, generators, t1, t2):
     if generators:
         sig, system = freeify(sig, system, generators)
         t1, t2 = free_term(t1), free_term(t2)
-    alg = find_separator(sig, system, t1, t2, args.carrier_bound, probe=args.probe)
+    alg = find_separator(sig, system, t1, t2, args.carrier_bound)
     return alg, sig
 
 

@@ -3,7 +3,8 @@
 Each instance bundles a signature, its equations, and (when ground
 equality is decidable by other means) an oracle used to cross-check the
 engine.  Oracles are total decision procedures on closed terms and are
-congruences for their signature.
+congruences for their signature.  The multiset and countably branching
+tree instances are elaborated from declarations in the surface language.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Any, Callable, Iterable
 
 from .equations import EquationSystem, make_system
 from .errors import WorkbenchError
-from .schema import perm_repr
+from .schema import elaborate, parse_decl, perm_repr
 from .terms import (
     OMEGA,
     FiniteAlgebra,
@@ -35,8 +36,6 @@ class EncodedInstance:
     signature: Signature
     system: EquationSystem
     oracle: Callable[[Term, Term], bool] | None = None
-    generators: tuple = ()
-    notes: str = ""
 
 
 # -- finite multisets --------------------------------------------------------------
@@ -68,38 +67,47 @@ def _occurrence_multiset(t: Term) -> tuple:
     return tuple(sorted(counts.items()))
 
 
+def _elaborated(template: str, elements: Iterable, probe: int, **fields) -> tuple:
+    """Elaborate a declaration template over an element set ``X``, which
+    must read back as the given elements."""
+    elements = tuple(elements)
+    decl = parse_decl(template.format(elements=", ".join(map(str, elements)), **fields))
+    if [str(x) for x in decl.enum("X")] != [str(x) for x in elements]:
+        raise WorkbenchError(f"elements {elements!r} are not identifiers or numerals")
+    return elaborate(decl, probe=probe)
+
+
+_BAG = """\
+data Bag : Set with X = {{{elements}}} where
+  nil  : Bag
+  cons : (x : X) (ys : Bag) -> Bag
+  swap : (x : X) (y : X) (ys : Bag) -> cons(x, cons(y, ys)) == cons(y, cons(x, ys))
+"""
+
+
 def bag_of(elements: Iterable[Any] = ("a", "b")) -> EncodedInstance:
     """Finite multisets over a finite element set: an empty list, one
-    prepend operator per element, and adjacent prepends commute.  The
-    oracle compares occurrence multisets."""
-    elements = tuple(elements)
-    sig = signature([("nil", 0)] + [(f"cons({x})", 1) for x in elements])
-    eqs = []
-    for x in elements:
-        for y in elements:
-            eqs.append(
-                (
-                    f"swap({x},{y})",
-                    1,
-                    cons(x, cons(y, Var(0))),
-                    cons(y, cons(x, Var(0))),
-                )
-            )
-    system = make_system(sig, eqs, probe=2)
+    prepend operator per element, and adjacent prepends commute.  Built by
+    elaborating the declaration of ``tests/fixtures/bag.qit`` over the
+    elements, which must be identifiers or numerals.  The oracle compares
+    occurrence multisets."""
+    sig, system = _elaborated(_BAG, elements, 2)
 
     def oracle(t: Term, u: Term) -> bool:
         return _occurrence_multiset(t) == _occurrence_multiset(u)
 
-    return EncodedInstance(
-        "bag",
-        sig,
-        system,
-        oracle,
-        notes="multisets as lists modulo adjacent swaps",
-    )
+    return EncodedInstance("bag", sig, system, oracle)
 
 
 # -- unordered countably branching trees ---------------------------------------------
+
+
+_OMEGA_TREE = """\
+data OmegaTree : Set with X = {{{elements}}}, F = perms {{{tables}}} where
+  leaf : OmegaTree
+  node : (x : X) (g : Nat -> OmegaTree) -> OmegaTree
+  perm : (x : X) (f : F) (g : Nat -> OmegaTree) -> node(x, g) == node(x, g . f)
+"""
 
 
 def omega_tree_of(
@@ -108,36 +116,14 @@ def omega_tree_of(
     perms: Iterable[tuple] = (((0, 1), (1, 0)),),
 ) -> EncodedInstance:
     """Labelled trees with countably many children, unordered up to the
-    listed permutations.  Branches are tables over the probed indices plus
-    a default; each permutation must be a bijection supported inside the
-    probed range.  Ground equality is only semi-decided by the engine, so
-    there is no oracle."""
-    elements = tuple(elements)
-    perms = tuple(tuple(sorted(p)) for p in perms)
-    for table in perms:
-        srcs = [i for i, _ in table]
-        tgts = [j for _, j in table]
-        if len(set(srcs)) != len(srcs) or sorted(srcs) != sorted(set(tgts)):
-            raise WorkbenchError(f"{perm_repr(table)} is not a bijection on its support")
-        if any(i >= probe or j >= probe for i, j in table):
-            raise WorkbenchError(
-                f"{perm_repr(table)} moves branches outside the probed range"
-            )
-    sig = signature([("leaf", 0)] + [(f"node({x})", None) for x in elements])
-    eqs = []
-    for x in elements:
-        lhs = Node(f"node({x})", var_block(OMEGA, 0, probe))
-        for table in perms:
-            rhs = Node(f"node({x})", var_block(OMEGA, 0, probe, dict(table)))
-            eqs.append((f"perm({x},{perm_repr(table)})", OMEGA.width(probe), lhs, rhs))
-    system = make_system(sig, eqs, probe=probe)
-    return EncodedInstance(
-        "omega-tree",
-        sig,
-        system,
-        None,
-        notes=f"countable branching probed at depth {probe}",
-    )
+    listed permutations.  Built by elaborating the declaration of
+    ``tests/fixtures/omega_tree.qit`` over the elements and tables, so a
+    table that is not a bijection inside the probed range is the parser's
+    or the elaborator's positioned error.  Ground equality is only
+    semi-decided by the engine, so there is no oracle."""
+    tables = ", ".join(map(perm_repr, perms))
+    sig, system = _elaborated(_OMEGA_TREE, elements, probe, tables=tables)
+    return EncodedInstance("omega-tree", sig, system)
 
 
 def leaf() -> Node:
@@ -195,13 +181,7 @@ def ordinal_notations(*, probe: int = 2) -> EncodedInstance:
         ),
     ]
     system = make_system(sig, eqs, probe=probe)
-    return EncodedInstance(
-        "ordinal-notations",
-        sig,
-        system,
-        None,
-        notes="demo-only supremum laws; no completeness claim",
-    )
+    return EncodedInstance("ordinal-notations", sig, system)
 
 
 # -- reference algebras -------------------------------------------------------------------

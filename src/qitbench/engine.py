@@ -572,6 +572,7 @@ class QWState:
         the ``_add`` calls of interning the instance term."""
         memo, find = self._memo, self._find
         vals = list(env)
+        # _layer inlined: a call per layer cost bag3-enumerate 4-5% (Python 3.11, 2 cores)
         for op, kids in side.layers:
             if kids.__class__ is tuple:
                 key = ("n", op, tuple([vals[k] for k in kids]))
@@ -1277,7 +1278,6 @@ def find_separator(
     u: Term,
     carrier_bound: int,
     *,
-    probe: int | None = None,
     max_algebras: int = 500_000,
 ) -> FiniteAlgebra | None:
     """Search for a finite algebra that satisfies the system yet evaluates
@@ -1294,7 +1294,7 @@ def find_separator(
     ``sat_check``.  ``max_algebras`` bounds the cells assigned over all
     carriers; each carrier's equation instances are bounded by
     ``ENV_BUDGET`` before they are compiled."""
-    probe = system.probe if probe is None else probe
+    probe = system.probe
     validate_term(sig, t, var_domain=frozenset())
     validate_term(sig, u, var_domain=frozenset())
     nodes = 0

@@ -1,4 +1,4 @@
-"""Equation systems over a signature, satisfaction, and dependent lifting.
+"""Equation systems over a signature and their satisfaction.
 
 An equation relates two terms over a finite set of integer variables
 0..n-1.  Countably indexed variable families are truncated upstream at the
@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError, DuplicateNameError, FiberMismatchError
+from .errors import BudgetExceededError, DuplicateNameError
 from .terms import (
     Signature,
     Term,
-    Var,
-    _interp,
     eval_alg,
-    map_branches,
     term_from_json,
     term_to_json,
     validate_term,
@@ -146,40 +143,3 @@ def sat_check(alg: Any, system: EquationSystem, *, env_budget: int = ENV_BUDGET)
         if lv != rv:
             return SatReport(False, e.name, env, lv, rv)
     return SatReport(True)
-
-
-def lift(
-    family: Callable[[Any], Iterable],
-    step: Callable[[str, Any, Any], Any],
-    env: Any,
-    t: Term,
-    index_alg: Any,
-) -> Any:
-    """Dependent evaluation: leaves give their assigned value, nodes apply
-    the dependent step to the branch indices (evaluated through
-    ``index_alg``) and the recursively lifted branch values.  The result is
-    checked to lie in the fiber over the evaluated index."""
-    idx, val = _lift_pair(family, step, env, t, index_alg)
-    return val
-
-
-def _lift_pair(family, step, env, t, index_alg):
-    if isinstance(t, Var):
-        idx, val = env[t.name]
-        if val not in family(idx):
-            raise FiberMismatchError(
-                f"leaf value {val!r} outside the fiber over {idx!r}"
-            )
-        return idx, val
-    pairs = map_branches(
-        lambda b: _lift_pair(family, step, env, b, index_alg), t.branches
-    )
-    idx_branches = map_branches(lambda p: p[0], pairs)
-    val_branches = map_branches(lambda p: p[1], pairs)
-    idx = _interp(index_alg, t.op, idx_branches)
-    val = step(t.op, idx_branches, val_branches)
-    if val not in family(idx):
-        raise FiberMismatchError(
-            f"step value {val!r} outside the fiber over {idx!r} at {t.op!r}"
-        )
-    return idx, val

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -8,6 +9,7 @@ import pytest
 
 from qitbench.encodings import (
     NIL,
+    bag_of,
     bag_term,
     cons,
     contains_algebra,
@@ -21,7 +23,52 @@ from qitbench.encodings import (
 from qitbench.engine import closed_terms, new_qw
 from qitbench.equations import sat_check
 from qitbench.errors import WorkbenchError
-from qitbench.terms import OMEGA, Node, omega_table
+from qitbench.schema import elaborate, parse_decl
+from qitbench.terms import OMEGA, Node, canonical_dumps, omega_table
+
+
+def _digest(inst):
+    obj = {"signature": inst.signature.to_json(), "equations": inst.system.to_json()}
+    return hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()
+
+
+SWAP01 = ((0, 1), (1, 0))
+CYCLE3 = ((0, 1), (1, 2), (2, 0))
+
+
+@pytest.mark.parametrize(
+    "elements, digest",
+    [
+        (("a",), "6e8115b87df1e9c963b1e57e79f82690b4f9f5573eb05a9f75b38705375af69e"),
+        (("a", "b"), "1c8a2c6dad01701cc3039c35aef927df7c0afa325911d1db148469e09c425770"),
+        (("a", "b", "c"), "c859a8971fe478ca6d366a6c427a3ae37936a9c58a7459defc1d61e05a9ada75"),
+        ((1, 2), "eba6c34810b94354cfa860e10f84b1cdd0ed8726f8bee37bdd82992653723576"),
+    ],
+)
+def test_bag_instances_are_pinned(elements, digest):
+    assert _digest(bag_of(elements)) == digest
+
+
+@pytest.mark.parametrize(
+    "probe, perms, digest",
+    [
+        (1, [()], "6176a935cb59457b160c3330aa57824e38dbf5ffe57b37069e6be254f5cc20fb"),
+        (2, [()], "40847b322b6dfac291f0eb66d60ff31f935befdba30144415847596360f5bb7f"),
+        (2, [SWAP01], "2adfce874bc272d09e68246119dea32a00a84602c0dfa53d67ba2c78da591749"),
+        (2, [SWAP01, ()], "ae65d682450f126c30386497390c490723ee9006f078749d2971e3f6c100298a"),
+        (3, [()], "d1ada7ece6343adbf5407e31c6e390a59c469a8facb6da706f53219c05dc0e6d"),
+        (3, [SWAP01], "e613cb6672b2acd2cf4222b147f8e733fcda830beddaba50f35027852f19b4b0"),
+        (3, [SWAP01, CYCLE3], "ba9f13179eaa448b69d39ed0865bc06fc57e5240f56d8f6c24ef13b534958e16"),
+    ],
+)
+def test_omega_tree_instances_are_pinned(probe, perms, digest):
+    assert _digest(omega_tree_of(("a", "b"), probe, perms)) == digest
+
+
+def test_default_instances_are_the_fixture_declarations(fixtures):
+    for inst, name in ((bag_of(("a", "b")), "bag.qit"), (omega_tree_of(), "omega_tree.qit")):
+        sig, system = elaborate(parse_decl((fixtures / name).read_text()))
+        assert (inst.signature, inst.system) == (sig, system)
 
 
 def test_bag_oracle_examples(bag):
@@ -71,6 +118,16 @@ def test_omega_tree_validation():
         omega_tree_of(("a",), 2, [((0, 1), (1, 1))])  # not a bijection
     with pytest.raises(WorkbenchError):
         omega_tree_of(("a",), 2, [((0, 5), (5, 0))])  # outside the probe
+
+
+def test_instance_elements_must_read_back_from_the_declaration():
+    # an element that is not one identifier or numeral would be read back
+    # as other elements, or refused by the parser
+    for elements in (("a b",), ("01",), ("x-y",)):
+        with pytest.raises(WorkbenchError):
+            bag_of(elements)
+        with pytest.raises(WorkbenchError):
+            omega_tree_of(elements, 2, [()])
 
 
 def test_omega_tree_identity_permutation_is_reflexive():

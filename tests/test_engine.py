@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import json
 import random
@@ -779,28 +780,36 @@ def test_a_round_pulls_each_environment_once_in_order(monkeypatch):
         assert envs == sorted(set(envs))
 
 
-def _reference_match(st, pattern, root):
+def _reference_match(st, pattern, root, memo):
     """Environments under which ``pattern``'s instance is class ``root``,
-    read off the class's stored payloads rather than the state's operator
-    index; a countable map pairs with the pattern's as ``branch_pairs``
-    lines them up."""
+    each once, read off the class's stored payloads rather than the
+    state's operator index; a countable map pairs with the pattern's as
+    ``branch_pairs`` lines them up.  ``memo`` holds one caller's answers
+    over an unchanged state, so a class is scanned once per pattern."""
     if isinstance(pattern, Var):
         return [{pattern.name: root}]
-    out = []
-    for mid in st._members.get(root, ()):
-        p = st._payloads[mid]
-        if not isinstance(p, ENode) or p.op != pattern.op:
-            continue
+    key = (id(pattern), root)
+    if key in memo:
+        return memo[key]
+    layers = {
+        _scratch_children(st, p)
+        for p in (st._payloads[mid] for mid in st._members.get(root, ()))
+        if isinstance(p, ENode) and p.op == pattern.op
+    }
+    out = {}
+    for children in layers:
         envs = [{}]
-        for sub, child in branch_pairs(pattern.branches, _scratch_children(st, p)):
+        for sub, child in branch_pairs(pattern.branches, children):
             envs = [
                 {**env, **cand}
                 for env in envs
-                for cand in _reference_match(st, sub, child)
+                for cand in _reference_match(st, sub, child, memo)
                 if all(env.get(k, v) == v for k, v in cand.items())
             ]
-        out.extend(envs)
-    return out
+        for env in envs:
+            out.setdefault(tuple(sorted(env.items())), env)
+    memo[key] = list(out.values())
+    return memo[key]
 
 
 def _pattern_height(t):
@@ -811,27 +820,36 @@ def _pattern_height(t):
 
 def _reference_envs(st, eq, roots, touched=None):
     """Every environment under which one side's instance exists, its
-    unbound variables completed over all roots.  Given the touched class
-    roots, a match counts in full only near them (a bare variable only at
-    a root in a touched class), and elsewhere only with a completion
-    holding a root in a touched class."""
+    unbound variables completed over all roots, in ascending order without
+    repeats.  Given the touched class roots, a match counts in full only
+    near them (a bare variable only at a root in a touched class), and
+    elsewhere only with a completion holding a root in a touched class.
+    The matches are read on the call; each match's completions are built
+    as the stream is pulled, so a caller that stops early builds no more."""
     n = eq.var_count
     hot = near = None
     if touched is not None:
         hot = {r for r in roots if st._find(r) in touched}
         height = max(_pattern_height(eq.lhs), _pattern_height(eq.rhs))
         near = _scratch_near(st, touched, height)
-    envs = set()
+    streams, memo = [], {}
     for side in (eq.lhs, eq.rhs):
         zone = hot if isinstance(side, Var) else near
         for r in roots:
-            for env in _reference_match(st, side, r):
-                missing = [v for v in range(n) if v not in env]
-                for combo in itertools.product(roots, repeat=len(missing)):
-                    if zone is None or r in zone or any(c in hot for c in combo):
-                        full = {**env, **dict(zip(missing, combo))}
-                        envs.add(tuple(full[v] for v in range(n)))
-    return sorted(envs)
+            for env in _reference_match(st, side, r, memo):
+                whole = zone is None or r in zone
+                streams.append(_reference_completions(env, n, roots, whole, hot))
+    return (env for env, _ in itertools.groupby(heapq.merge(*streams)))
+
+
+def _reference_completions(env, n, roots, whole, hot):
+    # the bound variables are fixed and the missing ones are filled in
+    # product order, so the environments come in ascending order
+    missing = [v for v in range(n) if v not in env]
+    for combo in itertools.product(roots, repeat=len(missing)):
+        if whole or any(c in hot for c in combo):
+            full = {**env, **dict(zip(missing, combo))}
+            yield tuple(full[v] for v in range(n))
 
 
 def _reference_key(st, p):
@@ -931,7 +949,9 @@ def _reference_saturate(st, max_rounds):
     """Saturation as if every class were touched in every round: each
     equation is matched at every root by the matcher above, congruence is
     restored by full passes, and a call at a fixpoint runs its idle round.
-    Returns the result and whether the instance budget tripped."""
+    A round pulls at most ``max_instances + 1`` environments, as the
+    engine's does.  Returns the result and whether the instance budget
+    tripped."""
     merges = _full_pass_rebuild(st)
     before = len(st._payloads)
     rounds = 0
@@ -1074,11 +1094,11 @@ def _assert_plans_stream_the_reference(st, picks):
     touched = {roots[i % len(roots)] for i in picks} if roots else set()
     for eq in st.system.equations:
         plan = st._plans[eq.name]
-        want = _reference_envs(st, eq, roots)
+        want = list(_reference_envs(st, eq, roots))
         got = st._instance_envs(plan, roots, index)
         assert iter(got) is got
         assert list(got) == want
-        near = _reference_envs(st, eq, roots, touched)
+        near = list(_reference_envs(st, eq, roots, touched))
         assert list(st._instance_envs(plan, roots, index, _Touched(st, touched, roots))) == near
         for after in want[:: max(1, len(want) // 20)]:
             rest = st._instance_envs(plan, roots, index, after=after)

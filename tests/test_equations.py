@@ -5,18 +5,15 @@ import itertools
 import pytest
 
 from qitbench.encodings import (
-    NIL,
-    bag_term,
     cons,
     length_algebra,
     one_point_algebra,
     parity_algebra,
 )
-from qitbench.equations import EquationSystem, lift, make_system, sat_check
+from qitbench.equations import EquationSystem, make_system, sat_check
 from qitbench.errors import (
     BudgetExceededError,
     DuplicateNameError,
-    FiberMismatchError,
     UnboundVariableError,
     UnknownOperatorError,
 )
@@ -26,10 +23,8 @@ from qitbench.terms import (
     Var,
     branch_values,
     canonical_dumps,
-    eval_alg,
     signature,
 )
-from test_terms import law_terms
 
 
 @pytest.fixture(scope="module")
@@ -148,61 +143,3 @@ def test_system_json_round_trip(bag_sig):
     again = EquationSystem.from_json(bag_sig, obj)
     assert again == system
     assert canonical_dumps(again.to_json()) == canonical_dumps(obj)
-
-
-# -- dependent lifting -------------------------------------------------------
-
-
-def test_lift_constant_singleton():
-    alg = length_algebra(4)
-    family = lambda idx: ("*",)
-    step = lambda op, idxs, vals: "*"
-    env = {"v": (0, "*")}
-    for t in [Var("v"), cons("a", Var("v")), cons("b", cons("a", Var("v")))]:
-        assert lift(family, step, env, t, alg) == "*"
-
-
-def test_lift_constant_nat_ignoring_recursion():
-    alg = length_algebra(4)
-    family = lambda idx: tuple(range(10))
-    step = lambda op, idxs, vals: 0
-    env = {"v": (0, 9)}
-    assert lift(family, step, env, Var("v"), alg) == 9
-    assert lift(family, step, env, cons("a", Var("v")), alg) == 0
-
-
-def test_lift_multiset_size_mirrors_length():
-    # fiber over a length value: sizes that evaluate to it; the step mirrors
-    # the length algebra, so the lifted value tracks the evaluated index
-    alg = length_algebra(4)
-    family = lambda idx: (idx,)
-    step = lambda op, idxs, vals: (
-        0 if op == "nil" else min(next(iter(branch_values(vals))) + 1, 4)
-    )
-    env = {}
-    assert lift(family, step, env, bag_term(["a", "b"]), alg) == 2
-
-
-def test_lift_fiber_mismatch_signals_bad_step():
-    alg = length_algebra(4)
-    family = lambda idx: (idx,)
-    step = lambda op, idxs, vals: 99
-    with pytest.raises(FiberMismatchError):
-        lift(family, step, {}, NIL, alg)
-
-
-def test_lift_degenerates_to_eval_on_small_terms():
-    # with a constant family and a dependency-blind step, lifting is plain
-    # evaluation; checked exhaustively over the reference signature
-    def interp(op, branches):
-        if op == "c":
-            return 1
-        a, b = tuple(branch_values(branches))
-        return min(a + b, 5)
-
-    alg = FiniteAlgebra(tuple(range(6)), interp)
-    family = lambda idx: tuple(range(6))
-    step = lambda op, idxs, vals: interp(op, vals)
-    for t in law_terms(4):
-        env = {"x": (2, 2), "y": (3, 3)}
-        assert lift(family, step, env, t, alg) == eval_alg(t, {"x": 2, "y": 3}, alg)

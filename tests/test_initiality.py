@@ -16,7 +16,7 @@ from qitbench.encodings import (
     parity_algebra,
 )
 from qitbench.engine import ClassId, check_equations_hold, new_qw
-from qitbench.equations import SatReport, _lift_pair, instances, make_system
+from qitbench.equations import SatReport, instances, make_system
 from qitbench.errors import (
     BudgetExceededError,
     CoherenceError,
@@ -636,6 +636,26 @@ def test_law_walk_reports_are_pinned_on_omega_tree(fixtures):
 # -- the coherence premise on the compiled plans ------------------------------------
 
 
+def _reference_lift(family, step, env, t, index_alg):
+    # dependent evaluation of a term: leaves give their assigned (index,
+    # value) pair, a node applies the step to its branches' indices and
+    # lifted values, and each value is checked against the fiber over its
+    # index, evaluated through index_alg
+    if isinstance(t, Var):
+        idx, val = env[t.name]
+        if val not in family(idx):
+            raise FiberMismatchError(f"leaf value {val!r} outside the fiber over {idx!r}")
+        return idx, val
+    pairs = map_branches(lambda b: _reference_lift(family, step, env, b, index_alg), t.branches)
+    idx_branches = map_branches(lambda p: p[0], pairs)
+    val_branches = map_branches(lambda p: p[1], pairs)
+    idx = _interp(index_alg, t.op, idx_branches)
+    val = step(t.op, idx_branches, val_branches)
+    if val not in family(idx):
+        raise FiberMismatchError(f"step value {val!r} outside the fiber over {idx!r} at {t.op!r}")
+    return idx, val
+
+
 def _reference_coherence(state, family, step, classes=None):
     # lifts each side through the term, one qw_intro per layer, and decides
     # each pair with decide_eq
@@ -647,8 +667,8 @@ def _reference_coherence(state, family, step, classes=None):
     pending = []
     for eq, env in instances(state.system, options, initiality.DEP_ENV_BUDGET):
         try:
-            li, lv = _lift_pair(family, step, env, eq.lhs, intro_alg)
-            ri, rv = _lift_pair(family, step, env, eq.rhs, intro_alg)
+            li, lv = _reference_lift(family, step, env, eq.lhs, intro_alg)
+            ri, rv = _reference_lift(family, step, env, eq.rhs, intro_alg)
         except FiberMismatchError as exc:
             return CoherenceReport(False, eq.name, str(exc))
         pending.append((eq.name, li, lv, ri, rv))
