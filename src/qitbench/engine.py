@@ -28,11 +28,12 @@ the whole merge log with its own scan over the payloads.
 Stages are the concrete counterpart of the construction's ordinal
 indexing: a class's stage is the least nesting depth among its members,
 and the round budget plays the role of the stage cutoff.  Stages, keys and
-each class's canonical member are an e-class analysis kept on the state:
-a read first brings them up to date from the classes touched since the
-last read, and since a new payload or a merge can only lower them, only
-the classes whose values fall pass the change to their users.  Folds run
-over the canonical members: a representative is the fold into the term
+each class's canonical layer are an e-class analysis kept on the state,
+over the matcher's operator index: a read first refreshes the index, then
+weighs the classes it refreshed over their canonical layers there, and
+since a new payload or a merge can only lower these values, only the
+classes whose values fall pass the change to their users.  Folds run
+over the canonical layers: a representative is the fold into the term
 algebra, and recursion the fold into the target algebra.  Saturation
 reports budget exhaustion as a normal outcome; equality answers are only
 ever "proved" or "unknown".
@@ -207,13 +208,13 @@ class QWState:
         # position at the start of the last round that ran to its end
         self._fixpoint_version = -1
         self._mark = 0
-        # the e-class analysis per class root (cost, stage, representative
-        # key, chosen member as payload index, payload and child roots),
-        # refreshed at the next ``_analysis()`` from the queued payloads
-        self._cost: dict[int, int] = {}
+        # the e-class analysis per class root (stage, representative key,
+        # chosen layer as operator or generator name and child roots),
+        # refreshed at the next ``_analysis()`` from the classes that
+        # ``_enodes()`` has refreshed since
         self._stage: dict[int, int] = {}
         self._key: dict[int, tuple] = {}
-        self._chosen: dict[int, tuple[int, Payload, Any]] = {}
+        self._chosen: dict[int, tuple[str, Any]] = {}
         self._unanalysed: list[int] = []
         # the operator index once built (a relation per head operator), and
         # the payloads whose class entries it must refresh at the next
@@ -247,11 +248,7 @@ class QWState:
             self._uses.setdefault(ra, []).extend(users)
             self._pending.extend(users)
             self._unindexed.extend(users)
-            if rb in self._cost:
-                # their chosen members may name rb as a child root
-                self._unanalysed.extend(users)
         self._unindexed.append(rb)
-        self._unanalysed.append(rb)
         self._version += 1
         return True
 
@@ -310,7 +307,6 @@ class QWState:
         self._memo[key] = idx
         self._keys.append(key)
         self._unindexed.append(idx)
-        self._unanalysed.append(idx)
         self._log.append(("intern", idx, stored))
         self._version += 1
         return idx
@@ -459,11 +455,14 @@ class QWState:
 
         The index is built once and then refreshed in place, here only, for
         the classes touched since the last call: those that gained a payload
-        or a member, or hold a layer over a class that lost its root."""
+        or a member, or hold a layer over a class that lost its root.  The
+        refreshed roots, and the roots that lost their root, are queued for
+        the next ``_analysis()``."""
         index = self._index
         if index is None:
             index = self._index = {name: {} for name in self.signature.names()}
             todo: Iterable[int] = self._members
+            self._unanalysed.extend(todo)
         else:
             todo = {self._find(i) for i in self._unindexed}
             # classes that lost their root, and those refreshed below, leave
@@ -471,6 +470,7 @@ class QWState:
             for i in todo.union(self._unindexed):
                 for rel in index.values():
                     rel.pop(i, None)
+                self._unanalysed.append(i)
         self._unindexed.clear()
         for root in todo:
             for mid in self._members[root]:
@@ -710,98 +710,79 @@ class QWState:
     # -- extraction, folds and enumeration -------------------------------------
 
     def _analysis(self) -> None:
-        """Bring the e-class analysis up to date from the payloads queued
-        since the last call: new payloads, classes that lost their root,
-        and the users of those that had been analysed.
+        """Bring the e-class analysis up to date from the classes that
+        ``_enodes()`` has refreshed since the last call, and the roots that
+        lost their root.
 
-        A class's cost and stage are the least 1 + sum, and 1 + max, of its
-        members' child values; its key is the least ``term_key`` among its
-        least-cost members over the children's representatives, and the
-        member giving it is chosen.  A member's children are its canonical
-        branch map, which drops a countable map's entries in the default's
-        class, as its term does.  Payloads and merges only lower these
-        values (a countable map keys higher only if classes that shared a
-        term stop sharing it, and such classes are congruent, so the rebuild
-        before any merge merges them).  So a merged class keeps the lesser
-        values of its parts, and only a class whose values fall queues its
-        users.  Costs and stages settle first, then keys in order of cost,
-        so a least-cost member's children are final when it is keyed."""
+        A class's stage is the least 1 + max of its child stages over its
+        layers; its key is the least ``term_key`` over its layers of the
+        children's representatives, and the layer giving it is chosen.  Its
+        layers are its generator leaves and its distinct canonical layers in
+        the operator index, whose branch maps drop a countable map's entries
+        in the default's class, as its term does.  Payloads and merges only
+        lower these values (a countable map keys higher only if classes that
+        shared a term stop sharing it, and such classes are congruent, so
+        the rebuild before any merge merges them).  So a merged class keeps
+        the lesser values of its parts, each touched class is weighed over
+        its layers, and a class whose values fall queues its users' classes,
+        until nothing falls.  A layer waits until each child class has a
+        key, and one whose size exceeds the best key so far is not keyed,
+        since a key leads with its term's size."""
+        index = self._enodes()
         if not self._unanalysed:
             return
-        find, payloads, uses = self._find, self._payloads, self._uses
-        cost, stage, key, chosen = self._cost, self._stage, self._key, self._chosen
-        kids_of: dict[int, Any] = {}
-
-        def measure(m: int) -> tuple[int, int]:
-            p = payloads[m]
-            if p.__class__ is GenLeaf:
-                kids_of[m] = None
-                return 1, 1
-            kids = kids_of[m] = _branch_map(self._canon_branches(p.branches))
-            c = s = 0
-            for x in kids if kids.__class__ is tuple else kids.values():
-                c += cost[x]
-                s = max(s, stage[x])
-            return c + 1, s + 1
-
-        queued = set(self._unanalysed)
-        self._unanalysed.clear()
-        for i in sorted(queued):
+        find, uses, stage, key, chosen = self._find, self._uses, self._stage, self._key, self._chosen
+        leaves: dict[int, list[str]] = {}
+        for g in self.generators:
+            hit = self._memo.get(("g", g))
+            if hit is not None:
+                leaves.setdefault(find(hit), []).append(g)
+        queued: set[int] = set()
+        for i in self._unanalysed:
             r = find(i)
-            if r == i or i not in cost:
+            queued.add(r)
+            if r == i or i not in key:
                 continue
             # a merged class keeps the lesser values of its parts
-            c, s, k, ch = cost.pop(i), stage.pop(i), key.pop(i), chosen.pop(i)
-            if r not in cost:
-                cost[r], stage[r], key[r], chosen[r] = c, s, k, ch
+            s, k, ch = stage.pop(i), key.pop(i), chosen.pop(i)
+            if r in key and k >= key[r] and s >= stage[r]:
                 continue
-            if (c, k) < (cost[r], key[r]):
-                cost[r], key[r], chosen[r] = c, k, ch
-            elif s >= stage[r]:
-                continue
-            stage[r] = min(stage[r], s)
-            queued.update(uses.get(r, ()))
-        # costs and stages; the first pass, in payload order, weighs each
-        # payload after a member of each child class
-        mcost: dict[int, int] = {}
+            if r not in key or k < key[r]:
+                key[r], chosen[r] = k, ch
+            stage[r] = min(stage.get(r, s), s)
+            queued.update(map(find, uses.get(r, ())))
+        self._unanalysed.clear()
         batch = sorted(queued)
         while batch:
             later = []
-            for m in batch:
-                queued.discard(m)
-                c, s = measure(m)
-                mcost[m] = c
-                r = find(m)
-                if r in cost and c >= cost[r] and s >= stage[r]:
+            for r in batch:
+                queued.discard(r)
+                best, pick, least = key.get(r), chosen.get(r), None
+                for name in leaves.get(r, ()):
+                    k, least = term_key(Var(name)), 1
+                    if best is None or k <= best:
+                        best, pick = k, (name, None)
+                for op, rel in index.items():
+                    for kids in rel.get(r, ()):
+                        xs = kids if kids.__class__ is tuple else tuple(kids.values())
+                        if not all(x in key for x in xs):
+                            continue
+                        s = 1 + max([stage[x] for x in xs], default=0)
+                        least = s if least is None else min(least, s)
+                        if best is not None and 1 + sum([key[x][0] for x in xs]) > best[0]:
+                            continue
+                        k = node_key(op, map_branches(key.__getitem__, kids, normalize=True))
+                        if best is None or k <= best:
+                            best, pick = k, (op, kids)
+                if best is None:
                     continue
-                cost[r] = min(cost.get(r, c), c)
-                stage[r] = min(stage.get(r, s), s)
-                users = [u for u in uses.get(r, ()) if u not in queued]
-                queued.update(users)
-                later.extend(users)
-            batch = sorted(set(later))
-        # keys, cost level by cost level, over the least-cost members
-        levels: dict[int, list[int]] = {}
-        for m, c in mcost.items():
-            if c == cost[find(m)]:
-                levels.setdefault(c, []).append(m)
-        while levels:
-            for m in levels.pop(min(levels)):
-                r, p, kids = find(m), payloads[m], kids_of[m]
-                if kids is None:
-                    k = term_key(Var(p.name))
-                else:
-                    k = node_key(p.op, map_branches(key.__getitem__, kids, normalize=True))
-                if r in key and k >= key[r]:
-                    if chosen[r][0] == m:
-                        chosen[r] = (m, p, kids)
-                    continue
-                key[r], chosen[r] = k, (m, p, kids)
-                for u in uses.get(r, ()):
-                    if u not in mcost:
-                        mcost[u] = measure(u)[0]
-                        if mcost[u] == cost[find(u)]:
-                            levels.setdefault(mcost[u], []).append(u)
+                fell = best != key.get(r) or least != stage.get(r)
+                stage[r], key[r], chosen[r] = least, best, pick
+                if fell:
+                    users = {find(u) for u in uses.get(r, ())} - queued
+                    queued |= users
+                    later.extend(users)
+            batch = sorted(later)
 
     def canonical(self, c: ClassId) -> ClassId:
         """Canonical handle for the class (stable until the next merge)."""
@@ -826,16 +807,17 @@ class QWState:
         roots: Iterable[int] | None = None,
     ) -> dict[int, Any]:
         """Value of every class root, or given ``roots`` of those roots and
-        the classes below them, computed bottom up over the chosen members
+        the classes below them, computed bottom up over the chosen layers
         and memoised within the call: ``leaf(name)`` on a generator leaf,
         ``step(op, values)`` on an operator layer, with ``values`` the
         branch map of its children's values.  Countable maps drop entries
         whose class is the default's.  Folded into the term algebra
         (``fold(Var, term_algebra)``) each value is the class's
         representative, so any other fold is the representative evaluated
-        in the algebra that ``leaf`` and ``step`` describe.  The chosen
-        members are kept current from the classes touched since the last
-        read, so a fold walks only the classes it values."""
+        in the algebra that ``leaf`` and ``step`` describe.  Each chosen
+        layer is an operator or generator name with its canonical child
+        roots (none for a leaf), kept current from the operator index, so
+        a fold walks only the classes it values."""
         self._analysis()
         chosen = self._chosen
         values: dict[int, Any] = {}
@@ -843,11 +825,8 @@ class QWState:
         def value(root: int) -> Any:
             if root in values:
                 return values[root]
-            _, p, kids = chosen[root]
-            if kids is None:
-                v = leaf(p.name)
-            else:
-                v = step(p.op, map_branches(value, kids))
+            name, kids = chosen[root]
+            v = leaf(name) if kids is None else step(name, map_branches(value, kids))
             values[root] = v
             return v
 

@@ -1,7 +1,7 @@
 """Executable initiality for a constructed carrier.
 
 Recursion into a finite algebra is one memoised fold over the carrier:
-each class takes the step of its canonical member over its children's
+each class takes the step of its canonical layer over its children's
 values.  Into the term algebra that fold gives the representative, so
 recursion equals evaluating the representative.  A dynamic check
 confirms the value does not depend on the member chosen.  Homomorphism

@@ -358,8 +358,8 @@ def _parse_enum(cur: _Cursor) -> tuple:
             values.append(_numeral(t))
         else:
             raise DeclSyntaxError("enumeration values are names or numbers", t.line, t.col)
-        if cur.at_sym(","):
-            cur.next()
+        if not cur.at_sym("}"):
+            cur.expect_sym(",")
     cur.expect_sym("}")
     if len(set(values)) != len(values):
         raise DeclSyntaxError("duplicate enumeration value", cur.peek().line, cur.peek().col)
@@ -375,8 +375,8 @@ def _parse_perm_set(cur: _Cursor) -> tuple:
         if table in tables:
             raise DeclSyntaxError("duplicate permutation table", tok.line, tok.col)
         tables.append(table)
-        if cur.at_sym(","):
-            cur.next()
+        if not cur.at_sym("}"):
+            cur.expect_sym(",")
     cur.expect_sym("}")
     return tuple(tables)
 
@@ -393,8 +393,8 @@ def _parse_perm_table(cur: _Cursor) -> PermTable:
         if b.kind != "int":
             raise DeclSyntaxError("permutation entries map numbers", b.line, b.col)
         entries.append((_numeral(a), _numeral(b)))
-        if cur.at_sym(","):
-            cur.next()
+        if not cur.at_sym("}"):
+            cur.expect_sym(",")
     cur.expect_sym("}")
     srcs = [i for i, _ in entries]
     tgts = [j for _, j in entries]
@@ -532,8 +532,8 @@ def _parse_pattern_atom(cur: _Cursor, depth: int):
         args: list[Any] = []
         while not cur.at_sym(")"):
             args.append(_parse_pattern(cur, depth + 1))
-            if cur.at_sym(","):
-                cur.next()
+            if not cur.at_sym(")"):
+                cur.expect_sym(",")
         cur.expect_sym(")")
         return PatApply(t.text, tuple(args), _pos(t))
     if t.kind == "int":
@@ -551,8 +551,8 @@ def _parse_pattern_atom(cur: _Cursor, depth: int):
                     raise DeclSyntaxError("table entries are indexed by numbers", i.line, i.col)
                 cur.expect_sym("->")
                 entries.append((_numeral(i), _parse_pattern(cur, depth + 1)))
-                if cur.at_sym(","):
-                    cur.next()
+                if not cur.at_sym("}"):
+                    cur.expect_sym(",")
         cur.expect_sym("}")
         return PatTable(default, tuple(entries), _pos(t))
     raise DeclSyntaxError(f"expected a pattern, found {t.text!r}", t.line, t.col)

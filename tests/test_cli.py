@@ -67,6 +67,13 @@ def test_repeated_permutation_table_is_a_syntax_error(capsys, fixtures, command)
     assert diag["message"] == "3:64: duplicate permutation table"
 
 
+@pytest.mark.parametrize("command", ["check", "elaborate"])
+def test_a_missing_comma_is_a_syntax_error(capsys, fixtures, command):
+    code, out, err = run(capsys, command, str(fixtures / "missing_comma.qit"))
+    assert (code, out) == (EXIT_SEMANTIC, "")
+    assert json.loads(err)["message"] == "2:28: expected ',', found 'b'"
+
+
 def test_a_digit_int_refuses_is_a_syntax_error(capsys, fixtures):
     code, out, err = run(capsys, "eq", str(fixtures / "bag.qit"), "a::[]", "cons(²)")
     assert (code, out) == (EXIT_SEMANTIC, "")

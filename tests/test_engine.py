@@ -1279,7 +1279,7 @@ def _assert_analysis_is_scratch(st):
     assert st.fold(_leaf_value, _layer_value) == {r: value(r) for r in key}
     assert st._key == key
     assert st._chosen.keys() == key.keys()
-    for _, _, kids in st._chosen.values():
+    for _, kids in st._chosen.values():
         assert kids is None or all(st._find(r) == r for r in branch_values(kids))
     exported = st.export_json()["classes"]
     assert [(c["id"], c["stage"]) for c in exported] == sorted(stage.items())
@@ -1322,7 +1322,10 @@ def _run_analysis_ops(st, pool, ops):
         _assert_analysis_is_scratch(st)
 
 
-_ANALYSIS_SIZES = {"bag.qit": 6, "omega_tree.qit": 5}
+_ANALYSIS_SIZES = {"bag.qit": 6, "omega_tree.qit": 5, "wreductions.qit": 5}
+# a fixture's generators, for its pool and its state: in wreductions.qit
+# ``mk(v, w) == v`` puts a generator leaf in a class beside operator layers
+_ANALYSIS_GENERATORS = {"wreductions.qit": ("v", "w")}
 
 
 @settings(max_examples=150, deadline=None)
@@ -1335,8 +1338,10 @@ def test_analysis_equals_from_scratch_extraction(fixtures, path, max_instances, 
     # extraction after every step; small instance budgets exit mid-round
     # and leave congruences to the next saturation
     sig, system = elaborate(parse_decl((fixtures / path).read_text()), probe=2)
-    pool = closed_terms(sig, _ANALYSIS_SIZES[path], probe=2)
-    _run_analysis_ops(new_qw(sig, system, max_instances=max_instances), pool, ops)
+    gens = _ANALYSIS_GENERATORS.get(path, ())
+    pool = closed_terms(sig, _ANALYSIS_SIZES[path], probe=2, generators=gens)
+    st = new_qw(sig, system, generators=gens, max_instances=max_instances)
+    _run_analysis_ops(st, pool, ops)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1575,6 +1580,28 @@ def test_congruence_upkeep_touches_only_what_merges_changed(fixtures, monkeypatc
     assert st.saturate().fixpoint
     assert st.same_class(new, st.intern_term(bag_term(["a"] * 4 + ["b"] * 3)))
     assert 0 < keyed["calls"] < len(st._payloads)
+
+
+def test_extraction_reads_the_operator_index(monkeypatch):
+    # with the operator index current, the analysis weighs each class over
+    # its canonical layers there and canonicalises no payload again
+    inst = bag_of(("a", "b", "c"))
+    st = new_qw(inst.signature, inst.system)
+    for t in closed_terms(inst.signature, 6):
+        st.intern_term(t)
+    assert st.saturate().fixpoint
+    st._enodes()
+    calls = []
+    canon = QWState._canon_branches
+
+    def counted(self, branches):
+        calls.append(branches)
+        return canon(self, branches)
+
+    monkeypatch.setattr(QWState, "_canon_branches", counted)
+    st._analysis()
+    assert len(calls) == 0
+    assert len(st._key) == st.class_count
 
 
 def _bag_pair(rng):

@@ -128,6 +128,45 @@ def test_repeated_permutation_table_rejected(fixtures):
     assert parse_decl(text).perms == (("F", (((0, 1), (1, 0)), ())),)
 
 
+_OMEGA = "data T : Set with X = {a}, F = perms {{0->1, 1->0}} where\n  leaf : T\n"
+_NODE = "  node : (x : X) (g : Nat -> T) -> T\n"
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("data T : Set with X = {a b} where\n  c : T\n", "1:26: expected ',', found 'b'"),
+        (
+            "data T : Set with F = perms {{0->1, 1->0} {}} where\n  c : T\n",
+            "1:43: expected ',', found '{'",
+        ),
+        (
+            "data T : Set with F = perms {{0->1 1->0}} where\n  c : T\n",
+            "1:36: expected ',', found '1'",
+        ),
+        (
+            _OMEGA + _NODE + "  e : (x : X) -> node(x leaf) == leaf\n",
+            "4:25: expected ',', found 'leaf'",
+        ),
+        (
+            _OMEGA + _NODE + "  e : node(a, {leaf; 0 -> leaf 1 -> leaf}) == leaf\n",
+            "4:32: expected ',', found '1'",
+        ),
+    ],
+    ids=["enumeration", "permutation-set", "permutation-table", "arguments", "table-entries"],
+)
+def test_declaration_list_items_are_comma_separated(src, message):
+    with pytest.raises(DeclSyntaxError) as err:
+        parse_decl(src)
+    assert str(err.value) == message
+
+
+def test_declaration_lists_may_end_with_a_comma(fixtures):
+    text = read_fixture(fixtures, "omega_tree.qit")
+    trailing = text.replace("{a, b}", "{a, b,}").replace("{{0->1, 1->0}}", "{{0->1, 1->0,},}")
+    assert parse_decl(trailing) == parse_decl(text)
+
+
 def test_condition_in_element_constructor_rejected():
     src = "data T : Set where\n  c : T\n  d : (q : c == c) -> T\n"
     with pytest.raises(DeclSyntaxError):
@@ -365,6 +404,29 @@ GROUND_TERM_ERRORS = [
     ("bag.qit", (), "cons(" + "9" * 5000 + ", nil)", DeclSyntaxError, 1, 6),
     ("bag.qit", (), "", DeclSyntaxError, 1, 1),
 ]
+
+
+@pytest.mark.parametrize(
+    "name, text, message, trailing, plain",
+    [
+        ("bag.qit", "cons(a nil)", "1:8: expected ',', found 'nil'", "cons(a, nil,)", "a::[]"),
+        (
+            "omega_tree.qit",
+            "node(a, {leaf; 0 -> leaf 1 -> leaf})",
+            "1:26: expected ',', found '1'",
+            "node(a, {leaf; 0 -> node(b, leaf), 1 -> leaf,},)",
+            "node(a, {leaf; 0 -> node(b, leaf)})",
+        ),
+    ],
+    ids=["arguments", "table-entries"],
+)
+def test_ground_term_list_items_are_comma_separated(fixtures, name, text, message, trailing, plain):
+    decl = parse_decl(read_fixture(fixtures, name))
+    with pytest.raises(DeclSyntaxError) as err:
+        parse_ground_term(text, decl)
+    assert str(err.value) == message
+    # a trailing comma is accepted
+    assert parse_ground_term(trailing, decl) == parse_ground_term(plain, decl)
 
 
 def test_ground_term_errors(fixtures):
