@@ -757,6 +757,7 @@ class QWState:
             later = []
             for r in batch:
                 queued.discard(r)
+                # a tie replaces the stored choice, whose child roots may be stale
                 best, pick, least = key.get(r), chosen.get(r), None
                 for name in leaves.get(r, ()):
                     k, least = term_key(Var(name)), 1

@@ -128,7 +128,7 @@ def test_repeated_permutation_table_rejected(fixtures):
     assert parse_decl(text).perms == (("F", (((0, 1), (1, 0)), ())),)
 
 
-_OMEGA = "data T : Set with X = {a}, F = perms {{0->1, 1->0}} where\n  leaf : T\n"
+_OMEGA = "data T : Set with X = {a} where\n  leaf : T\n"
 _NODE = "  node : (x : X) (g : Nat -> T) -> T\n"
 
 
