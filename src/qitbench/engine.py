@@ -838,27 +838,47 @@ class QWState:
     def enumerate_classes(
         self, size_bound: int, *, class_budget: int = 100_000
     ) -> list[tuple[ClassId, Term]]:
-        """Intern every closed term up to the size bound, saturate, and
-        return one canonical representative per class of those terms.
+        """The classes of the closed terms up to the size bound with their
+        representatives, in ``term_key`` order.
 
-        The terms are built in stages: each size's layers are added over
-        the classes of smaller sizes in ``term_key`` order, so the log is
-        that of interning the terms :func:`closed_terms` lists one by one.
-        ``class_budget`` bounds the classes after interning.  On a state
-        with no payloads that is the number of terms, checked before any
-        is built; otherwise it is checked once they are interned."""
-        args = (self.signature, size_bound, self.probe, self.generators)
-        count = None if self._payloads else _closed_term_count(*args)
-        if count is None or count <= class_budget:
-            ids = set(_staged_terms(*args, self._add))
-            count = self.class_count
-        if count > class_budget:
-            raise BudgetExceededError(
-                f"{count} classes exceed the budget of {class_budget}"
-            )
-        self.saturate()
+        Size ``s`` is built over classes, not terms: a pool per size holds
+        the sorted roots of its layers; each operator's layers over products
+        of pools whose sizes sum to ``s - 1`` are added (a countable default
+        from its own pool, entries in its class dropped by the canonical
+        key), then the state is saturated and the pools re-canonicalised.
+        Each layer is congruent to a closed term of at most its size, each
+        child of a closed term has its class in the pool of its size, and
+        saturation adds instances only over classes that saturating every
+        listed term also holds, so at a fixpoint both give the closed terms
+        the same classes, representatives and stages.  After a budget exit
+        each class returned still holds a closed term within the bound, and
+        each such term's class is returned; only merges may be fewer.  The
+        log and class ids differ from interning the :func:`closed_terms` list.
+
+        ``class_budget`` is checked before each size is built, against the
+        classes so far plus the size's layers; an overrun raises with that
+        number."""
+        pools: list[list[int]] = [[]]
+        for s in range(1, size_bound + 1):
+            leaves = self.generators if s == 1 else ()
+            shapes = [
+                (op, idxs, [pools[k] for k in sizes])
+                for op, idxs, sizes in _shapes(self.signature, s, self.probe)
+            ]
+            count = self.class_count + len(leaves)
+            count += sum(math.prod(map(len, kids)) for _, _, kids in shapes)
+            if count > class_budget:
+                raise BudgetExceededError(f"{count} classes exceed the budget of {class_budget}")
+            ids = [self._add(GenLeaf(g)) for g in leaves]
+            for op, idxs, kids in shapes:
+                for roots in itertools.product(*kids):
+                    if idxs is not None:
+                        roots = OmegaTable(tuple(zip(idxs, roots[1:])), roots[0])
+                    ids.append(self._layer(op, roots, True))
+            self.saturate()
+            pools = [sorted({self._find(r) for r in pool}) for pool in (*pools, ids)]
         self._analysis()
-        roots = sorted({self._find(i) for i in ids}, key=self._key.__getitem__)
+        roots = sorted({r for pool in pools for r in pool}, key=self._key.__getitem__)
         terms = self.fold(Var, term_algebra, roots)
         return [(ClassId(r), terms[r]) for r in roots]
 
@@ -1124,68 +1144,18 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def _shapes(sig: Signature, size: int, probe: int) -> Iterator[tuple]:
-    """The operator layers of a size as ``(op, default, indices, sizes)``:
-    the children's sizes, and for a countable operator the default's size
-    and the table's indices below the probe (None and ``()`` otherwise)."""
+    """The operator layers of a size as ``(op, indices, sizes)``: the
+    children's sizes, and for a countable operator the table's indices
+    below the probe, its sizes led by the default's (None otherwise)."""
     for name, arity in sig.ops:
         if not arity.is_omega:
             for sizes in _compositions(size - 1, arity.finite):
-                yield name, None, (), sizes
+                yield name, None, sizes
             continue
-        for default in range(1, size):
-            rem = size - 1 - default
-            for m in range(min(probe, rem) + 1):
-                for idxs in itertools.combinations(range(probe), m):
-                    for sizes in _compositions(rem, m):
-                        yield name, default, idxs, sizes
-
-
-def _closed_term_count(sig: Signature, max_size: int, probe: int, generators: tuple) -> int:
-    """How many terms :func:`closed_terms` lists, counted from the shapes:
-    a table entry of the default's size may be any term but the default."""
-    counts = [0]
-    for s in range(1, max_size + 1):
-        n = len(generators) if s == 1 else 0
-        for _, default, _, sizes in _shapes(sig, s, probe):
-            if default is None:
-                n += math.prod(counts[k] for k in sizes)
-            else:
-                n += counts[default] * math.prod(counts[k] - (k == default) for k in sizes)
-        counts.append(n)
-    return sum(counts)
-
-
-def _staged_terms(
-    sig: Signature, max_size: int, probe: int, generators: tuple, build: Callable[[Payload], Any]
-) -> Iterator[Any]:
-    """The closed terms up to the bound, size by size, as ``build`` makes
-    them from a ``GenLeaf`` or from an ``ENode`` over the values built for
-    smaller sizes.  Each size is built in ``term_key`` order, found by
-    :func:`node_key` from the children's kept keys, so no subterm is
-    walked again.  A countable layer leaves out entries equal to its
-    default, compared by key."""
-    by_size: list[list[tuple[tuple, Any]]] = [[]]
-    for s in range(1, max_size + 1):
-        layers = [(term_key(Var(g)), GenLeaf(g)) for g in generators] if s == 1 else []
-        for op, default, idxs, sizes in _shapes(sig, s, probe):
-            pools = [by_size[k] for k in sizes]
-            if default is None:
-                for kids in itertools.product(*pools):
-                    keys = tuple(k for k, _ in kids)
-                    layers.append((node_key(op, keys), ENode(op, tuple(v for _, v in kids))))
-                continue
-            for dkey, dval in by_size[default]:
-                others = [[e for e in pool if e[0] != dkey] for pool in pools]
-                for kids in itertools.product(*others):
-                    keys = OmegaTable(tuple(zip(idxs, (k for k, _ in kids))), dkey)
-                    vals = OmegaTable(tuple(zip(idxs, (v for _, v in kids))), dval)
-                    layers.append((node_key(op, keys), ENode(op, vals)))
-        layers.sort(key=lambda layer: layer[0])
-        built = []
-        for key, payload in layers:
-            built.append((key, build(payload)))
-            yield built[-1][1]
-        by_size.append(built)
+        for m in range(min(probe, size - 2) + 1):
+            for idxs in itertools.combinations(range(probe), m):
+                for sizes in _compositions(size - 1, m + 1):
+                    yield name, idxs, sizes
 
 
 def closed_terms(
@@ -1193,9 +1163,29 @@ def closed_terms(
 ) -> list[Term]:
     """All closed terms (over the operators and generator leaves) of size
     up to the bound, in canonical order.  Countable branch maps range over
-    normalised tables supported below the probe depth."""
-    term = lambda p: Var(p.name) if isinstance(p, GenLeaf) else Node(p.op, p.branches)
-    return list(_staged_terms(sig, max_size, probe, tuple(generators), term))
+    normalised tables supported below the probe depth.  Each size is built
+    over the smaller ones and sorted by ``term_key``, found by
+    :func:`node_key` from the children's kept keys; a countable layer
+    leaves out entries equal to its default, compared by key."""
+    by_size: list[list[tuple[tuple, Term]]] = [[]]
+    for s in range(1, max_size + 1):
+        layers = [(term_key(Var(g)), Var(g)) for g in generators] if s == 1 else []
+        for op, idxs, sizes in _shapes(sig, s, probe):
+            pools = [by_size[k] for k in sizes]
+            if idxs is None:
+                for kids in itertools.product(*pools):
+                    keys = tuple(k for k, _ in kids)
+                    layers.append((node_key(op, keys), Node(op, tuple(t for _, t in kids))))
+                continue
+            for dkey, dterm in pools[0]:
+                others = [[e for e in pool if e[0] != dkey] for pool in pools[1:]]
+                for kids in itertools.product(*others):
+                    keys = OmegaTable(tuple(zip(idxs, (k for k, _ in kids))), dkey)
+                    terms = OmegaTable(tuple(zip(idxs, (t for _, t in kids))), dterm)
+                    layers.append((node_key(op, keys), Node(op, terms)))
+        layers.sort(key=lambda layer: layer[0])
+        by_size.append(layers)
+    return [t for layers in by_size for _, t in layers]
 
 
 # -- executable satisfaction on the carrier -------------------------------------

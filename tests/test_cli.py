@@ -230,6 +230,8 @@ def test_enumerate_deterministic_output(capsys, fixtures):
         outs.append(out)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["count"] == 10
+    digest = "f497125f01503e10df56786fd3f167e9c0e8d1c362ed34116c67328ec133c800"
+    assert hashlib.sha256(outs[0].encode()).hexdigest() == digest
 
 
 def test_sat_satisfied_and_violated(capsys, fixtures):
@@ -479,20 +481,20 @@ def test_console_entry_point(fixtures):
     [
         (
             ("bag.qit",), EXIT_OK,
-            "07cd5d6cdce014611155215bc61ea4c78f3048263aec2c816779b9ecb3ac5bb1",
+            "e7d52d5caf85d1db84784fb5885ecbc5fcdbefbf0319c9b2d41e4d01e75fe247",
         ),
         (
             ("bag.qit", "--algebra", "length_algebra.json"), EXIT_OK,
-            "07cd5d6cdce014611155215bc61ea4c78f3048263aec2c816779b9ecb3ac5bb1",
+            "e7d52d5caf85d1db84784fb5885ecbc5fcdbefbf0319c9b2d41e4d01e75fe247",
         ),
         (
             ("bag.qit", "--algebra", "corrupted_length_algebra.json"),
             EXIT_CHECK_FAILED,
-            "b236164138fdeba8d8e7bd412f67a53bab6192289b42b102edf5cb85f2957fe0",
+            "cbaa008d5c3c798daa208d4fb292eee1aba1044dfa1d9604eff47d9d23f2fb18",
         ),
         (
             ("wreductions.qit", "--free", "v", "--size-bound", "3"), EXIT_OK,
-            "3e5d1edb3af08d7dd9719519fd80eb5a82a1aa4644f4823d69ae51f0f29e14fe",
+            "1d954d428dcb68782fa99622101a825a3c38e7f069c1e34d2037c57ebcdda936",
         ),
     ],
 )

@@ -8,7 +8,7 @@ import random
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from qitbench.encodings import NIL, bag_of, bag_term, cons, omega_tree_of, ordinal_notations
@@ -19,7 +19,6 @@ from qitbench.engine import (
     Justification,
     QWState,
     SaturationResult,
-    _closed_term_count,
     _Touched,
     closed_terms,
     check_equations_hold,
@@ -122,14 +121,15 @@ def test_stage_is_least_fixpoint_after_merge():
 
 
 def test_near_sets_are_reused_while_the_log_stands():
-    # in the second round of enumerating bag(a, b, c) the nine swap
-    # equations see the same 98 touched classes over an unchanged carrier:
-    # one walk up the use lists serves them all
+    # in the second round of saturating the terms of bag(a, b, c) up to
+    # size 8, interned one by one, the nine swap equations see the same 98
+    # touched classes over an unchanged carrier: one walk up the use lists
+    # serves them all
     st = fresh(bag_of(("a", "b", "c")))
     walks = []
     near = st._near
     st._near = lambda touched, height: walks.append(len(touched)) or near(touched, height)
-    st.enumerate_classes(8)
+    _listed(st, 8)
     assert walks == [98]
 
 
@@ -301,10 +301,12 @@ def test_check_equations_hold_on_fragment(bag):
 
 
 def test_enumerate_class_budget_reports_count(bag):
+    # sizes 1 and 2 leave nil, a::[] and b::[]; size 3 would add cons(a)
+    # and cons(b) over the two classes of size 2: 3 + 4, refused unbuilt
     st = fresh(bag)
-    with pytest.raises(BudgetExceededError) as err:
+    with pytest.raises(BudgetExceededError, match=_over(7, 3)):
         st.enumerate_classes(4, class_budget=3)
-    assert "classes" in str(err.value)
+    assert st.class_count == len(st.log) == 3
 
 
 def test_saturation_budget_is_normal_outcome(bag):
@@ -717,7 +719,7 @@ def test_a_call_after_an_instance_budget_exit_continues():
         SMALL_SIG, [("e0", 2, node("c"), node("f", node("g", Var(0), Var(1))))]
     )
     st = new_qw(SMALL_SIG, system, max_rounds=3, max_instances=40)
-    st.enumerate_classes(3)
+    _listed(st, 3)
     count = st.class_count
     assert not st.saturate().fixpoint
     assert st.class_count > count
@@ -759,7 +761,7 @@ def test_an_instance_budget_bounds_the_environments_a_round_pulls(monkeypatch):
         ],
     )
     st = new_qw(SMALL_SIG, system, max_instances=400)
-    st.enumerate_classes(3)
+    _listed(st, 3)
     assert not st.saturate().fixpoint
     assert max(len(pulls) for pulls in rounds) == 401
     digest = "65d4f1e9ad417fdf0387fb19a165f58698995911ad4bbc690b4943d7d6869e99"
@@ -1476,53 +1478,54 @@ def _instance(inst):
 
 
 # Digests of the log and the snapshot after ``enumerate_classes``, and the
-# saturation result it ends with.  Matching, instantiation and rebuild must
-# leave every payload index, merge, class id and derivation where they are.
+# saturation result of each size, as (rounds, merges, new classes) of a
+# fixpoint.  Matching, instantiation and rebuild must leave every payload
+# index, merge, class id and derivation where they are.
 PINNED_ENUMERATIONS = [
     pytest.param(
         lambda fx: _qit(fx, "bag.qit"), (), 6,
-        "e5df4639c1a01978c807e36c686f4b5e5705a9ec3aad877932da0378c15fd0bd",
-        "4976f7ba569f07977d5223b6c7402e914a910c60c56027475442616b1d5da3a6",
-        SaturationResult(True, 2, 42, 0),
+        "ecd0b2dbf5cab075e651f0a812197d65f14e8f57298018860c292da06669f843",
+        "fe06b183eb30650bd7c66549bd4996d5b9b5d0927b7de21506201b96cb2b3fd4",
+        [(1, 0, 0), (1, 0, 0), (2, 1, 0), (2, 2, 0), (2, 3, 0), (2, 4, 0)],
         id="bag.qit-6",
     ),
     pytest.param(
         lambda fx: _instance(bag_of(("a", "b", "c"))), (), 6,
-        "f3797d334596807b1cb90970cda0c55ac2ad04855fb43aa6e6461ec02c6bb718",
-        "9afcdb7abfb5a1174deb7e4bc3186000dc583651e9dfca868d70c4d551de28e8",
-        SaturationResult(True, 2, 308, 0),
+        "ece6dff14620027e3c1c4b31ec0184e8342a7291c7530361bd403ae0a9735764",
+        "b439f5d810f1e53056f61261798d7cadefd554f8384f643ab52052e7a5835ab2",
+        [(1, 0, 0), (1, 0, 0), (2, 3, 0), (2, 8, 0), (2, 15, 0), (2, 24, 0)],
         id="bag-abc-6",
     ),
     pytest.param(
         lambda fx: _qit(fx, "omega_tree.qit"), (), 4,
-        "09724ca272e1535215488d0d969c45d96dd6c75539719997d22a83721d4ba6cd",
-        "0b67f144acbb1c9f265722d41505a12809a74c81945414dca111cf02c65fab1c",
-        SaturationResult(True, 2, 8, 0),
+        "52efe69d759883f40c314d91ec731f98fa2eb79047a6694d7f0f563d8ae5b6b0",
+        "cf7d7b2cafb042fa046b624f1c25d7e10229f0d89b64e13bae2190b1bd74d6af",
+        [(1, 0, 0), (1, 0, 0), (1, 0, 0), (2, 8, 0)],
         id="omega_tree.qit-4",
     ),
     pytest.param(
         lambda fx: _instance(ordinal_notations()), (), 6,
-        "f744b037cd02faaa6fd8fa8339719189962651a621f4b27b9fce12423ecc062f",
-        "c07f22ae0a9380b93af9c28614a076586bd22de37342105ff9c9f55d7bb538db",
-        SaturationResult(True, 4, 672, 394),
+        "359e1271baf2a4632c2c4a8c93503d9adf17479be9c469df84dd169fecc30a14",
+        "899f66c0c988c4de9b1af615fc88e88d41166dfcd3970b910ae2c670ce9eac58",
+        [(2, 1, 1), (4, 4, 4), (4, 4, 4), (4, 11, 10), (4, 15, 14), (4, 40, 36)],
         id="ordinal-6",
     ),
     pytest.param(
         lambda fx: _qit(fx, "wreductions.qit"), ("v", "w"), 3,
-        "6f8dc4f2d08dbe468339789f632da151e82d227fe68d8c4e72c3335a9275d6c3",
-        "2262e0759ca38f564f1ea790bb08d9c73cb77408d83c9984fadf89304bdbe27f",
-        SaturationResult(True, 2, 34, 30),
+        "f5acdf133e0d1972e0a515a6b1eeb234e707af8a20459ea996bbf6f722a8ae57",
+        "5030b04818a2a9403da5fe6925b3a00ad0346e094bb583b34ef9b09a1c96b24d",
+        [(2, 4, 4), (1, 0, 0), (1, 0, 0)],
         id="wreductions.qit-vw-3",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "build, generators, size, log_digest, export_digest, saturation",
+    "build, generators, size, log_digest, export_digest, saturations",
     PINNED_ENUMERATIONS,
 )
 def test_enumeration_merge_log_is_pinned(
-    fixtures, build, generators, size, log_digest, export_digest, saturation
+    fixtures, build, generators, size, log_digest, export_digest, saturations
 ):
     sig, system = build(fixtures)
     st = new_qw(sig, system, generators=generators)
@@ -1535,7 +1538,7 @@ def test_enumeration_merge_log_is_pinned(
 
     st.saturate = recording_saturate
     st.enumerate_classes(size)
-    assert results == [saturation]
+    assert results == [SaturationResult(True, *r) for r in saturations]
     assert hashlib.sha256(repr(st.log).encode()).hexdigest() == log_digest
     snapshot = json.dumps(st.export_json(), sort_keys=True)
     assert hashlib.sha256(snapshot.encode()).hexdigest() == export_digest
@@ -1719,14 +1722,44 @@ def test_mixed_session_log_is_pinned(
 # -- staged enumeration -----------------------------------------------------------
 
 
-def _reference_enumeration(st, size):
-    """``enumerate_classes`` as interning the listed terms one by one."""
+def _listed(st, size):
+    """Intern every term ``closed_terms`` lists, one by one, then saturate:
+    the terms, their classes and the saturation result."""
     terms = closed_terms(st.signature, size, probe=st.probe, generators=st.generators)
     ids = [st.intern_term(t) for t in terms]
-    st.saturate()
-    roots = {st.canonical(c) for c in ids}
-    reps = sorted((term_key(st.representative(c)), c) for c in roots)
-    return [(c, st.representative(c)) for _, c in reps]
+    return terms, ids, st.saturate()
+
+
+def _classes_of(st, terms):
+    """The class of each term in a state that holds it, found by interning
+    after a congruence rebuild; asserts that none is new."""
+    st.saturate(max_rounds=0)
+    log = st.log
+    classes = [st.canonical(st.intern_term(t)) for t in terms]
+    assert st.log == log
+    return classes
+
+
+def _enumerated_as_listed(st, ref, size):
+    """``enumerate_classes`` on ``st`` against interning the listed terms
+    on ``ref``, a state equal to it: the classes returned are those of the
+    closed terms, which both partition alike, with the same representatives
+    and stages.  False, comparing nothing, if the listing stops short of a
+    fixpoint."""
+    terms, ids, res = _listed(ref, size)
+    if not res.fixpoint:
+        return False
+    got = st.enumerate_classes(size)
+    assert st.saturate() == SaturationResult(True, 1, 0, 0)
+    pairs = set(zip(_classes_of(st, terms), map(ref.canonical, ids)))
+    assert len({c for c, _ in pairs}) == len(pairs) == len({r for _, r in pairs})
+    assert {c for c, _ in got} == {c for c, _ in pairs}
+    reps = ref.representatives([r for _, r in pairs])
+    assert dict(got) == {c: reps[r] for c, r in pairs}
+    keys = [term_key(t) for _, t in got]
+    assert keys == sorted(keys)
+    assert all(st.stage_of(c) == ref.stage_of(r) for c, r in pairs)
+    return True
 
 
 def _prepared(sig, system, generators, seed, size):
@@ -1756,9 +1789,40 @@ def test_staged_enumeration_equals_interning_the_listed_terms(
     sig, system = build(fixtures)
     st = _prepared(sig, system, generators, seed, size)
     ref = _prepared(sig, system, generators, seed, size)
-    assert st.enumerate_classes(size) == _reference_enumeration(ref, size)
-    assert st.log == ref.log
-    assert st.export_json() == ref.export_json()
+    assert _enumerated_as_listed(st, ref, size)
+
+
+@settings(max_examples=60, deadline=None)
+@example(system=UNBOUND_SYSTEM, size=4)
+@given(_small_systems(max_equations=3, spare=1), hst.integers(1, 4))
+def test_enumeration_modulo_the_equations_equals_the_listing(system, size):
+    # random systems, with variables that no side binds, over a signature
+    # with constants, a unary and a binary operator
+    st = new_qw(SMALL_SIG, system, max_instances=500)
+    ref = new_qw(SMALL_SIG, system, max_instances=500)
+    assume(_enumerated_as_listed(st, ref, size))
+
+
+def test_an_enumeration_past_its_instance_budget_is_sound_and_complete(fixtures):
+    # sizes 4 to 7 each stop saturating at the budget, so merges are
+    # missing; each class returned still holds a closed term within the
+    # bound, each closed term's class is returned, and no two classes
+    # share a term that a saturated listing keeps apart
+    sig, system = _qit(fixtures, "bag.qit")
+    st = new_qw(sig, system, max_instances=5)
+    results = []
+    saturate = st.saturate
+    st.saturate = lambda **kw: results.append(saturate(**kw)) or results[-1]
+    got = st.enumerate_classes(7)
+    del st.saturate
+    assert [r.fixpoint for r in results] == [True] * 3 + [False] * 4
+    assert all(term_key(t)[0] <= 7 for _, t in got)
+    ref = new_qw(sig, system)
+    terms, ids, res = _listed(ref, 7)
+    assert res.fixpoint
+    pairs = set(zip(_classes_of(st, terms), map(ref.canonical, ids)))
+    assert {c for c, _ in pairs} == {st.canonical(c) for c, _ in got}
+    assert len({c for c, _ in pairs}) == len(pairs) > len({r for _, r in pairs})
 
 
 def _brute_terms(sig, size, probe, generators):
@@ -1813,7 +1877,6 @@ def test_closed_terms_equal_a_brute_force_enumeration(fixtures, build, generator
         ]
         assert len(set(brute)) == len(brute)
         assert got == sorted(brute, key=term_key)
-        assert _closed_term_count(sig, size, probe, tuple(generators)) == len(brute)
         for t in got:
             if isinstance(t, Node) and isinstance(t.branches, OmegaTable):
                 assert t.branches == omega_table(t.branches.entries, t.branches.default)
@@ -1824,23 +1887,63 @@ def _over(count, budget):
     return f"^{count} classes exceed the budget of {budget}$"
 
 
+def _size_budgets(st, size):
+    """For each size, the number ``enumerate_classes`` checks before
+    building it: the classes so far plus the leaves and layers it goes on
+    to build, counted from its calls to intern them."""
+    counts = [st.class_count]
+    add, layer, saturate = st._add, st._layer, st.saturate
+
+    def counted(build):
+        def call(*args):
+            counts[-1] += 1
+            return build(*args)
+
+        return call
+
+    def saturated(**kw):
+        res = saturate(**kw)
+        counts.append(st.class_count)
+        return res
+
+    st._add, st._layer, st.saturate = counted(add), counted(layer), saturated
+    st.enumerate_classes(size)
+    return counts[:-1]
+
+
+def _assert_each_size_is_checked_before_building(make, size):
+    """A budget one short of a size's number, and enough for the sizes
+    before it, stops enumerating a state from ``make()`` at that size with
+    its number, leaving the log of enumerating the sizes before it."""
+    counts = _size_budgets(make(), size)
+    for s, count in enumerate(counts, 1):
+        if max(counts[: s - 1], default=0) >= count:
+            continue  # a budget of count - 1 stops an earlier size
+        st = make()
+        with pytest.raises(BudgetExceededError, match=_over(count, count - 1)):
+            st.enumerate_classes(size, class_budget=count - 1)
+        ref = make()
+        ref.enumerate_classes(s - 1)
+        assert st.log == ref.log
+    make().enumerate_classes(size, class_budget=max(counts))
+
+
 @pytest.mark.parametrize("build, generators, size", STAGED_CASES)
 def test_a_fresh_class_budget_is_checked_before_building(fixtures, build, generators, size):
     sig, system = build(fixtures)
-    count = len(closed_terms(sig, size, probe=system.probe, generators=generators))
-    st = new_qw(sig, system, generators=generators)
-    with pytest.raises(BudgetExceededError, match=_over(count, count - 1)):
-        st.enumerate_classes(size, class_budget=count - 1)
-    assert st.log == ()
-    st.enumerate_classes(size, class_budget=count)
-    assert st.class_count >= 1
+    _assert_each_size_is_checked_before_building(
+        lambda: new_qw(sig, system, generators=generators), size
+    )
 
 
-def test_a_fresh_budget_overrun_is_refused_without_building(fixtures):
-    sig, system = _qit(fixtures, "bag.qit")
-    st = new_qw(sig, system)
+def test_a_fresh_budget_overrun_is_refused_without_building():
+    # with no equations classes are terms, and size 1 alone, two constants
+    # and 100,000 generator leaves, exceeds the default budget
+    st = new_qw(
+        SMALL_SIG, make_system(SMALL_SIG, []), generators=[f"x{i}" for i in range(100_000)]
+    )
     start = time.perf_counter()
-    with pytest.raises(BudgetExceededError, match=_over(2**30 - 1, 100_000)):
+    with pytest.raises(BudgetExceededError, match=_over(100_002, 100_000)):
         st.enumerate_classes(30)
     assert time.perf_counter() - start < 1.0
     assert st.log == ()
@@ -1851,16 +1954,11 @@ def test_a_fresh_budget_overrun_is_refused_without_building(fixtures):
 def test_a_class_budget_on_a_used_state_counts_the_classes_after_interning(
     fixtures, build, generators, size, seed
 ):
+    # the classes a size can leave are those the state has plus its layers
     sig, system = build(fixtures)
-    ref = _prepared(sig, system, generators, seed, size)
-    for t in closed_terms(sig, size, probe=system.probe, generators=generators):
-        ref.intern_term(t)
-    count = ref.class_count
-    st = _prepared(sig, system, generators, seed, size)
-    with pytest.raises(BudgetExceededError, match=_over(count, count - 1)):
-        st.enumerate_classes(size, class_budget=count - 1)
-    st = _prepared(sig, system, generators, seed, size)
-    st.enumerate_classes(size, class_budget=count)
+    _assert_each_size_is_checked_before_building(
+        lambda: _prepared(sig, system, generators, seed, size), size
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 1])
