@@ -857,7 +857,7 @@ class QWState:
 
         ``class_budget`` is checked before each size is built, against the
         classes so far plus the size's layers; an overrun raises with that
-        number."""
+        number.  The round and instance budgets bound each size's saturation."""
         pools: list[list[int]] = [[]]
         for s in range(1, size_bound + 1):
             leaves = self.generators if s == 1 else ()

@@ -1792,6 +1792,25 @@ def test_staged_enumeration_equals_interning_the_listed_terms(
     assert _enumerated_as_listed(st, ref, size)
 
 
+
+@pytest.mark.parametrize("build, generators, size", STAGED_CASES)
+def test_one_more_round_per_size_only_merges_enumerated_classes(
+    fixtures, build, generators, size
+):
+    # the round budget bounds each size's saturation, so a whole call may
+    # run up to size * max_rounds rounds; with no instance-budget exit, a
+    # larger budget only merges the classes of a smaller one
+    sig, system = build(fixtures)
+    terms = closed_terms(sig, size, probe=system.probe, generators=generators)
+    partitions = []
+    for rounds in range(5):
+        st = new_qw(sig, system, generators=generators, max_rounds=rounds)
+        st.enumerate_classes(size)
+        partitions.append(_classes_of(st, terms))
+    for finer, coarser in zip(partitions, partitions[1:]):
+        assert len(set(zip(finer, coarser))) == len(set(finer)) >= len(set(coarser))
+    assert len(set(partitions[0])) > len(set(partitions[-1]))
+
 @settings(max_examples=60, deadline=None)
 @example(system=UNBOUND_SYSTEM, size=4)
 @given(_small_systems(max_equations=3, spare=1), hst.integers(1, 4))
