@@ -202,10 +202,10 @@ class QWState:
         self._pending: list[int] = []
         self._proof: dict[int, tuple[int, Justification]] = {}
         self._log: list[tuple] = []
-        self._version = 0
+        # the version (log length) at which the last call finished, and at
+        # which it reached a fixpoint, and the log position at the start of
+        # the last round that ran to its end
         self._saturated_version = 0
-        # the version at which the last call reached a fixpoint, and the log
-        # position at the start of the last round that ran to its end
         self._fixpoint_version = -1
         self._mark = 0
         # the e-class analysis per class root (stage, representative key,
@@ -215,7 +215,7 @@ class QWState:
         self._stage: dict[int, int] = {}
         self._key: dict[int, tuple] = {}
         self._chosen: dict[int, tuple[str, Any]] = {}
-        self._unanalysed: list[int] = []
+        self._unanalysed: dict[int, None] = {}
         # the operator index once built (a relation per head operator), and
         # the payloads whose class entries it must refresh at the next
         # ``_enodes()``
@@ -249,7 +249,6 @@ class QWState:
             self._pending.extend(users)
             self._unindexed.extend(users)
         self._unindexed.append(rb)
-        self._version += 1
         return True
 
     def _proof_link(self, a: int, b: int, just: Justification) -> None:
@@ -308,7 +307,6 @@ class QWState:
         self._keys.append(key)
         self._unindexed.append(idx)
         self._log.append(("intern", idx, stored))
-        self._version += 1
         return idx
 
     def _layer(self, op: str, roots: Any, intern: bool) -> int | None:
@@ -370,15 +368,15 @@ class QWState:
 
     @property
     def version(self) -> int:
-        """Counts new payloads and merges; saturation's fixpoint and
-        staleness are judged on it."""
-        return self._version
+        """Counts new payloads and merges, the log's entries; saturation's
+        fixpoint and staleness are judged on it."""
+        return len(self._log)
 
     @property
     def stale(self) -> bool:
         """Whether payloads or merges arrived after the last ``saturate()``
         finished."""
-        return self._version != self._saturated_version
+        return len(self._log) != self._saturated_version
 
     def stage_of(self, c: ClassId) -> int:
         root = self._live_root(c)
@@ -462,7 +460,7 @@ class QWState:
         if index is None:
             index = self._index = {name: {} for name in self.signature.names()}
             todo: Iterable[int] = self._members
-            self._unanalysed.extend(todo)
+            self._unanalysed.update(dict.fromkeys(todo))
         else:
             todo = {self._find(i) for i in self._unindexed}
             # classes that lost their root, and those refreshed below, leave
@@ -470,7 +468,7 @@ class QWState:
             for i in todo.union(self._unindexed):
                 for rel in index.values():
                     rel.pop(i, None)
-                self._unanalysed.append(i)
+                self._unanalysed[i] = None
         self._unindexed.clear()
         for root in todo:
             for mid in self._members[root]:
@@ -603,7 +601,7 @@ class QWState:
         environment past its budget.
         """
         budget = self.max_rounds if max_rounds is None else max_rounds
-        if budget >= 1 and self._version == self._fixpoint_version:
+        if budget >= 1 and len(self._log) == self._fixpoint_version:
             return SaturationResult(True, 1, 0, 0)
         merges = self._rebuild()
         before_all = len(self._payloads)
@@ -636,9 +634,10 @@ class QWState:
                     instances += 1
                     if instances > self.max_instances:
                         # as saturated as budgeted, like the round-budget exit below
-                        self._saturated_version = self._version
+                        self._saturated_version = len(self._log)
                         return SaturationResult(
-                            False, rounds, merges, len(self._payloads) - before_all
+                            False, rounds, merges + round_merges,
+                            len(self._payloads) - before_all,
                         )
                     env = tuple(map(self._find, raw))
                     lid = self._instantiate(plan.lhs, env)
@@ -659,13 +658,13 @@ class QWState:
             merges += round_merges
             self._mark = start
             if round_merges == 0 and len(self._payloads) == size_before:
-                self._saturated_version = self._fixpoint_version = self._version
+                self._saturated_version = self._fixpoint_version = len(self._log)
                 return SaturationResult(
                     True, rounds, merges, len(self._payloads) - before_all
                 )
         # budget exhausted: the state is as saturated as budgeted; only new
         # interned material makes it stale again
-        self._saturated_version = self._version
+        self._saturated_version = len(self._log)
         return SaturationResult(False, rounds, merges, len(self._payloads) - before_all)
 
     # -- equality -----------------------------------------------------------
@@ -937,9 +936,11 @@ class _Side:
     variable has no join.  ``layers`` interns an instance bottom up: each
     layer's operator and the slots of its children, where slots below the
     variable count hold the environment and each layer's class takes the
-    next; ``out`` is the side's slot."""
+    next; ``out`` is the side's slot.  ``order`` is the term's post-order
+    as slots, each variable occurrence and each layer once, children before
+    parents."""
 
-    __slots__ = ("head", "bound", "missing", "join", "layers", "out")
+    __slots__ = ("head", "bound", "missing", "join", "layers", "out", "order")
 
     def __init__(self, t: Term, n: int):
         names = term_vars(t)
@@ -948,16 +949,20 @@ class _Side:
         self.head = None if isinstance(t, Var) else t.op
         self.join = None if self.head is None else _compile_join(t, self.bound)
         layers: list[tuple[str, Any]] = []
+        order: list[int] = []
 
         def place(u: Term) -> int:
             if isinstance(u, Var):
-                return u.name
-            kids = map_branches(place, u.branches)
-            layers.append((u.op, kids))
-            return n + len(layers) - 1
+                slot = u.name
+            else:
+                layers.append((u.op, map_branches(place, u.branches)))
+                slot = n + len(layers) - 1
+            order.append(slot)
+            return slot
 
         self.out = place(t)
         self.layers = tuple(layers)
+        self.order = tuple(order)
 
     def domains(self, bound: list, missing: list) -> list:
         """Per variable, the ascending values a product takes there."""

@@ -13,12 +13,10 @@ equations.
 All checks here are bounded: they quantify over enumerated fragments, not
 the whole carrier, and say so in their reports.  Each settles the state
 (saturating it if stale) and picks its fragment through :func:`_fragment`,
-checks the algebra-map law by one walk over the fragment's operator
-layers, :func:`_law_walk`, whose count is checked against ``LAYER_BUDGET``
-before any layer is built, and quantifies over equations through
-:func:`equations.instances`.  Layers are looked up by canonical key over
-class roots, with the fragment's handles checked once.  The coherence
-premise instantiates each side through the equation's compiled plan, as
+checks the algebra-map law by one walk over the operator layers the
+carrier stores over the fragment, :func:`_law_walk`, and quantifies over
+equations through :func:`equations.instances`.  The coherence premise
+instantiates each side through the equation's compiled plan, as
 saturation does, with the interning and log of lifting the side's term
 layer by layer, and its step and fiber checks in the term's post-order.
 """
@@ -51,10 +49,11 @@ from .terms import (
     _interp,
     branches_to_json,
     budgeted_opnodes,
+    count_opnodes,
     map_branches,
+    probe_key,
 )
 
-LAYER_BUDGET = 100_000  # operator layers over a fragment
 DEP_ENV_BUDGET = 50_000  # dependent environments of the coherence premise
 
 
@@ -202,26 +201,40 @@ def _law_walk(
     step: Callable[[OpNode, Any], Any],
 ) -> tuple[OpNode | None, int, int]:
     """The algebra-map law on each operator layer over the fragment, in
-    canonical order: ``step(layer, branch_values)`` equals the value of the
-    layer's introduction, with ``values()`` giving each class root's value.
-    The layer count is checked against ``LAYER_BUDGET`` before any layer is
-    built or ``values`` called.  A layer whose introduction is not
-    interned, or has no value, is skipped.  Returns the first layer that
-    breaks the law, or None, with the layers checked and skipped."""
-    layers = budgeted_opnodes(state.signature, fragment, state.probe, LAYER_BUDGET)
+    :func:`terms.enumerate_opnodes` order: ``step(layer, branch_values)``
+    equals the value of the layer's introduction, with ``values()`` giving
+    each class root's value.  The fragment is a set of classes, each
+    reported by its first handle.  Only the layers the carrier stores are
+    built: those in the operator index with a valued class, children in the
+    fragment and a countable table below the probe.  The rest have no
+    interned introduction and are counted as skipped, so the walk costs
+    what the carrier holds.  After an instance-budget exit the rebuild is
+    pending, and the index holds merged layers that a lookup by the memo's
+    stale keys would miss.  Returns the first layer that breaks the law, or
+    None, with the layers checked and skipped (before it, if it breaks)."""
     vals = values()
-    roots = {c: state._live_root(c) for c in fragment}
-    checked = skipped = 0
-    for s in layers:
-        root = state._layer(s.op, map_branches(roots.__getitem__, s.branches), False)
-        if root not in vals:
-            skipped += 1
-            continue
-        checked += 1
-        kids = map_branches(lambda c: vals[roots[c]], s.branches)
-        if step(s, kids) != vals[root]:
-            return s, checked, skipped
-    return None, checked, skipped
+    handle: dict[int, ClassId] = {}
+    for c in fragment:
+        handle.setdefault(state._live_root(c), c)
+    pos = {r: i for i, r in enumerate(handle)}
+    n, probe, index = len(pos), state.probe, state._enodes()
+    found, base = [], 0
+    for op, arity in state.signature.ops:
+        for root, layers in index[op].items():
+            for kids in layers if root in vals else ():
+                if kids.__class__ is not tuple and kids.support()[-1:] >= (probe,):
+                    continue  # a table entry past the probe
+                at = probe_key(kids, probe)[1:]
+                if all(x in pos for x in at):
+                    rank = sum(pos[x] * n**k for k, x in enumerate(reversed(at)))
+                    found.append((base + rank, root, op, kids))
+        base += n ** arity.width(probe)
+    found.sort()
+    for checked, (rank, root, op, kids) in enumerate(found, 1):
+        s = OpNode(op, map_branches(handle.__getitem__, kids))
+        if step(s, map_branches(vals.__getitem__, kids)) != vals[root]:
+            return s, checked, rank + 1 - checked
+    return None, len(found), count_opnodes(state.signature, n, probe) - len(found)
 
 
 def check_rec_hom(
@@ -234,8 +247,10 @@ def check_rec_hom(
     """Check the algebra-map law on every operator layer over the fragment:
     stepping in the algebra after recursing equals recursing from the
     introduced class.  Layers whose introduction is not interned are
-    skipped; a fresh singleton class would evaluate to exactly the stepped
-    value, so the content of the check lives on merged classes.
+    skipped, and counted without being built; a fresh singleton class would
+    evaluate to exactly the stepped value, so the content of the check
+    lives on merged classes.  The walk reads the layers the carrier stores
+    (:func:`_law_walk`), so it has no layer budget.
 
     Evaluation here is deliberately ungated so a corrupted target shows up
     as a counterexample rather than a refusal."""
@@ -343,19 +358,11 @@ def check_coherence(
     options = [
         (c, state._live_root(c), v) for c in _fragment(state, classes) for v in family(c)
     ]
-    sides = {
-        e.name: [
-            (side, _post_order(side, e.var_count))
-            for side in (state._plans[e.name].lhs, state._plans[e.name].rhs)
-        ]
-        for e in state.system.equations
-    }
     pending = []
     for eq, env in instances(state.system, options, DEP_ENV_BUDGET):
+        plan = state._plans[eq.name]
         try:
-            lhs, rhs = [
-                _lift(state, side, order, env, family, step) for side, order in sides[eq.name]
-            ]
+            lhs, rhs = [_lift(state, side, env, family, step) for side in (plan.lhs, plan.rhs)]
         except FiberMismatchError as exc:
             return CoherenceReport(False, eq.name, str(exc))
         pending.append((eq.name, lhs, rhs))
@@ -370,30 +377,15 @@ def check_coherence(
     return CoherenceReport(True)
 
 
-def _post_order(side: _Side, n: int) -> list[int]:
-    """A compiled side's slots in the post-order of its term, each variable
-    occurrence and each layer once: the order lifting visits them."""
-    order: list[int] = []
-
-    def visit(slot: int) -> None:
-        if slot >= n:
-            map_branches(visit, side.layers[slot - n][1])
-        order.append(slot)
-
-    visit(side.out)
-    return order
-
-
 def _lift(
     state: QWState,
     side: _Side,
-    order: list[int],
     env: tuple,
     family: Callable[[ClassId], tuple],
     step: Callable[[str, Any, Any], Any],
 ) -> tuple[int, Any]:
     """Dependent evaluation of a compiled side under an environment of
-    ``(class, root, value)`` options, in ``order`` (its :func:`_post_order`):
+    ``(class, root, value)`` options, in the term's post-order:
     each leaf's value is checked against its fiber, and each layer is
     interned from its canonical key before the step's value is checked
     against the fiber over it.  Returns the side's class root and value."""
@@ -402,7 +394,7 @@ def _lift(
     roots = [o[1] for o in env]
     vals = [o[2] for o in env]
     layers = side.layers
-    for slot in order:
+    for slot in side.order:
         if slot < n:
             if vals[slot] not in family(ids[slot]):
                 raise FiberMismatchError(

@@ -496,6 +496,10 @@ def test_console_entry_point(fixtures):
             ("wreductions.qit", "--free", "v", "--size-bound", "3"), EXIT_OK,
             "1d954d428dcb68782fa99622101a825a3c38e7f069c1e34d2037c57ebcdda936",
         ),
+        (  # checked 687, skipped 121,396,228, replay 294
+            ("omega_tree.qit", "--size-bound", "3"), EXIT_OK,
+            "360c4f75f161218322058a4da33612053fad31af3c2b8e76bba9ac58fd09e10c",
+        ),
     ],
 )
 def test_selftest_json_output_is_pinned(capsys, fixtures, argv, exit_code, digest):

@@ -768,6 +768,43 @@ def test_an_instance_budget_bounds_the_environments_a_round_pulls(monkeypatch):
     assert hashlib.sha256(repr(st.log).encode()).hexdigest() == digest
 
 
+def test_each_saturation_reports_the_merges_and_classes_it_logs():
+    # every call's merges and new classes are the merge and intern entries
+    # it added to the log, the merges of the round an instance-budget exit
+    # ends included: bag(a,b,c), closed terms up to size 6
+    bag = bag_of(("a", "b", "c"))
+    st = new_qw(bag.signature, bag.system, max_instances=100)
+    for t in closed_terms(bag.signature, 6):
+        st.intern_term(t)
+    results = []
+
+    def saturate(**kw):
+        start = len(st.log)
+        result = st.saturate(**kw)
+        added = [entry[0] for entry in st.log[start:]]
+        assert result.merges == added.count("merge")
+        assert result.new_classes == added.count("intern")
+        results.append(result)
+
+    for _ in range(3):
+        saturate()
+    st.intern_term(bag_term(["a", "b", "c", "a", "b", "c"]))
+    saturate()
+    st.max_instances = 200_000
+    saturate(max_rounds=1)
+    saturate()
+    saturate()
+    assert results == [
+        SaturationResult(False, 1, 55, 0),
+        SaturationResult(False, 1, 189, 0),
+        SaturationResult(False, 1, 0, 0),
+        SaturationResult(False, 1, 1, 1),
+        SaturationResult(False, 1, 66, 2),  # the round budget
+        SaturationResult(True, 1, 0, 0),
+        SaturationResult(True, 1, 0, 0),  # at the fixpoint's version
+    ]
+
+
 def test_a_round_pulls_each_environment_once_in_order(monkeypatch):
     # the merges move d's root while d is untouched, so e0 finishes over
     # every environment, from the one after where it stopped
@@ -952,7 +989,8 @@ def _reference_saturate(st, max_rounds):
     equation is matched at every root by the matcher above, congruence is
     restored by full passes, and a call at a fixpoint runs its idle round.
     A round pulls at most ``max_instances + 1`` environments, as the
-    engine's does.  Returns the result and whether the instance budget
+    engine's does, and an instance-budget exit counts the merges of the
+    round it ends.  Returns the result and whether the instance budget
     tripped."""
     merges = _full_pass_rebuild(st)
     before = len(st._payloads)
@@ -967,7 +1005,7 @@ def _reference_saturate(st, max_rounds):
                 instances += 1
                 if instances > st.max_instances:
                     new = len(st._payloads) - before
-                    return SaturationResult(False, rounds, merges, new), True
+                    return SaturationResult(False, rounds, merges + round_merges, new), True
                 env = tuple(st._find(v) for v in env)
                 lid = _reference_instance(st, eq.lhs, env)
                 rid = _reference_instance(st, eq.rhs, env)

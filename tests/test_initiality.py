@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import itertools
 import json
+from unittest import mock
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from qitbench import initiality
 from qitbench.cli import algebra_from_json
@@ -13,6 +16,7 @@ from qitbench.encodings import (
     bag_term,
     length_algebra,
     one_point_algebra,
+    ordinal_notations,
     parity_algebra,
 )
 from qitbench.engine import ClassId, check_equations_hold, new_qw
@@ -49,10 +53,13 @@ from qitbench.terms import (
     Var,
     _interp,
     branch_values,
+    count_opnodes,
+    enumerate_opnodes,
     eval_alg,
     map_branches,
     node,
     omega_node,
+    probe_key,
     signature,
     table_algebra,
     term_key,
@@ -287,24 +294,12 @@ def test_check_uniq_refuses_a_map_that_is_not_a_function_on_the_carrier(bag, fir
         check_uniq(st, target, h)
 
 
-BUDGETED_CHECKS = (
-    "check_equations_hold",
-    "check_coherence",
-    "check_rec_hom",
-    "check_uniq",
-    "check_comp",
-)
-
-
-@pytest.mark.parametrize("check", BUDGETED_CHECKS)
+@pytest.mark.parametrize("check", ["check_equations_hold", "check_coherence"])
 def test_budgets_are_refused_before_any_work(bag, monkeypatch, check):
     st, classes = build(bag, 4)
     cids = [c for c, _ in classes]
-    target = rec_target(length_algebra(4), bag.system)
     family, step = (lambda c: ("*",)), (lambda op, idxs, vals: "*")
-    dep = dep_target(st, family, step, classes=cids)
     st.saturate()
-    monkeypatch.setattr(initiality, "LAYER_BUDGET", 3)
     monkeypatch.setattr(initiality, "DEP_ENV_BUDGET", 3)
     folds = []
     for name in ("_all_values", "_elim_values"):
@@ -312,20 +307,37 @@ def test_budgets_are_refused_before_any_work(bag, monkeypatch, check):
     runs = {
         "check_equations_hold": lambda: check_equations_hold(st, cids, env_budget=3),
         "check_coherence": lambda: check_coherence(st, family, step, classes=cids),
-        "check_rec_hom": lambda: check_rec_hom(st, target),
-        "check_uniq": lambda: check_uniq(st, target, {c: 0 for c in cids}),
-        "check_comp": lambda: check_comp(st, dep),
     }
-    message = (
-        "operator layer enumeration exceeds the budget"
-        if check in ("check_rec_hom", "check_uniq", "check_comp")
-        else r"^\d+ environments exceed the budget of 3$"
-    )
     version = st.version
-    with pytest.raises(BudgetExceededError, match=message):
+    with pytest.raises(BudgetExceededError, match=r"^\d+ environments exceed the budget of 3$"):
         runs[check]()
     assert st.version == version
     assert folds == []
+
+
+def test_law_walks_read_stored_layers_past_a_trillion_over_the_fragment(fixtures):
+    # check_equations_hold grows omega_tree's carrier from 23 classes to
+    # thousands, so every root spans over 10**12 layers; the walks read the
+    # layers the carrier stores, intern nothing, and count the rest skipped
+    sig, system = elaborate(parse_decl((fixtures / "omega_tree.qit").read_text()))
+    st = new_qw(sig, system)
+    cids = [c for c, _ in st.enumerate_classes(4)]
+    assert check_equations_hold(st, cids).ok
+    family = lambda c: (0, 1, 2)
+    dep = dep_target(st, family, lambda op, idxs, vals: _height(op, vals), classes=cids[:6])
+    good = rec_target(FiniteAlgebra((0, 1, 2), _height), system)
+    st.saturate()
+    total = count_opnodes(sig, st.class_count, st.probe)
+    assert total > 10**12
+    version = st.version
+    hom = check_rec_hom(st, good)
+    h = {ClassId(r): v for r, v in _all_values(st, good.algebra, None).items()}
+    uniq = check_uniq(st, good, h)
+    comp = check_comp(st, dep)
+    assert st.version == version
+    assert hom.ok and uniq.ok and comp.ok
+    assert hom.checked + hom.skipped == total
+    assert comp.checked == hom.checked
 
 
 def test_qw_elim_refuses_unverified_coherence(bag):
@@ -633,6 +645,168 @@ def test_law_walk_reports_are_pinned_on_omega_tree(fixtures):
     assert report.to_json() == {**swapped, "checked": 8}
 
 
+# -- the law walk against enumerating and looking up every layer ---------------------
+
+
+def _reference_law_walk(state, fragment, values, step):
+    # every layer over the fragment in enumeration order, its introduction
+    # looked up by canonical key; a layer with no valued class is skipped
+    vals = values()
+    roots = {c: state._live_root(c) for c in fragment}
+    checked = skipped = 0
+    for s in enumerate_opnodes(state.signature, fragment, state.probe):
+        root = state._layer(s.op, map_branches(roots.__getitem__, s.branches), False)
+        if root not in vals:
+            skipped += 1
+            continue
+        checked += 1
+        if step(s, map_branches(lambda c: vals[roots[c]], s.branches)) != vals[root]:
+            return s, checked, skipped
+    return None, checked, skipped
+
+
+def _max_algebra(op, branches):
+    # zero, a capped successor and the greatest branch: a model of the
+    # ordinal notations' suprema laws
+    if op == "zero":
+        return 0
+    if op == "suc":
+        return min(2, 1 + branches[0])
+    return max(branch_values(branches))
+
+
+def _bag_length(op, branches):
+    return 0 if op == "nil" else min(2, 1 + branches[0])
+
+
+# per instance: declaration, generators with their values, largest size
+# bound, an algebra over (0, 1, 2) satisfying its equations, and one that
+# breaks them
+WALK_CASES = {
+    "bag": (
+        "bag.qit", {}, 6, _bag_length,
+        lambda op, b: 2 - b[0] if op == "cons(b)" else _bag_length(op, b),
+    ),
+    "omega_tree": ("omega_tree.qit", {}, 4, _height, _first_branch),
+    "wreductions": (
+        "wreductions.qit", {"v": 1, "w": 2}, 3, lambda op, b: b[0], lambda op, b: b[1],
+    ),
+    "ordinals": (
+        None, {}, 6, _max_algebra,
+        lambda op, b: b.at(0) if op == "sup" else _max_algebra(op, b),
+    ),
+}
+
+
+def _walk_state(fixtures, case, bound, max_rounds, wide):
+    # the classes up to the bound; ``wide`` adds a countable layer with a
+    # table entry past the probe, which no layer over a fragment is
+    path, gens = WALK_CASES[case][:2]
+    if path is None:
+        inst = ordinal_notations()
+        sig, system = inst.signature, inst.system
+    else:
+        sig, system = elaborate(parse_decl((fixtures / path).read_text()))
+    st = new_qw(sig, system, generators=tuple(gens), max_rounds=max_rounds)
+    roots = [c for c, _ in st.enumerate_classes(bound)]
+    omega = [op for op, arity in sig.ops if arity.is_omega]
+    if wide and omega and len(roots) > 1:
+        st.intern_term(omega_node(omega[0], {st.probe: Var(roots[0])}, Var(roots[1])))
+        st.saturate()
+    return st
+
+
+def _walk_algebra(case, sig, probe, cell):
+    # the model, the algebra that breaks the equations, or the model with
+    # one cell of its table moved to the next value
+    interp, broken = WALK_CASES[case][3:]
+    if cell is None or cell == "broken":
+        return broken if cell else interp
+    cells = list(enumerate_opnodes(sig, (0, 1, 2), probe))
+    at = cells[cell % len(cells)]
+    key = (at.op, probe_key(at.branches, probe))
+
+    def moved(op, branches):
+        value = interp(op, branches)
+        return (value + 1) % 3 if (op, probe_key(branches, probe)) == key else value
+
+    return moved
+
+
+def _walks(run):
+    # the check's report with each law walk's result, under the stored-layer
+    # walk and under the reference
+    results = {}
+    for name, walk in (("stored", initiality._law_walk), ("reference", _reference_law_walk)):
+        seen = []
+
+        def recording(*args, walk=walk, seen=seen):
+            seen.append(walk(*args))
+            return seen[-1]
+
+        with mock.patch.object(initiality, "_law_walk", recording):
+            results[name] = (run(), seen)
+    return results["stored"], results["reference"]
+
+
+@settings(max_examples=150, deadline=None)
+@example(
+    case="omega_tree", bound=4, max_rounds=40, wide=True, picks=None, cell="broken", moved=[0]
+)
+@example(case="ordinals", bound=6, max_rounds=1, wide=False, picks=None, cell="broken", moved=[])
+@given(
+    hst.sampled_from(sorted(WALK_CASES)),
+    hst.integers(1, 6),
+    hst.sampled_from([1, 2, 40]),
+    hst.booleans(),
+    hst.none() | hst.lists(hst.integers(0, 10**6), max_size=12),
+    hst.none() | hst.just("broken") | hst.integers(0, 10**6),
+    hst.lists(hst.integers(0, 10**6), max_size=3),
+)
+def test_law_walk_over_stored_layers_equals_enumerating_every_layer(
+    fixtures, case, bound, max_rounds, wide, picks, cell, moved
+):
+    # checked, skipped and the first counterexample of check_rec_hom,
+    # check_uniq and check_comp are the reference's, over every root or a
+    # subset of classes by any of their handles, for a model and for a
+    # corrupted algebra, map or step.  The states are at a fixpoint or
+    # after a round-budget exit, where the rebuild has run; after an
+    # instance-budget exit it is pending, and the operator index shows
+    # merged layers that a lookup by the memo's stale keys misses.
+    _, gens, top, interp, _ = WALK_CASES[case]
+    st = _walk_state(fixtures, case, min(bound, top), max_rounds, wide)
+    assert not st.stale
+    if picks is None:
+        classes = None
+    else:  # one handle per class, not always its root
+        by_class = {}
+        for i in picks:
+            c = ClassId(i % len(st._payloads))
+            by_class.setdefault(st.canonical(c), c)
+        classes = list(by_class.values())
+    alg = FiniteAlgebra((0, 1, 2), interp)
+    bad = FiniteAlgebra((0, 1, 2), _walk_algebra(case, st.signature, st.probe, cell))
+    good = rec_target(alg, st.system)
+    forged = RecTarget(bad, st.system, SatReport(True))
+    values = _all_values(st, alg, gens)
+    h = {c: values[st.canonical(c).index] for c in classes or st.roots()}
+    for i in moved:
+        c = list(h)[i % len(h)]
+        h[c] = (h[c] + 1) % 3
+    dep = DepTarget(
+        lambda c: (0, 1, 2), lambda op, idxs, vals: bad.interp(op, vals), CoherenceReport(True)
+    )
+    version = st.version
+    for run in (
+        lambda: check_rec_hom(st, forged, classes=classes, gen_env=gens),
+        lambda: check_uniq(st, good, h, gen_env=gens),
+        lambda: check_comp(st, dep, classes=classes, gen_env=gens),
+    ):
+        stored, reference = _walks(run)
+        assert stored == reference
+        assert st.version == version
+
+
 # -- the coherence premise on the compiled plans ------------------------------------
 
 
@@ -774,6 +948,21 @@ def test_coherence_on_the_compiled_plans_equals_lifting_the_terms(fixtures, case
         # refused at a step's fiber check, after other layers were lifted
         assert report.reason.startswith("step value")
         assert [call[0] for call in calls[-2:]] == ["step", "family"]
+
+
+def test_a_fragment_holds_each_class_once_by_its_first_handle(fixtures):
+    # a fragment is a set of classes: a second handle of a class adds no
+    # layers, and each layer is reported over the first handle given
+    st, cids = _bag3_state(fixtures)
+    late, root = cids[-1], st.canonical(cids[-1])
+    flip_c = lambda op, b: 0 if op == "nil" else (2 - b[0] if op == "cons(c)" else min(2, 1 + b[0]))
+    bad = RecTarget(FiniteAlgebra((0, 1, 2), flip_c), st.system, SatReport(True))
+    once = check_rec_hom(st, bad, classes=[root])
+    assert once == initiality.FragmentHomReport(False, OpNode("cons(c)", (root,)), 4, 0)
+    assert check_rec_hom(st, bad, classes=[root, late]) == once
+    assert check_rec_hom(st, bad, classes=[late, root]) == initiality.FragmentHomReport(
+        False, OpNode("cons(c)", (late,)), 4, 0
+    )
 
 
 @pytest.mark.parametrize(
