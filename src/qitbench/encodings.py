@@ -10,8 +10,7 @@ tree instances are elaborated from declarations in the surface language.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from .equations import EquationSystem, make_system
 from .errors import WorkbenchError
@@ -20,6 +19,7 @@ from .terms import (
     OMEGA,
     FiniteAlgebra,
     Node,
+    Record,
     Signature,
     Term,
     Var,
@@ -30,12 +30,12 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class EncodedInstance:
-    name: str
-    signature: Signature
-    system: EquationSystem
-    oracle: Callable[[Term, Term], bool] | None = None
+class EncodedInstance(Record):
+    def __init__(self, name: str, signature: Signature, system: EquationSystem, oracle=None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "oracle", oracle)  # (Term, Term) -> bool, or None
 
 
 # -- finite multisets --------------------------------------------------------------

@@ -45,7 +45,6 @@ import bisect
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 from .equations import ENV_BUDGET, EquationSystem, instances, sat_check
@@ -60,6 +59,7 @@ from .terms import (
     Node,
     OmegaTable,
     OpNode,
+    Record,
     Signature,
     Term,
     Var,
@@ -81,38 +81,42 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class ClassId:
+class ClassId(Record):
     """Opaque handle for a carrier class."""
 
-    index: int
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True, slots=True)
-class GenLeaf:
+class GenLeaf(Record):
     """Payload of a generator leaf (free-algebra mode)."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
-class ENode:
+class ENode(Record):
     """Payload of one operator layer over earlier classes.  Branch values
     are raw class indexes as seen at creation time; lookups canonicalise
     through the union-find."""
 
-    op: str
-    branches: Any  # tuple[int, ...] | OmegaTable of int
+    __slots__ = ("op", "branches")
+
+    def __init__(self, op: str, branches: Any):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "branches", branches)  # tuple[int, ...] | OmegaTable of int
 
 
 Payload = Any  # GenLeaf | ENode
 
 
-@dataclass(frozen=True)
-class Justification:
-    kind: str  # "sqeq" | "cong"
-    equation: str | None = None
-    env: tuple[int, ...] | None = None
+class Justification(Record):
+    def __init__(self, kind: str, equation: str | None = None, env: tuple[int, ...] | None = None):
+        object.__setattr__(self, "kind", kind)  # "sqeq" | "cong"
+        object.__setattr__(self, "equation", equation)
+        object.__setattr__(self, "env", env)
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {"tag": self.kind}
@@ -123,20 +127,20 @@ class Justification:
         return out
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    lhs: int
-    rhs: int
-    justification: Justification
+class ProofStep(Record):
+    def __init__(self, lhs: int, rhs: int, justification: Justification):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "justification", justification)
 
     def to_json(self) -> dict:
         return {"from": self.lhs, "to": self.rhs, **self.justification.to_json()}
 
 
-@dataclass(frozen=True)
-class Decision:
-    proved: bool
-    steps: tuple[ProofStep, ...] = ()
+class Decision(Record):
+    def __init__(self, proved: bool, steps: tuple[ProofStep, ...] = ()):
+        object.__setattr__(self, "proved", proved)
+        object.__setattr__(self, "steps", steps)
 
     def to_json(self) -> dict:
         if not self.proved:
@@ -144,12 +148,12 @@ class Decision:
         return {"verdict": "proved", "derivation": [s.to_json() for s in self.steps]}
 
 
-@dataclass(frozen=True)
-class SaturationResult:
-    fixpoint: bool
-    rounds: int
-    merges: int
-    new_classes: int
+class SaturationResult(Record):
+    def __init__(self, fixpoint: bool, rounds: int, merges: int, new_classes: int):
+        object.__setattr__(self, "fixpoint", fixpoint)
+        object.__setattr__(self, "rounds", rounds)
+        object.__setattr__(self, "merges", merges)
+        object.__setattr__(self, "new_classes", new_classes)
 
     def to_json(self) -> dict:
         return {
@@ -320,14 +324,40 @@ class QWState:
         return self._new(key) if intern else None
 
     def _intern(self, t: Term) -> int:
-        if isinstance(t, Var):
-            if isinstance(t.name, ClassId):
-                return self._live_root(t.name)
-            if t.name in self.generators:
-                return self._add(GenLeaf(t.name))
-            raise UnboundVariableError(f"unknown generator {t.name!r}")
-        check_branches(self.signature, t.op, t.branches)
-        return self._layer(t.op, map_branches(self._intern, t.branches), True)
+        """The class of a closed term, interned in post-order: a node's
+        branch map is checked, its children interned left to right (a
+        countable map's entries, then its default), then its layer.  The
+        walk keeps its own stack, where a ``None`` above a node marks its
+        children done, so no term is too deep for it."""
+        roots: list[int] = []
+        todo: list = [t]
+        while todo:
+            t = todo.pop()
+            if t is None:
+                t = todo.pop()
+                b = t.branches
+                if isinstance(b, OmegaTable):
+                    cut = len(roots) - len(b.entries) - 1
+                    kids = OmegaTable(tuple(zip(b.support(), roots[cut:])), roots[-1])
+                else:
+                    cut = len(roots) - len(b)
+                    kids = tuple(roots[cut:])
+                del roots[cut:]
+                roots.append(self._layer(t.op, kids, True))
+            elif isinstance(t, Var):
+                if isinstance(t.name, ClassId):
+                    roots.append(self._live_root(t.name))
+                elif t.name in self.generators:
+                    roots.append(self._add(GenLeaf(t.name)))
+                else:
+                    raise UnboundVariableError(f"unknown generator {t.name!r}")
+            else:
+                b = t.branches
+                check_branches(self.signature, t.op, b)
+                todo.append(t)
+                todo.append(None)
+                todo += b[::-1] if b.__class__ is tuple else [*b.values()][::-1]
+        return roots[0]
 
     def _live_root(self, c: ClassId) -> int:
         if not isinstance(c, ClassId) or not 0 <= c.index < len(self._payloads):
@@ -821,17 +851,28 @@ class QWState:
         self._analysis()
         chosen = self._chosen
         values: dict[int, Any] = {}
-
-        def value(root: int) -> Any:
-            if root in values:
-                return values[root]
-            name, kids = chosen[root]
-            v = leaf(name) if kids is None else step(name, map_branches(value, kids))
-            values[root] = v
-            return v
-
+        get = values.__getitem__
+        # post-order, children left to right, on an explicit stack: a class
+        # is pushed, then popped once more as ``~root`` to be valued after
+        # its children
+        todo: list[int] = []
         for root in sorted(self._members) if roots is None else roots:
-            value(root)
+            todo.append(root)
+            while todo:
+                r = todo.pop()
+                if r < 0:
+                    name, kids = chosen[~r]
+                    if kids.__class__ is tuple:
+                        values[~r] = step(name, tuple(map(get, kids)))
+                    else:
+                        values[~r] = step(name, map_branches(get, kids))
+                elif r not in values:
+                    name, kids = chosen[r]
+                    if kids is None:
+                        values[r] = leaf(name)
+                    else:
+                        todo.append(~r)
+                        todo += kids[::-1] if kids.__class__ is tuple else [*kids.values()][::-1]
         return values
 
     def enumerate_classes(
@@ -1196,11 +1237,11 @@ def closed_terms(
 # -- executable satisfaction on the carrier -------------------------------------
 
 
-@dataclass(frozen=True)
-class CarrierSatReport:
-    ok: bool
-    eq_name: str | None = None
-    env: tuple[int, ...] | None = None
+class CarrierSatReport(Record):
+    def __init__(self, ok: bool, eq_name: str | None = None, env: tuple[int, ...] | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "eq_name", eq_name)
+        object.__setattr__(self, "env", env)
 
     def to_json(self) -> dict:
         if self.ok:

@@ -12,11 +12,11 @@ the instance count checked against a budget before the first is built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, DuplicateNameError
 from .terms import (
+    Record,
     Signature,
     Term,
     eval_alg,
@@ -26,19 +26,19 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Equation:
-    name: str
-    var_count: int
-    lhs: Term
-    rhs: Term
+class Equation(Record):
+    def __init__(self, name: str, var_count: int, lhs: Term, rhs: Term):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "var_count", var_count)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class EquationSystem:
-    signature: Signature
-    equations: tuple[Equation, ...]
-    probe: int = 2
+class EquationSystem(Record):
+    def __init__(self, signature: Signature, equations: tuple[Equation, ...], probe: int = 2):
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "equations", equations)
+        object.__setattr__(self, "probe", probe)
 
     def equation(self, name: str) -> Equation:
         for e in self.equations:
@@ -90,13 +90,13 @@ def make_system(
     return EquationSystem(sig, tuple(out), probe=probe)
 
 
-@dataclass(frozen=True)
-class SatReport:
-    satisfied: bool
-    eq_name: str | None = None
-    env: tuple | None = None
-    lhs_val: Any = None
-    rhs_val: Any = None
+class SatReport(Record):
+    def __init__(self, satisfied: bool, eq_name=None, env=None, lhs_val=None, rhs_val=None):
+        object.__setattr__(self, "satisfied", satisfied)
+        object.__setattr__(self, "eq_name", eq_name)
+        object.__setattr__(self, "env", env)
+        object.__setattr__(self, "lhs_val", lhs_val)
+        object.__setattr__(self, "rhs_val", rhs_val)
 
     def to_json(self) -> dict:
         if self.satisfied:

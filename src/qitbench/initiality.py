@@ -23,7 +23,6 @@ layer by layer, and its step and fiber checks in the term's post-order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from .engine import ClassId, GenLeaf, QWState, _Side
@@ -45,6 +44,7 @@ from .errors import (
 from .terms import (
     FiniteAlgebra,
     OpNode,
+    Record,
     Var,
     _interp,
     branches_to_json,
@@ -57,19 +57,17 @@ from .terms import (
 DEP_ENV_BUDGET = 50_000  # dependent environments of the coherence premise
 
 
-@dataclass(frozen=True)
-class RecTarget:
+class RecTarget(Record):
     """A recursion target: a finite algebra together with the satisfaction
     report that licenses recursion into it."""
 
-    algebra: FiniteAlgebra
-    system: EquationSystem
-    sat_report: SatReport
-    # the algebra's operation table when it last passed the re-check: kept
-    # by ``_validate_target``, not a constructor argument
-    passed_table: list = field(
-        default_factory=list, init=False, compare=False, repr=False
-    )
+    def __init__(self, algebra: FiniteAlgebra, system: EquationSystem, sat_report: SatReport):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "sat_report", sat_report)
+        # the algebra's operation table when it last passed the re-check:
+        # kept by ``_validate_target``, not a field
+        object.__setattr__(self, "passed_table", [])
 
 
 def rec_target(algebra: FiniteAlgebra, system: EquationSystem) -> RecTarget:
@@ -164,12 +162,12 @@ def qw_rec(
     return values[state.canonical(c).index]
 
 
-@dataclass(frozen=True)
-class FragmentHomReport:
-    ok: bool
-    counterexample: OpNode | None = None
-    checked: int = 0
-    skipped: int = 0
+class FragmentHomReport(Record):
+    def __init__(self, ok: bool, counterexample: OpNode | None = None, checked=0, skipped=0):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "skipped", skipped)
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {
@@ -262,11 +260,11 @@ def check_rec_hom(
     return FragmentHomReport(broken is None, broken, checked, skipped)
 
 
-@dataclass(frozen=True)
-class UniqReport:
-    ok: bool
-    premise_counterexample: OpNode | None = None
-    conclusion_counterexample: ClassId | None = None
+class UniqReport(Record):
+    def __init__(self, ok: bool, premise_counterexample=None, conclusion_counterexample=None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "premise_counterexample", premise_counterexample)
+        object.__setattr__(self, "conclusion_counterexample", conclusion_counterexample)
 
     @property
     def premise_ok(self) -> bool:
@@ -320,11 +318,11 @@ def check_uniq(
     return UniqReport(True)
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
-    ok: bool
-    eq_name: str | None = None
-    reason: str | None = None
+class CoherenceReport(Record):
+    def __init__(self, ok: bool, eq_name: str | None = None, reason: str | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "eq_name", eq_name)
+        object.__setattr__(self, "reason", reason)
 
     def to_json(self) -> dict:
         if self.ok:
@@ -332,15 +330,15 @@ class CoherenceReport:
         return {"verdict": "failed", "equation": self.eq_name, "reason": self.reason}
 
 
-@dataclass(frozen=True)
-class DepTarget:
+class DepTarget(Record):
     """A dependent elimination target: a family of finite value sets over
     classes and a step producing a value over every introduced class, with
     its verified coherence premise."""
 
-    family: Callable[[ClassId], tuple]
-    step: Callable[[str, Any, Any], Any]
-    coherence: CoherenceReport
+    def __init__(self, family: Callable, step: Callable, coherence: CoherenceReport):
+        object.__setattr__(self, "family", family)  # ClassId -> tuple of values
+        object.__setattr__(self, "step", step)  # (op, branches, values) -> value
+        object.__setattr__(self, "coherence", coherence)
 
 
 def check_coherence(
@@ -497,11 +495,11 @@ def qw_elim(
     return values[state.canonical(c).index]
 
 
-@dataclass(frozen=True)
-class CompReport:
-    ok: bool
-    counterexample: OpNode | None = None
-    checked: int = 0
+class CompReport(Record):
+    def __init__(self, ok: bool, counterexample: OpNode | None = None, checked: int = 0):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "checked", checked)
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {"verdict": "ok" if self.ok else "counterexample", "checked": self.checked}
@@ -528,11 +526,11 @@ def check_comp(
     return CompReport(broken is None, broken, checked)
 
 
-@dataclass(frozen=True)
-class RepIndependenceReport:
-    ok: bool
-    class_id: ClassId | None = None
-    member: Any = None
+class RepIndependenceReport(Record):
+    def __init__(self, ok: bool, class_id: ClassId | None = None, member: Any = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "class_id", class_id)
+        object.__setattr__(self, "member", member)
 
     def to_json(self) -> dict:
         if self.ok:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, NamedTuple
 
@@ -41,7 +40,7 @@ from .errors import (
     ScopeError,
     UnsupportedSchemeError,
 )
-from .terms import OMEGA, Arity, Node, Signature, Term, Var, omega_table, var_block
+from .terms import OMEGA, Arity, Node, Record, Signature, Term, Var, omega_table, var_block
 
 
 # -- source positions and AST ---------------------------------------------------
@@ -52,104 +51,108 @@ class SrcPos(NamedTuple):
     col: int = 0
 
 
-def _pos_field():
-    return field(default=SrcPos(), compare=False)
+class _Syntax(Record):
+    """A syntax node: equal to and hashed as its fields other than ``pos``."""
+
+    _uncompared = ("pos",)
 
 
-@dataclass(frozen=True)
-class ConstType:
-    name: str
-    pos: SrcPos = _pos_field()
+class ConstType(_Syntax):
+    def __init__(self, name: str, pos: SrcPos = SrcPos()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class SelfType:
-    pos: SrcPos = _pos_field()
+class SelfType(_Syntax):
+    def __init__(self, pos: SrcPos = SrcPos()):
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class PiType:
-    domain: Any
-    codomain: Any
-    pos: SrcPos = _pos_field()
+class PiType(_Syntax):
+    def __init__(self, domain: Any, codomain: Any, pos: SrcPos = SrcPos()):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class SigmaType:
-    first: Any
-    second: Any
-    pos: SrcPos = _pos_field()
+class SigmaType(_Syntax):
+    def __init__(self, first: Any, second: Any, pos: SrcPos = SrcPos()):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class ConditionType:
-    lhs: Any
-    rhs: Any
-    pos: SrcPos = _pos_field()
+class ConditionType(_Syntax):
+    def __init__(self, lhs: Any, rhs: Any, pos: SrcPos = SrcPos()):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class PatName:
-    name: Any  # identifier or integer literal
-    pos: SrcPos = _pos_field()
+class PatName(_Syntax):
+    def __init__(self, name: Any, pos: SrcPos = SrcPos()):
+        object.__setattr__(self, "name", name)  # identifier or integer literal
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class PatApply:
-    head: str
-    args: tuple
-    pos: SrcPos = _pos_field()
+class PatApply(_Syntax):
+    def __init__(self, head: str, args: tuple, pos: SrcPos = SrcPos()):
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class PatCompose:
-    fun: str
-    perm: str
-    pos: SrcPos = _pos_field()
+class PatCompose(_Syntax):
+    def __init__(self, fun: str, perm: str, pos: SrcPos = SrcPos()):
+        object.__setattr__(self, "fun", fun)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class PatTable:
+class PatTable(_Syntax):
     """A countable branch map ``{default; i -> t, ...}``."""
 
-    default: Any
-    entries: tuple  # ((index, pattern), ...)
-    pos: SrcPos = _pos_field()
+    def __init__(self, default: Any, entries: tuple, pos: SrcPos = SrcPos()):
+        object.__setattr__(self, "default", default)
+        object.__setattr__(self, "entries", entries)  # ((index, pattern), ...)
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Binder:
-    name: str
-    type: Any
-    pos: SrcPos = _pos_field()
+class Binder(_Syntax):
+    def __init__(self, name: str, type: Any, pos: SrcPos = SrcPos()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class ElementCtor:
-    name: str
-    telescope: tuple
-    pos: SrcPos = _pos_field()
+class ElementCtor(_Syntax):
+    def __init__(self, name: str, telescope: tuple, pos: SrcPos = SrcPos()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "telescope", telescope)
+        object.__setattr__(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class EqualityCtor:
-    name: str
-    telescope: tuple
-    lhs: Any
-    rhs: Any
-    pos: SrcPos = _pos_field()
+class EqualityCtor(_Syntax):
+    def __init__(self, name: str, telescope: tuple, lhs: Any, rhs: Any, pos: SrcPos = SrcPos()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "telescope", telescope)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "pos", pos)
 
 
 PermTable = tuple  # tuple[tuple[int, int], ...], sorted by source index
 
 
-@dataclass(frozen=True)
-class QITDecl:
-    name: str
-    enums: tuple  # ((name, (value, ...)), ...)
-    perms: tuple  # ((name, (PermTable, ...)), ...)
-    element_ctors: tuple
-    equality_ctors: tuple
+class QITDecl(Record):
+    def __init__(
+        self, name: str, enums: tuple, perms: tuple, element_ctors: tuple, equality_ctors: tuple
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "enums", enums)  # ((name, (value, ...)), ...)
+        object.__setattr__(self, "perms", perms)  # ((name, (PermTable, ...)), ...)
+        object.__setattr__(self, "element_ctors", element_ctors)
+        object.__setattr__(self, "equality_ctors", equality_ctors)
 
     def enum(self, name: str):
         for n, vs in self.enums:
@@ -175,11 +178,11 @@ class QITDecl:
         return frozenset(v for _, vs in self.enums for v in vs)
 
 
-@dataclass(frozen=True)
-class Classification:
-    recursive: bool
-    conditional: bool
-    finitary: bool
+class Classification(Record):
+    def __init__(self, recursive: bool, conditional: bool, finitary: bool):
+        object.__setattr__(self, "recursive", recursive)
+        object.__setattr__(self, "conditional", conditional)
+        object.__setattr__(self, "finitary", finitary)
 
     def to_json(self) -> dict:
         return {
@@ -737,14 +740,15 @@ def _mentions_nat(tp) -> bool:
 # -- elaboration -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Slot:
+class _Slot(_Syntax):
     """Classified telescope entry."""
 
-    binder: str
-    kind: str  # "param" | "self" | "selffun" | "selfomega"
-    values: tuple = ()  # parameter values, or finite domain index values
-    pos: SrcPos = _pos_field()
+    def __init__(self, binder: str, kind: str, values: tuple = (), pos: SrcPos = SrcPos()):
+        object.__setattr__(self, "binder", binder)
+        object.__setattr__(self, "kind", kind)  # "param" | "self" | "selffun" | "selfomega"
+        # parameter values, or finite domain index values
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "pos", pos)
 
     @property
     def arity(self) -> Arity:

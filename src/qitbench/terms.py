@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -31,13 +31,52 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Arity:
+class Record:
+    """Base of the package's immutable records.  A record declares its fields
+    once, as its ``__init__`` parameters, and sets each with
+    ``object.__setattr__``.  Records of one class are equal, and hash, as the
+    tuple of their fields except those in ``_uncompared``; ``repr`` writes
+    every field.  Assigning or deleting an attribute raises."""
+
+    __slots__ = ()
+    _uncompared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__init__" not in cls.__dict__:  # a base of records, with no fields
+            return
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
+        names = [n for n in cls._fields if n not in cls._uncompared]
+        get = attrgetter(*names) if names else lambda r: ()
+        one = len(names) == 1  # then ``get`` gives the bare value, not a 1-tuple
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return (get(self),) == (get(other),) if one else get(self) == get(other)
+            return NotImplemented
+
+        cls.__eq__ = __eq__
+        cls.__hash__ = (lambda self: hash((get(self),))) if one else lambda self: hash(get(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Arity(Record):
     """Branching shape of an operator: ``Arity(n)`` is finitary with branch
     indices 0..n-1, ``Arity(None)`` (alias ``OMEGA``) branches over all
     naturals via table-plus-default maps."""
 
-    finite: int | None = None
+    def __init__(self, finite: int | None = None):
+        object.__setattr__(self, "finite", finite)
 
     @property
     def is_omega(self) -> bool:
@@ -63,15 +102,13 @@ class Arity:
 OMEGA = Arity(None)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """A finite list of named operators with arities. Names are distinct."""
 
-    ops: tuple[tuple[str, Arity], ...]
-
-    def __post_init__(self):
+    def __init__(self, ops: tuple[tuple[str, Arity], ...]):
+        object.__setattr__(self, "ops", ops)
         by_name: dict[str, Arity] = {}
-        for name, arity in self.ops:
+        for name, arity in ops:
             if name in by_name:
                 raise DuplicateNameError(f"duplicate operator {name!r}")
             by_name[name] = arity
@@ -112,13 +149,13 @@ def signature(ops: Iterable[tuple[str, Any]]) -> Signature:
     return Signature(tuple(fixed))
 
 
-@dataclass(frozen=True)
-class OmegaTable:
+class OmegaTable(Record):
     """Branch map for a countably branching position: finitely many indexed
     entries plus a default covering every other index."""
 
-    entries: tuple[tuple[int, Any], ...]
-    default: Any
+    def __init__(self, entries: tuple[tuple[int, Any], ...], default: Any):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "default", default)
 
     def at(self, i: int) -> Any:
         for j, v in self.entries:
@@ -221,31 +258,31 @@ def row_key(omega: bool, values: tuple) -> tuple:
     return ("omega" if omega else "finite",) + values
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     """A variable (or generator) leaf."""
 
-    name: Any
+    def __init__(self, name: Any):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
     """An operator applied to a branch map of subterms."""
 
-    op: str
-    branches: Any  # tuple[Term, ...] | OmegaTable of Term
+    def __init__(self, op: str, branches: Any):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "branches", branches)  # tuple[Term, ...] | OmegaTable of Term
 
 
 Term = Any  # Var | Node
 
 
-@dataclass(frozen=True)
-class OpNode:
+class OpNode(Record):
     """One operator layer over an arbitrary carrier (terms, classes, or
     algebra values)."""
 
-    op: str
-    branches: Any
+    def __init__(self, op: str, branches: Any):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "branches", branches)
 
 
 def node(op: str, *branches: Term) -> Node:
@@ -384,17 +421,17 @@ def term_algebra(op: str, branches: Any) -> Node:
     return Node(op, branches)
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
+class FiniteAlgebra(Record):
     """A finite enumerated carrier with a total operator interpretation.
 
     ``interp(op, branches)`` receives branch maps whose values lie in the
     carrier; for countably branching operators it must depend only on the
     probed positions and the default."""
 
-    carrier: tuple
-    interp: Callable[[str, Any], Any]
-    name: str = ""
+    def __init__(self, carrier: tuple, interp: Callable[[str, Any], Any], name: str = ""):
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "interp", interp)
+        object.__setattr__(self, "name", name)
 
 
 def table_algebra(
@@ -449,10 +486,10 @@ def budgeted_opnodes(
     return enumerate_opnodes(sig, carrier, probe)
 
 
-@dataclass(frozen=True)
-class HomReport:
-    ok: bool
-    counterexample: OpNode | None = None
+class HomReport(Record):
+    def __init__(self, ok: bool, counterexample: OpNode | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "counterexample", counterexample)
 
 
 def check_hom(

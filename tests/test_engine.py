@@ -43,6 +43,7 @@ from qitbench.terms import (
     branch_assignments,
     branch_pairs,
     branch_values,
+    check_branches,
     enumerate_opnodes,
     eval_alg,
     map_branches,
@@ -52,6 +53,7 @@ from qitbench.terms import (
     probe_key,
     signature,
     table_algebra,
+    term_algebra,
     term_key,
     term_size,
     term_to_json,
@@ -1235,7 +1237,7 @@ def test_plans_stream_the_reference_environments_on_countable_patterns(
         _assert_plans_stream_the_reference(st, picks)
 
 
-@settings(max_examples=30, deadline=500)
+@settings(max_examples=30, deadline=None)
 @given(_small_systems())
 def test_stages_are_the_least_fixpoint_over_members(system):
     st = _small_state(system)
@@ -1402,7 +1404,7 @@ def test_analysis_equals_from_scratch_extraction_as_costs_fall(system, max_insta
     _run_analysis_ops(st, closed_terms(SMALL_SIG, 4), ops)
 
 
-@settings(max_examples=15, deadline=500)
+@settings(max_examples=15, deadline=None)
 @given(_small_systems())
 def test_proved_pairs_are_never_separated(system):
     st = _small_state(system)
@@ -2028,3 +2030,103 @@ def test_enumeration_never_interns_a_term(fixtures, monkeypatch, seed):
 
     monkeypatch.setattr(QWState, "_intern", no_intern)
     assert st.enumerate_classes(4)
+
+
+def _recursive_intern(st, t):
+    """Interning as a recursion: the node's branch map checked, its children
+    interned left to right, then its layer."""
+    if isinstance(t, Var):
+        return st._intern(t)
+    check_branches(st.signature, t.op, t.branches)
+    return st._layer(t.op, map_branches(lambda b: _recursive_intern(st, b), t.branches), True)
+
+
+def _recursive_fold(st, leaf, step, roots):
+    """``QWState.fold`` as a memoised recursion over the chosen layers."""
+    st._analysis()
+    values = {}
+
+    def value(r):
+        if r not in values:
+            name, kids = st._chosen[r]
+            values[r] = leaf(name) if kids is None else step(name, map_branches(value, kids))
+        return values[r]
+
+    for r in roots:
+        value(r)
+    return values
+
+
+def _recorded(calls):
+    """A leaf and a step into the term algebra that log each call."""
+
+    def leaf(name):
+        calls.append(("leaf", name))
+        return Var(name)
+
+    def step(op, values):
+        calls.append(("step", op, values))
+        return term_algebra(op, values)
+
+    return leaf, step
+
+
+@pytest.mark.parametrize(
+    "build, generators, size",
+    [
+        *STAGED_CASES,
+        pytest.param(lambda fx: (SMALL_SIG, make_system(SMALL_SIG, [])), (), 4, id="small"),
+    ],
+)
+def test_interning_and_folds_keep_the_post_order_of_the_recursion(
+    fixtures, build, generators, size
+):
+    sig, system = build(fixtures)
+    listed = closed_terms(sig, size + 1, probe=system.probe, generators=generators)
+    terms = [t for t in listed if term_size(t) <= size]
+    ours, ref = new_qw(sig, system, generators=generators), new_qw(sig, system, generators=generators)
+    assert [ours.intern_term(t).index for t in terms] == [_recursive_intern(ref, t) for t in terms]
+    # layers over class handles
+    leaves = tuple(Var(ClassId(i)) for i in range(0, ours.class_count, 3))[:5]
+    for s in enumerate_opnodes(sig, leaves, system.probe):
+        t = Node(s.op, s.branches)
+        assert ours.intern_term(t).index == _recursive_intern(ref, t)
+    # refused terms over new children: a branch map of the wrong shape is
+    # refused before any child is interned, an unknown generator once the
+    # children left of it are
+    extra = [t for t in listed if term_size(t) > size][:3] or terms[-3:]
+    op, arity = max(sig.ops, key=lambda o: o[1].width(system.probe))
+    width = arity.width(system.probe)
+    kids = [extra[i % len(extra)] for i in range(width - 1)] + [Var("ghost")]
+    refused = [
+        (Node(op, tuple(extra[: (arity.finite or 0) + 1])), ArityMismatchError),
+        (Node(op, omega_table(list(enumerate(kids[:-1])), kids[-1]) if arity.is_omega else tuple(kids)),
+         UnboundVariableError),
+    ]
+    for t, error in refused:
+        for intern in (ours.intern_term, lambda t: _recursive_intern(ref, t)):
+            with pytest.raises(error):
+                intern(t)
+        assert ours.log == ref.log
+    ours.saturate(max_rounds=2)
+    roots = sorted(ours._members)
+    for picked in (None, roots[::-1], roots[1::3], *([r] for r in roots)):
+        got, want = [], []
+        values = ours.fold(*_recorded(got), picked)
+        assert values == _recursive_fold(ours, *_recorded(want), roots if picked is None else picked)
+        assert got == want
+
+
+def test_a_five_thousand_cell_list_interns_and_represents(bag):
+    # deeper than the recursion limit; the representative is checked by
+    # walking its spine, since record equality recurses
+    cells = ["a", "b", "b"] * 1666 + ["a", "a"]
+    st = fresh(bag)
+    c = st.intern_term(bag_term(cells))
+    assert st.class_count == len(cells) + 1
+    t = st.representative(c)
+    ops = []
+    while t.op != "nil":
+        ops.append(t.op)
+        (t,) = t.branches
+    assert ops == [f"cons({x})" for x in cells]
