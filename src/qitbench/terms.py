@@ -51,6 +51,7 @@ class Record:
         get = attrgetter(*names) if names else lambda r: ()
         one = len(names) == 1  # then ``get`` gives the bare value, not a 1-tuple
 
+        # set on each class, so that a comparison is one Python call
         def __eq__(self, other):
             if other.__class__ is self.__class__:
                 return (get(self),) == (get(other),) if one else get(self) == get(other)
@@ -62,6 +63,9 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):  # copies and pickles rebuild through ``__init__``
+        return self.__class__, tuple(getattr(self, n) for n in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

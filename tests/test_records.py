@@ -3,8 +3,10 @@ hashed as and written by its fields, and refuses assignment."""
 
 from __future__ import annotations
 
+import copy
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -82,7 +84,9 @@ def test_repr_writes_every_field_by_name(cls):
 
 def test_pinned_reprs():
     assert repr(ClassId(3)) == "ClassId(index=3)"
-    assert repr(Node("f", (Var("x"), Var(0)))) == "Node(op='f', branches=(Var(name='x'), Var(name=0)))"
+    assert repr(Node("f", (Var("x"), Var(0)))) == (
+        "Node(op='f', branches=(Var(name='x'), Var(name=0)))"
+    )
     assert repr(OmegaTable(((0, Var(1)),), Var(2))) == (
         "OmegaTable(entries=((0, Var(name=1)),), default=Var(name=2))"
     )
@@ -96,7 +100,9 @@ def test_pinned_reprs():
     )
 
 
-@pytest.mark.parametrize("cls", sorted(SYNTAX, key=lambda c: c.__qualname__), ids=lambda c: c.__qualname__)
+@pytest.mark.parametrize(
+    "cls", sorted(SYNTAX, key=lambda c: c.__qualname__), ids=lambda c: c.__qualname__
+)
 def test_syntax_nodes_ignore_their_position_in_equality_and_hashing(cls):
     here = cls(*_args(cls)[:-1], pos=SrcPos(1, 1))
     there = cls(*_args(cls)[:-1], pos=SrcPos(7, 3))
@@ -137,6 +143,13 @@ def test_a_missing_unknown_or_repeated_argument_is_a_type_error(cls):
     if args:
         with pytest.raises(TypeError):
             cls(*args, **{cls._fields[0]: args[0]})
+
+
+@by_name
+def test_copies_and_pickles_equal_the_record(cls):
+    r = cls(*_args(cls))
+    for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert type(twin) is cls and repr(twin) == repr(r) and twin == r
 
 
 def test_a_record_keeps_what_its_constructor_adds_beside_the_fields():
