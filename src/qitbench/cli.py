@@ -16,7 +16,7 @@ import sys
 from typing import Any
 
 from .encodings import one_point_algebra
-from .engine import check_equations_hold, find_separator, new_qw, replay_merges
+from .engine import CarrierSatReport, find_separator, new_qw, replay_merges
 from .equations import sat_check
 from .errors import (
     BudgetExceededError,
@@ -27,10 +27,11 @@ from .errors import (
 )
 from .initiality import (
     RecTarget,
+    check_coherence,
     check_comp,
     check_rec_hom,
     check_uniq,
-    dep_target,
+    checked_dep_target,
     qw_rec,
     rec_target,
 )
@@ -315,7 +316,10 @@ def cmd_selftest(args) -> int:
     report: dict[str, Any] = {"enumeration": {"classes": len(classes)}}
     ok = True
 
-    equ = check_equations_hold(state, [c for c, _ in classes])
+    # over a constant family, the coherence premise is that the equations hold
+    family, step = (lambda c: ("*",)), (lambda op, idxs, vals: "*")
+    coherence = check_coherence(state, family, step, classes=[c for c, _ in classes])
+    equ = CarrierSatReport(coherence.ok, coherence.eq_name, coherence.env)
     report["equations_hold"] = equ.to_json()
     ok = ok and equ.ok
 
@@ -337,10 +341,7 @@ def cmd_selftest(args) -> int:
         report["uniqueness"] = uniq.to_json()
         ok = ok and uniq.ok
 
-        dep = dep_target(
-            state, lambda c: ("*",), lambda op, idxs, vals: "*",
-            classes=[c for c, _ in classes],
-        )
+        dep = checked_dep_target(family, step, coherence)
         comp = check_comp(state, dep, gen_env={g: "*" for g in state.generators})
         report["computation"] = comp.to_json()
         ok = ok and comp.ok

@@ -50,6 +50,7 @@ from typing import Any, Callable, Iterable, Iterator
 from .equations import ENV_BUDGET, EquationSystem, instances, sat_check
 from .errors import (
     BudgetExceededError,
+    FiberMismatchError,
     ReplayError,
     UnboundVariableError,
     WorkbenchError,
@@ -1261,17 +1262,30 @@ def check_equations_hold(
 ) -> CarrierSatReport:
     """Replay the satisfaction enumeration over carrier classes: every
     equation instance over the given classes must be proved equal."""
-    classes = [state._live_root(c) for c in classes]
+    roots = [state._live_root(c) for c in classes]
+    failed = _carrier_walk(state, roots, lambda s, env: (state._instantiate(s, env), None), env_budget)
+    return CarrierSatReport(True) if failed is None else CarrierSatReport(False, *failed[:2])
+
+
+def _carrier_walk(state: QWState, carrier: list, lift: Callable, budget: int) -> tuple | None:
+    """The carrier checks' one walk: ``lift(side, env)`` interns each side
+    of each of :func:`equations.instances` over ``carrier`` by its compiled
+    plan, giving a class root and a value; after one ``saturate()`` the
+    sides must share both.  The first failure (equation, env, reason), or None."""
     pending = []
-    for eq, env in instances(state.system, classes, env_budget):
+    for eq, env in instances(state.system, carrier, budget):
         plan = state._plans[eq.name]
-        lid, rid = state._instantiate(plan.lhs, env), state._instantiate(plan.rhs, env)
-        pending.append((eq.name, env, lid, rid))
+        try:
+            pending.append((eq.name, env, lift(plan.lhs, env), lift(plan.rhs, env)))
+        except FiberMismatchError as exc:
+            return eq.name, env, str(exc)
     state.saturate()
-    for name, env, lid, rid in pending:
-        if state._find(lid) != state._find(rid):
-            return CarrierSatReport(False, name, env)
-    return CarrierSatReport(True)
+    for name, env, (li, lv), (ri, rv) in pending:
+        if state._find(li) != state._find(ri):
+            return name, env, "instantiated sides not provably equal"
+        if lv != rv:
+            return name, env, f"values differ in the common fiber: {lv!r} vs {rv!r}"
+    return None
 
 
 # -- separating algebras ---------------------------------------------------------

@@ -14,24 +14,23 @@ All checks here are bounded: they quantify over enumerated fragments, not
 the whole carrier, and say so in their reports.  Each settles the state
 (saturating it if stale) and picks its fragment through :func:`_fragment`,
 checks the algebra-map law by one walk over the operator layers the
-carrier stores over the fragment, :func:`_law_walk`, and quantifies over
-equations through :func:`equations.instances`.  The coherence premise
-instantiates each side through the equation's compiled plan, as
-saturation does, with the interning and log of lifting the side's term
-layer by layer, and its step and fiber checks in the term's post-order.
+carrier stores over the fragment, :func:`_law_walk`.  The coherence
+premise is the walk of ``check_equations_hold`` with a value per layer:
+each side is interned through the equation's compiled plan, as lifting
+its term layer by layer would, with step and fiber checks in post-order.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Iterable, Mapping
 
-from .engine import ClassId, GenLeaf, QWState, _Side
+from .engine import ClassId, GenLeaf, QWState, _carrier_walk, _Side
 from .equations import (
     ENV_BUDGET,
     EquationSystem,
     SatReport,
     instance_count,
-    instances,
     sat_check,
 )
 from .errors import (
@@ -53,9 +52,6 @@ from .terms import (
     map_branches,
     probe_key,
 )
-
-DEP_ENV_BUDGET = 50_000  # dependent environments of the coherence premise
-
 
 class RecTarget(Record):
     """A recursion target: a finite algebra together with the satisfaction
@@ -319,10 +315,11 @@ def check_uniq(
 
 
 class CoherenceReport(Record):
-    def __init__(self, ok: bool, eq_name: str | None = None, reason: str | None = None):
+    def __init__(self, ok: bool, eq_name: str | None = None, reason: str | None = None, env=None):
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "eq_name", eq_name)
         object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "env", env)  # the failing environment's class roots
 
     def to_json(self) -> dict:
         if self.ok:
@@ -350,29 +347,16 @@ def check_coherence(
 ) -> CoherenceReport:
     """The dependent analogue of satisfaction: for every equation and every
     assignment of (class, value) pairs to its variables, lifting the two
-    sides gives provably equal indices and equal values in the common
-    fiber.  The environments are bounded by ``DEP_ENV_BUDGET``."""
+    sides by :func:`_lift` gives provably equal indices and equal values in
+    the common fiber.  Over the constant family ``("*",)`` this is
+    ``check_equations_hold``: one walk, one budget."""
     # each option keeps its class root, for the layers' canonical keys
-    options = [
-        (c, state._live_root(c), v) for c in _fragment(state, classes) for v in family(c)
-    ]
-    pending = []
-    for eq, env in instances(state.system, options, DEP_ENV_BUDGET):
-        plan = state._plans[eq.name]
-        try:
-            lhs, rhs = [_lift(state, side, env, family, step) for side in (plan.lhs, plan.rhs)]
-        except FiberMismatchError as exc:
-            return CoherenceReport(False, eq.name, str(exc))
-        pending.append((eq.name, lhs, rhs))
-    state.saturate()
-    for name, (li, lv), (ri, rv) in pending:
-        if state._find(li) != state._find(ri):
-            return CoherenceReport(False, name, "instantiated sides not provably equal")
-        if lv != rv:
-            return CoherenceReport(
-                False, name, f"values differ in the common fiber: {lv!r} vs {rv!r}"
-            )
-    return CoherenceReport(True)
+    options = [(c, state._live_root(c), v) for c in _fragment(state, classes) for v in family(c)]
+    failed = _carrier_walk(state, options, partial(_lift, state, family=family, step=step), ENV_BUDGET)
+    if failed is None:
+        return CoherenceReport(True)
+    name, env, reason = failed
+    return CoherenceReport(False, name, reason, tuple(o[1] for o in env))
 
 
 def _lift(
@@ -419,17 +403,16 @@ def _lift(
     return roots[side.out], vals[side.out]
 
 
-def dep_target(
-    state: QWState,
-    family: Callable[[ClassId], tuple],
-    step: Callable[[str, Any, Any], Any],
-    *,
-    classes: Iterable[ClassId] | None = None,
-) -> DepTarget:
-    report = check_coherence(state, family, step, classes=classes)
-    if not report.ok:
-        raise CoherenceError(f"coherence premise failed: {report.to_json()}")
-    return DepTarget(family, step, report)
+def dep_target(state: QWState, family: Callable, step: Callable, *, classes=None) -> DepTarget:
+    return checked_dep_target(family, step, check_coherence(state, family, step, classes=classes))
+
+
+def checked_dep_target(family: Callable, step: Callable, coherence: CoherenceReport) -> DepTarget:
+    """The target over the report ``check_coherence`` gave for ``family``
+    and ``step``, refused unless the premise holds."""
+    if not coherence.ok:
+        raise CoherenceError(f"coherence premise failed: {coherence.to_json()}")
+    return DepTarget(family, step, coherence)
 
 
 def _elim_values(

@@ -300,7 +300,7 @@ def test_budget_overrun_is_unknown(capsys, fixtures):
     assert code == EXIT_UNKNOWN
     payload = json.loads(out)
     assert payload["verdict"] == "unknown"
-    assert "exceed the budget" in payload["note"]
+    assert payload["note"] == "986078 environments exceed the budget of 200000"
     assert err == ""
 
 
@@ -500,6 +500,11 @@ def test_console_entry_point(fixtures):
             ("omega_tree.qit", "--size-bound", "3"), EXIT_OK,
             "360c4f75f161218322058a4da33612053fad31af3c2b8e76bba9ac58fd09e10c",
         ),
+        (  # no round runs, so equations_hold is violated at swap(a,b), environment [0]
+            ("bag.qit", "--max-rounds", "0", "--algebra", "corrupted_length_algebra.json"),
+            EXIT_CHECK_FAILED,
+            "f72d117507ca22fb7b1635604192437bcfe73c5af81ae76cd9274e06a4a1fabb",
+        ),
     ],
 )
 def test_selftest_json_output_is_pinned(capsys, fixtures, argv, exit_code, digest):
@@ -509,3 +514,45 @@ def test_selftest_json_output_is_pinned(capsys, fixtures, argv, exit_code, diges
     code, out, err = run(capsys, "selftest", *argv, "--format", "json")
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_selftest_makes_one_carrier_walk(capsys, fixtures, monkeypatch):
+    # the constant-family coherence premise gives equations_hold and the
+    # elimination target alike
+    from qitbench import cli, engine, initiality
+
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(name) or real(*a, **kw))
+
+    def forbid(module, name):
+        monkeypatch.setattr(module, name, lambda *a, **kw: pytest.fail(f"{name} called"))
+
+    spy(cli, "check_coherence")
+    spy(engine, "_carrier_walk")
+    spy(initiality, "_carrier_walk")
+    forbid(engine, "check_equations_hold")
+    forbid(initiality, "dep_target")
+    code, out, err = run(capsys, "selftest", str(fixtures / "bag.qit"), "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e7d52d5caf85d1db84784fb5885ecbc5fcdbefbf0319c9b2d41e4d01e75fe247"
+    )
+    assert calls == ["check_coherence", "_carrier_walk"]
+
+
+def test_selftest_refuses_elimination_on_a_carrier_the_equations_fail(capsys, fixtures):
+    # with a satisfying algebra, the failed coherence premise stops selftest
+    # where elimination begins: a semantic error, and no report
+    code, out, err = run(
+        capsys, "selftest", str(fixtures / "bag.qit"), "--max-rounds", "0", "--format", "json"
+    )
+    assert code == EXIT_SEMANTIC
+    assert out == ""
+    assert err == (
+        '{"error": "CoherenceError", "message": "coherence premise failed: '
+        "{'verdict': 'failed', 'equation': 'swap(a,b)', "
+        "'reason': 'instantiated sides not provably equal'}\"}\n"
+    )

@@ -19,8 +19,8 @@ from qitbench.encodings import (
     ordinal_notations,
     parity_algebra,
 )
-from qitbench.engine import ClassId, check_equations_hold, new_qw
-from qitbench.equations import SatReport, instances, make_system
+from qitbench.engine import CarrierSatReport, ClassId, check_equations_hold, new_qw
+from qitbench.equations import ENV_BUDGET, SatReport, instances, make_system
 from qitbench.errors import (
     BudgetExceededError,
     CoherenceError,
@@ -300,7 +300,7 @@ def test_budgets_are_refused_before_any_work(bag, monkeypatch, check):
     cids = [c for c, _ in classes]
     family, step = (lambda c: ("*",)), (lambda op, idxs, vals: "*")
     st.saturate()
-    monkeypatch.setattr(initiality, "DEP_ENV_BUDGET", 3)
+    monkeypatch.setattr(initiality, "ENV_BUDGET", 3)
     folds = []
     for name in ("_all_values", "_elim_values"):
         monkeypatch.setattr(initiality, name, lambda *a, **kw: folds.append(a))
@@ -832,27 +832,31 @@ def _reference_lift(family, step, env, t, index_alg):
 
 def _reference_coherence(state, family, step, classes=None):
     # lifts each side through the term, one qw_intro per layer, and decides
-    # each pair with decide_eq
+    # each pair with decide_eq; a failure names the class roots of its
+    # environment as they were before saturating
     options = [(c, v) for c in initiality._fragment(state, classes) for v in family(c)]
 
     def intro_alg(op, branches):
         return state.qw_intro(OpNode(op, branches))
 
+    def roots(env):
+        return tuple(state.canonical(c).index for c, _ in env)
+
     pending = []
-    for eq, env in instances(state.system, options, initiality.DEP_ENV_BUDGET):
+    for eq, env in instances(state.system, options, initiality.ENV_BUDGET):
         try:
             li, lv = _reference_lift(family, step, env, eq.lhs, intro_alg)
             ri, rv = _reference_lift(family, step, env, eq.rhs, intro_alg)
         except FiberMismatchError as exc:
-            return CoherenceReport(False, eq.name, str(exc))
-        pending.append((eq.name, li, lv, ri, rv))
+            return CoherenceReport(False, eq.name, str(exc), roots(env))
+        pending.append((eq.name, roots(env), li, lv, ri, rv))
     state.saturate()
-    for name, li, lv, ri, rv in pending:
+    for name, env, li, lv, ri, rv in pending:
         if not state.decide_eq(li, ri).proved:
-            return CoherenceReport(False, name, "instantiated sides not provably equal")
+            return CoherenceReport(False, name, "instantiated sides not provably equal", env)
         if lv != rv:
             return CoherenceReport(
-                False, name, f"values differ in the common fiber: {lv!r} vs {rv!r}"
+                False, name, f"values differ in the common fiber: {lv!r} vs {rv!r}", env
             )
     return CoherenceReport(True)
 
@@ -948,6 +952,70 @@ def test_coherence_on_the_compiled_plans_equals_lifting_the_terms(fixtures, case
         # refused at a step's fiber check, after other layers were lifted
         assert report.reason.startswith("step value")
         assert [call[0] for call in calls[-2:]] == ["step", "family"]
+
+
+def _reference_equations_hold(state, classes, env_budget=ENV_BUDGET):
+    # the equation check as a loop of its own, before it shared its walk
+    # with the coherence premise
+    classes = [state._live_root(c) for c in classes]
+    pending = []
+    for eq, env in instances(state.system, classes, env_budget):
+        plan = state._plans[eq.name]
+        lid, rid = state._instantiate(plan.lhs, env), state._instantiate(plan.rhs, env)
+        pending.append((eq.name, env, lid, rid))
+    state.saturate()
+    for name, env, lid, rid in pending:
+        if state._find(lid) != state._find(rid):
+            return CarrierSatReport(False, name, env)
+    return CarrierSatReport(True)
+
+
+def _bag_unsaturated_state(fixtures):
+    # no round runs, so the carrier fails swap(a,b) at its first environment
+    sig, system = elaborate(parse_decl((fixtures / "bag.qit").read_text()))
+    st = new_qw(sig, system, max_rounds=0)
+    return st, [c for c, _ in st.enumerate_classes(4)]
+
+
+def _late_handle_state(fixtures):
+    # a handle that is not its class's root, over which no round runs: a
+    # failing environment names the class by its root
+    st, cids = _bag3_state(fixtures)
+    st.max_rounds = 0
+    return st, cids[-1:]
+
+
+CARRIER_STATES = {
+    "bag-unsaturated": _bag_unsaturated_state,
+    "late-handle": _late_handle_state,
+    **{case: make for case, (make, _, _) in COHERENCE_CASES.items()},
+}
+FAILING_CARRIERS = {"bag-unsaturated", "late-handle"}
+
+
+@pytest.mark.parametrize("case", sorted(CARRIER_STATES))
+def test_the_shared_walk_checks_equations_as_their_own_loop_did(fixtures, case):
+    runs = []
+    for check in (check_equations_hold, _reference_equations_hold):
+        st, classes = CARRIER_STATES[case](fixtures)
+        report = check(st, st.roots() if classes is None else classes)
+        runs.append((report, st.log, st.class_count))
+    assert runs[0] == runs[1]
+    assert runs[0][0].ok == (case not in FAILING_CARRIERS)
+
+
+@pytest.mark.parametrize("case", sorted(CARRIER_STATES))
+def test_coherence_over_a_constant_family_is_the_equation_check(fixtures, case):
+    # the same verdict, first equation and environment roots, and the same
+    # interning and merges
+    st, classes = CARRIER_STATES[case](fixtures)
+    plain = check_equations_hold(st, st.roots() if classes is None else classes)
+    st2, classes2 = CARRIER_STATES[case](fixtures)
+    family, step = (lambda c: ("*",)), (lambda op, idxs, vals: "*")
+    coherence = check_coherence(st2, family, step, classes=classes2)
+    assert (coherence.ok, coherence.eq_name, coherence.env) == (plain.ok, plain.eq_name, plain.env)
+    assert st2.log == st.log
+    assert plain.ok == (case not in FAILING_CARRIERS)
 
 
 def test_a_fragment_holds_each_class_once_by_its_first_handle(fixtures):
