@@ -954,12 +954,12 @@ def test_coherence_on_the_compiled_plans_equals_lifting_the_terms(fixtures, case
         assert [call[0] for call in calls[-2:]] == ["step", "family"]
 
 
-def _reference_equations_hold(state, classes, env_budget=ENV_BUDGET):
+def _reference_equations_hold(state, classes):
     # the equation check as a loop of its own, before it shared its walk
     # with the coherence premise
     classes = [state._live_root(c) for c in classes]
     pending = []
-    for eq, env in instances(state.system, classes, env_budget):
+    for eq, env in instances(state.system, classes, ENV_BUDGET):
         plan = state._plans[eq.name]
         lid, rid = state._instantiate(plan.lhs, env), state._instantiate(plan.rhs, env)
         pending.append((eq.name, env, lid, rid))
