@@ -16,7 +16,7 @@ import sys
 from typing import Any
 
 from .encodings import one_point_algebra
-from .engine import CarrierSatReport, find_separator, new_qw, replay_merges
+from .engine import check_equations_hold, find_separator, new_qw, replay_merges
 from .equations import sat_check
 from .errors import (
     BudgetExceededError,
@@ -27,11 +27,10 @@ from .errors import (
 )
 from .initiality import (
     RecTarget,
-    check_coherence,
     check_comp,
     check_rec_hom,
     check_uniq,
-    checked_dep_target,
+    constant_target,
     qw_rec,
     rec_target,
 )
@@ -316,10 +315,8 @@ def cmd_selftest(args) -> int:
     report: dict[str, Any] = {"enumeration": {"classes": len(classes)}}
     ok = True
 
-    # over a constant family, the coherence premise is that the equations hold
-    family, step = (lambda c: ("*",)), (lambda op, idxs, vals: "*")
-    coherence = check_coherence(state, family, step, classes=[c for c, _ in classes])
-    equ = CarrierSatReport(coherence.ok, coherence.eq_name, coherence.env)
+    # the one carrier walk: it also settles the constant target's coherence
+    equ = check_equations_hold(state, [c for c, _ in classes])
     report["equations_hold"] = equ.to_json()
     ok = ok and equ.ok
 
@@ -341,7 +338,7 @@ def cmd_selftest(args) -> int:
         report["uniqueness"] = uniq.to_json()
         ok = ok and uniq.ok
 
-        dep = checked_dep_target(family, step, coherence)
+        dep = constant_target(equ)
         comp = check_comp(state, dep, gen_env={g: "*" for g in state.generators})
         report["computation"] = comp.to_json()
         ok = ok and comp.ok

@@ -1237,6 +1237,8 @@ def closed_terms(
 
 # -- executable satisfaction on the carrier -------------------------------------
 
+UNEQUAL_SIDES = "instantiated sides not provably equal"
+
 
 class CarrierSatReport(Record):
     def __init__(self, ok: bool, eq_name: str | None = None, env: tuple[int, ...] | None = None):
@@ -1263,7 +1265,11 @@ def check_equations_hold(
     """Replay the satisfaction enumeration over carrier classes: every
     equation instance over the given classes must be proved equal."""
     roots = [state._live_root(c) for c in classes]
-    failed = _carrier_walk(state, roots, lambda s, env: (state._instantiate(s, env), None), env_budget)
+
+    def lift(side: _Side, env: tuple) -> tuple[int, None]:
+        return state._instantiate(side, env), None
+
+    failed = _carrier_walk(state, roots, lift, env_budget)
     return CarrierSatReport(True) if failed is None else CarrierSatReport(False, *failed[:2])
 
 
@@ -1282,7 +1288,7 @@ def _carrier_walk(state: QWState, carrier: list, lift: Callable, budget: int) ->
     state.saturate()
     for name, env, (li, lv), (ri, rv) in pending:
         if state._find(li) != state._find(ri):
-            return name, env, "instantiated sides not provably equal"
+            return name, env, UNEQUAL_SIDES
         if lv != rv:
             return name, env, f"values differ in the common fiber: {lv!r} vs {rv!r}"
     return None

@@ -25,7 +25,15 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Callable, Iterable, Mapping
 
-from .engine import ClassId, GenLeaf, QWState, _carrier_walk, _Side
+from .engine import (
+    UNEQUAL_SIDES,
+    CarrierSatReport,
+    ClassId,
+    GenLeaf,
+    QWState,
+    _carrier_walk,
+    _Side,
+)
 from .equations import (
     ENV_BUDGET,
     EquationSystem,
@@ -315,11 +323,10 @@ def check_uniq(
 
 
 class CoherenceReport(Record):
-    def __init__(self, ok: bool, eq_name: str | None = None, reason: str | None = None, env=None):
+    def __init__(self, ok: bool, eq_name: str | None = None, reason: str | None = None):
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "eq_name", eq_name)
         object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "env", env)  # the failing environment's class roots
 
     def to_json(self) -> dict:
         if self.ok:
@@ -348,15 +355,17 @@ def check_coherence(
     """The dependent analogue of satisfaction: for every equation and every
     assignment of (class, value) pairs to its variables, lifting the two
     sides by :func:`_lift` gives provably equal indices and equal values in
-    the common fiber.  Over the constant family ``("*",)`` this is
-    ``check_equations_hold``: one walk, one budget."""
+    the common fiber.  The walk and its budget are ``check_equations_hold``'s."""
     # each option keeps its class root, for the layers' canonical keys
-    options = [(c, state._live_root(c), v) for c in _fragment(state, classes) for v in family(c)]
-    failed = _carrier_walk(state, options, partial(_lift, state, family=family, step=step), ENV_BUDGET)
+    options = [
+        (c, state._live_root(c), v) for c in _fragment(state, classes) for v in family(c)
+    ]
+    lift = partial(_lift, state, family=family, step=step)
+    failed = _carrier_walk(state, options, lift, ENV_BUDGET)
     if failed is None:
         return CoherenceReport(True)
-    name, env, reason = failed
-    return CoherenceReport(False, name, reason, tuple(o[1] for o in env))
+    name, _, reason = failed
+    return CoherenceReport(False, name, reason)
 
 
 def _lift(
@@ -403,16 +412,28 @@ def _lift(
     return roots[side.out], vals[side.out]
 
 
-def dep_target(state: QWState, family: Callable, step: Callable, *, classes=None) -> DepTarget:
-    return checked_dep_target(family, step, check_coherence(state, family, step, classes=classes))
+def dep_target(
+    state: QWState,
+    family: Callable[[ClassId], tuple],
+    step: Callable[[str, Any, Any], Any],
+    *,
+    classes: Iterable[ClassId] | None = None,
+) -> DepTarget:
+    report = check_coherence(state, family, step, classes=classes)
+    if not report.ok:
+        raise CoherenceError(f"coherence premise failed: {report.to_json()}")
+    return DepTarget(family, step, report)
 
 
-def checked_dep_target(family: Callable, step: Callable, coherence: CoherenceReport) -> DepTarget:
-    """The target over the report ``check_coherence`` gave for ``family``
-    and ``step``, refused unless the premise holds."""
-    if not coherence.ok:
-        raise CoherenceError(f"coherence premise failed: {coherence.to_json()}")
-    return DepTarget(family, step, coherence)
+def constant_target(equations: CarrierSatReport) -> DepTarget:
+    """Elimination into the constant family ``("*",)``.  Its coherence
+    premise is that the equations hold on the carrier, which the report of
+    ``check_equations_hold`` over the same classes settles: the values
+    never differ, so a failure is always a pair of unequal sides."""
+    if not equations.ok:
+        report = CoherenceReport(False, equations.eq_name, UNEQUAL_SIDES)
+        raise CoherenceError(f"coherence premise failed: {report.to_json()}")
+    return DepTarget(lambda c: ("*",), lambda op, idxs, vals: "*", CoherenceReport(True))
 
 
 def _elim_values(

@@ -517,8 +517,8 @@ def test_selftest_json_output_is_pinned(capsys, fixtures, argv, exit_code, diges
 
 
 def test_selftest_makes_one_carrier_walk(capsys, fixtures, monkeypatch):
-    # the constant-family coherence premise gives equations_hold and the
-    # elimination target alike
+    # the equation check's report also settles the constant target's
+    # coherence premise: no second walk
     from qitbench import cli, engine, initiality
 
     calls = []
@@ -530,29 +530,52 @@ def test_selftest_makes_one_carrier_walk(capsys, fixtures, monkeypatch):
     def forbid(module, name):
         monkeypatch.setattr(module, name, lambda *a, **kw: pytest.fail(f"{name} called"))
 
-    spy(cli, "check_coherence")
+    spy(cli, "check_equations_hold")
     spy(engine, "_carrier_walk")
-    spy(initiality, "_carrier_walk")
-    forbid(engine, "check_equations_hold")
+    forbid(initiality, "_carrier_walk")
+    forbid(initiality, "check_coherence")
     forbid(initiality, "dep_target")
     code, out, err = run(capsys, "selftest", str(fixtures / "bag.qit"), "--format", "json")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e7d52d5caf85d1db84784fb5885ecbc5fcdbefbf0319c9b2d41e4d01e75fe247"
     )
-    assert calls == ["check_coherence", "_carrier_walk"]
+    assert calls == ["check_equations_hold", "_carrier_walk"]
 
 
-def test_selftest_refuses_elimination_on_a_carrier_the_equations_fail(capsys, fixtures):
+@pytest.mark.parametrize(
+    "argv, max_instances, equation",
+    [
+        # no round runs
+        (("bag.qit", "--max-rounds", "0"), None, "swap(a,b)"),
+        # no round runs; the 59,582 environments are inside the one carrier
+        # budget, where a separate dependent budget of 50,000 gave exit 3
+        (("omega_tree.qit", "--size-bound", "4", "--max-rounds", "0"), None,
+         "perm(a,{0->1,1->0})"),
+        # a round stops after 10 instances: the target reads the one walk,
+        # where a second walk's saturation reached the fixpoint, passed the
+        # premise and gave exit 5 beside a violated equations_hold
+        (("bag.qit", "--size-bound", "3", "--max-rounds", "2"), 10, "swap(a,b)"),
+    ],
+)
+def test_selftest_refuses_elimination_on_a_carrier_the_equations_fail(
+    capsys, fixtures, monkeypatch, argv, max_instances, equation
+):
     # with a satisfying algebra, the failed coherence premise stops selftest
     # where elimination begins: a semantic error, and no report
-    code, out, err = run(
-        capsys, "selftest", str(fixtures / "bag.qit"), "--max-rounds", "0", "--format", "json"
-    )
+    from qitbench import cli
+
+    if max_instances is not None:
+        real = cli.new_qw
+        monkeypatch.setattr(
+            cli, "new_qw", lambda *a, **kw: real(*a, max_instances=max_instances, **kw)
+        )
+    path, *options = argv
+    code, out, err = run(capsys, "selftest", str(fixtures / path), *options, "--format", "json")
     assert code == EXIT_SEMANTIC
     assert out == ""
     assert err == (
         '{"error": "CoherenceError", "message": "coherence premise failed: '
-        "{'verdict': 'failed', 'equation': 'swap(a,b)', "
+        f"{{'verdict': 'failed', 'equation': '{equation}', "
         "'reason': 'instantiated sides not provably equal'}\"}\n"
     )

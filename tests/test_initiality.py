@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from qitbench import initiality
+from qitbench import engine, initiality
 from qitbench.cli import algebra_from_json
 from qitbench.encodings import (
     NIL,
@@ -40,6 +40,7 @@ from qitbench.initiality import (
     check_rec_hom,
     check_rep_independence,
     check_uniq,
+    constant_target,
     dep_target,
     qw_elim,
     qw_rec,
@@ -832,15 +833,11 @@ def _reference_lift(family, step, env, t, index_alg):
 
 def _reference_coherence(state, family, step, classes=None):
     # lifts each side through the term, one qw_intro per layer, and decides
-    # each pair with decide_eq; a failure names the class roots of its
-    # environment as they were before saturating
+    # each pair with decide_eq
     options = [(c, v) for c in initiality._fragment(state, classes) for v in family(c)]
 
     def intro_alg(op, branches):
         return state.qw_intro(OpNode(op, branches))
-
-    def roots(env):
-        return tuple(state.canonical(c).index for c, _ in env)
 
     pending = []
     for eq, env in instances(state.system, options, initiality.ENV_BUDGET):
@@ -848,15 +845,15 @@ def _reference_coherence(state, family, step, classes=None):
             li, lv = _reference_lift(family, step, env, eq.lhs, intro_alg)
             ri, rv = _reference_lift(family, step, env, eq.rhs, intro_alg)
         except FiberMismatchError as exc:
-            return CoherenceReport(False, eq.name, str(exc), roots(env))
-        pending.append((eq.name, roots(env), li, lv, ri, rv))
+            return CoherenceReport(False, eq.name, str(exc))
+        pending.append((eq.name, li, lv, ri, rv))
     state.saturate()
-    for name, env, li, lv, ri, rv in pending:
+    for name, li, lv, ri, rv in pending:
         if not state.decide_eq(li, ri).proved:
-            return CoherenceReport(False, name, "instantiated sides not provably equal", env)
+            return CoherenceReport(False, name, "instantiated sides not provably equal")
         if lv != rv:
             return CoherenceReport(
-                False, name, f"values differ in the common fiber: {lv!r} vs {rv!r}", env
+                False, name, f"values differ in the common fiber: {lv!r} vs {rv!r}"
             )
     return CoherenceReport(True)
 
@@ -1005,17 +1002,43 @@ def test_the_shared_walk_checks_equations_as_their_own_loop_did(fixtures, case):
 
 
 @pytest.mark.parametrize("case", sorted(CARRIER_STATES))
-def test_coherence_over_a_constant_family_is_the_equation_check(fixtures, case):
+def test_coherence_over_a_constant_family_is_the_equation_check(fixtures, monkeypatch, case):
     # the same verdict, first equation and environment roots, and the same
-    # interning and merges
+    # interning and merges; so the constant target selftest builds from the
+    # equation check is dep_target's
+    failures = []
+
+    def walk(state, carrier, lift, budget, real=engine._carrier_walk):
+        failed = real(state, carrier, lift, budget)
+        roots = failed and tuple(o if isinstance(o, int) else o[1] for o in failed[1])
+        failures.append(failed and (failed[0], roots))
+        return failed
+
+    monkeypatch.setattr(engine, "_carrier_walk", walk)
+    monkeypatch.setattr(initiality, "_carrier_walk", walk)
+    family, step = (lambda c: ("*",)), (lambda op, idxs, vals: "*")
     st, classes = CARRIER_STATES[case](fixtures)
     plain = check_equations_hold(st, st.roots() if classes is None else classes)
     st2, classes2 = CARRIER_STATES[case](fixtures)
-    family, step = (lambda c: ("*",)), (lambda op, idxs, vals: "*")
     coherence = check_coherence(st2, family, step, classes=classes2)
-    assert (coherence.ok, coherence.eq_name, coherence.env) == (plain.ok, plain.eq_name, plain.env)
+    assert failures[0] == failures[1]
+    assert (coherence.ok, coherence.eq_name) == (plain.ok, plain.eq_name)
     assert st2.log == st.log
     assert plain.ok == (case not in FAILING_CARRIERS)
+    if plain.ok:
+        dep = constant_target(plain)
+        assert dep.coherence == coherence
+        gen_env = {g: "*" for g in st.generators}
+        want = check_comp(st2, DepTarget(family, step, coherence), gen_env=gen_env)
+        assert check_comp(st, dep, gen_env=gen_env) == want
+    else:
+        assert failures[0] == (plain.eq_name, plain.env)
+        with pytest.raises(CoherenceError) as got:
+            constant_target(plain)
+        st3, classes3 = CARRIER_STATES[case](fixtures)
+        with pytest.raises(CoherenceError) as want:
+            dep_target(st3, family, step, classes=classes3)
+        assert str(got.value) == str(want.value)
 
 
 def test_a_fragment_holds_each_class_once_by_its_first_handle(fixtures):
