@@ -70,6 +70,7 @@ from .terms import (
     check_branches,
     enumerate_opnodes,
     eval_alg,
+    fold_term,
     map_branches,
     node_key,
     probe_key,
@@ -966,9 +967,7 @@ def _branch_map(canon: Any) -> Any:
 
 
 def _height(t: Term) -> int:
-    if isinstance(t, Var):
-        return 0
-    return 1 + max((_height(b) for b in branch_values(t.branches)), default=0)
+    return fold_term(t, lambda _: 0, lambda op, hs: 1 + max(branch_values(hs), default=0))
 
 
 class _Side:
@@ -993,16 +992,15 @@ class _Side:
         layers: list[tuple[str, Any]] = []
         order: list[int] = []
 
-        def place(u: Term) -> int:
-            if isinstance(u, Var):
-                slot = u.name
-            else:
-                layers.append((u.op, map_branches(place, u.branches)))
-                slot = n + len(layers) - 1
+        def place(slot: int) -> int:
             order.append(slot)
             return slot
 
-        self.out = place(t)
+        def layer(op: str, kids: Any) -> int:
+            layers.append((op, kids))
+            return place(n + len(layers) - 1)
+
+        self.out = fold_term(t, place, layer)
         self.layers = tuple(layers)
         self.order = tuple(order)
 
@@ -1088,7 +1086,8 @@ def _compile_join(t: Node, bound: tuple[int, ...]) -> Callable:
 
     plan(t, 0)
     result = tuple(slots[v] for v in bound)
-    ends = [(_template(sub, slots), xslot) for sub, xslot in defaults]
+    # each default's pattern as a template: a layer per node, a slot per variable
+    ends = [(fold_term(sub, slots.__getitem__, OpNode), xslot) for sub, xslot in defaults]
 
     def emit(regs: list, index: dict, found: set) -> None:
         for tpl, xslot in ends:
@@ -1137,22 +1136,14 @@ def _scan(
     return scan
 
 
-def _template(t: Term, slots: dict[int, int]) -> Any:
-    """A pattern with each variable replaced by its slot."""
-    if isinstance(t, Var):
-        return slots[t.name]
-    return (t.op, map_branches(lambda b: _template(b, slots), t.branches))
-
-
 def _holds(tpl: Any, root: int, regs: list, index: dict) -> bool:
     """Whether class ``root`` holds the instance of a template whose
     variables are all bound."""
     if tpl.__class__ is int:
         return regs[tpl] == root
-    op, subs = tpl
     return any(
-        all(_holds(s, c, regs, index) for s, c in branch_pairs(subs, kids))
-        for kids in index[op].get(root, ())
+        all(_holds(s, c, regs, index) for s, c in branch_pairs(tpl.branches, kids))
+        for kids in index[tpl.op].get(root, ())
     )
 
 
@@ -1277,7 +1268,9 @@ def _carrier_walk(state: QWState, carrier: list, lift: Callable, budget: int) ->
     """The carrier checks' one walk: ``lift(side, env)`` interns each side
     of each of :func:`equations.instances` over ``carrier`` by its compiled
     plan, giving a class root and a value; after one ``saturate()`` the
-    sides must share both.  The first failure (equation, env, reason), or None."""
+    sides must share both.  The first failure (equation, env, reason), or None.
+    Sides left apart by a saturation that stopped on its budget are not a
+    failure: they raise ``BudgetExceededError``."""
     pending = []
     for eq, env in instances(state.system, carrier, budget):
         plan = state._plans[eq.name]
@@ -1285,9 +1278,13 @@ def _carrier_walk(state: QWState, carrier: list, lift: Callable, budget: int) ->
             pending.append((eq.name, env, lift(plan.lhs, env), lift(plan.rhs, env)))
         except FiberMismatchError as exc:
             return eq.name, env, str(exc)
-    state.saturate()
+    fixpoint = state.saturate().fixpoint
     for name, env, (li, lv), (ri, rv) in pending:
         if state._find(li) != state._find(ri):
+            if not fixpoint:
+                raise BudgetExceededError(
+                    f"saturation budget exhausted before the sides of {name} were proved equal"
+                )
             return name, env, UNEQUAL_SIDES
         if lv != rv:
             return name, env, f"values differ in the common fiber: {lv!r} vs {rv!r}"
@@ -1301,10 +1298,7 @@ def _cell_term(t: Term, env: tuple, bases: dict[str, int], probe: int) -> Any:
     """A term over a separator table's cells: a leaf is its value under
     ``env``, a node its operator's first cell and the branches that index
     it, countable ones read as :func:`probe_key` reads them."""
-    if isinstance(t, Var):
-        return env[t.name]
-    branches = probe_key(t.branches, probe)[1:]
-    return (bases[t.op], tuple(_cell_term(b, env, bases, probe) for b in branches))
+    return fold_term(t, env.__getitem__, lambda op, kids: (bases[op], probe_key(kids, probe)[1:]))
 
 
 def find_separator(

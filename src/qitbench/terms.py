@@ -13,12 +13,17 @@ it rather than keep their own copy.  Two maps line up position by position
 through :func:`branch_pairs`, a probed carrier sees ``Arity.width``
 positions, :func:`var_block` fills a map with a block of equation
 variables, and :func:`branches_to_json` writes a map as JSON.
+
+A function defined by structural recursion on terms is a fold,
+:func:`fold_term`: size, order key, variables, JSON form, evaluation in an
+algebra (and so substitution), and the engine's compiled patterns.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -96,12 +101,6 @@ class Arity(Record):
             return {"omega": True}
         return {"finite": self.finite}
 
-    @staticmethod
-    def from_json(obj: dict) -> "Arity":
-        if obj.get("omega"):
-            return OMEGA
-        return Arity(int(obj["finite"]))
-
 
 OMEGA = Arity(None)
 
@@ -132,12 +131,6 @@ class Signature(Record):
 
     def to_json(self) -> dict:
         return {"ops": [{"name": n, "arity": a.to_json()} for n, a in self.ops]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Signature":
-        return Signature(
-            tuple((o["name"], Arity.from_json(o["arity"])) for o in obj["ops"])
-        )
 
 
 def signature(ops: Iterable[tuple[str, Any]]) -> Signature:
@@ -321,10 +314,22 @@ def map_opnode(f: Callable[[Any], Any], s: OpNode) -> OpNode:
     return OpNode(s.op, map_branches(f, s.branches))
 
 
+def fold_term(t: Term, leaf: Callable[[Any], Any], step: Callable[[str, Any], Any]) -> Any:
+    """The fold out of the terms: ``leaf(name)`` at a leaf, ``step(op,
+    values)`` at a node over the branch map of its children's values.
+    Calls run in post-order, children left to right, a countable map's
+    entries before its default (the order of :func:`map_branches`)."""
+
+    def go(t: Term) -> Any:
+        if isinstance(t, Var):
+            return leaf(t.name)
+        return step(t.op, map_branches(go, t.branches))
+
+    return go(t)
+
+
 def term_size(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(b) for b in branch_values(t.branches))
+    return fold_term(t, lambda _: 1, lambda op, sizes: 1 + sum(branch_values(sizes)))
 
 
 def _payload_key(p: Any) -> tuple:
@@ -342,9 +347,7 @@ def _payload_key(p: Any) -> tuple:
 def term_key(t: Term) -> tuple:
     """Total order key: by size, then leaf-before-node, then operator name,
     then branches pointwise. Deterministic representatives depend on it."""
-    if isinstance(t, Var):
-        return (1, 0, _payload_key(t.name))
-    return node_key(t.op, map_branches(term_key, t.branches))
+    return fold_term(t, lambda name: (1, 0, _payload_key(name)), node_key)
 
 
 def node_key(op: str, keys: Any) -> tuple:
@@ -357,12 +360,9 @@ def node_key(op: str, keys: Any) -> tuple:
 
 
 def term_vars(t: Term) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset([t.name])
-    out: set = set()
-    for b in branch_values(t.branches):
-        out |= term_vars(b)
-    return frozenset(out)
+    return fold_term(
+        t, lambda name: frozenset([name]), lambda op, vs: frozenset().union(*branch_values(vs))
+    )
 
 
 def validate_term(sig: Signature, t: Term, *, var_domain=None) -> None:
@@ -393,16 +393,17 @@ def _interp(alg: Any, op: str, branches: Any) -> Any:
 
 
 def eval_alg(t: Term, env: Any, alg: Any) -> Any:
-    """Evaluate a term in an algebra: leaves through ``env`` (a mapping or a
-    tuple indexed by integer variables), nodes through the algebra step."""
-    if isinstance(t, Var):
+    """Evaluate a term in an algebra: the fold with leaves read from ``env``
+    (a mapping or a tuple indexed by integer variables) and nodes through
+    the algebra step."""
+
+    def leaf(name: Any) -> Any:
         try:
-            return env[t.name]
+            return env[name]
         except (KeyError, IndexError, TypeError):
-            raise UnboundVariableError(
-                f"variable {t.name!r} outside the environment"
-            ) from None
-    return _interp(alg, t.op, map_branches(lambda b: eval_alg(b, env, alg), t.branches))
+            raise UnboundVariableError(f"variable {name!r} outside the environment") from None
+
+    return fold_term(t, leaf, partial(_interp, alg))
 
 
 def subst(t: Term, rho: Any) -> Term:
@@ -540,9 +541,11 @@ def _payload_from_json(obj: Any) -> Any:
 
 
 def term_to_json(t: Term) -> dict:
-    if isinstance(t, Var):
-        return {"var": _payload_to_json(t.name)}
-    return {"op": t.op, "branches": branches_to_json(t.branches, term_to_json)}
+    return fold_term(
+        t,
+        lambda name: {"var": _payload_to_json(name)},
+        lambda op, kids: {"op": op, "branches": branches_to_json(kids, lambda v: v)},
+    )
 
 
 def term_from_json(obj: dict) -> Term:

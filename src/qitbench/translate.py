@@ -7,16 +7,18 @@ from typing import Any, Iterable, Mapping
 
 from .equations import EquationSystem, make_system
 from .errors import DuplicateNameError, WorkbenchError
-from .terms import Arity, Node, Signature, Term, Var, map_branches, signature, var_block
+from .terms import Arity, Node, Signature, Term, Var, fold_term, signature, term_algebra, var_block
 
 
 def free_term(t: Term) -> Term:
     """Re-code a term over ``freeify``'s signature: an operator ``op``
     becomes ``inr(op)`` and a generator leaf ``g`` the constant ``inl(g)``;
     equation variables (integers) stay."""
-    if isinstance(t, Var):
-        return t if isinstance(t.name, int) else Node(f"inl({t.name})", ())
-    return Node(f"inr({t.op})", map_branches(free_term, t.branches, normalize=True))
+    return fold_term(
+        t,
+        lambda name: Var(name) if isinstance(name, int) else Node(f"inl({name})", ()),
+        lambda op, kids: term_algebra(f"inr({op})", kids),
+    )
 
 
 def freeify(

@@ -500,10 +500,10 @@ def test_console_entry_point(fixtures):
             ("omega_tree.qit", "--size-bound", "3"), EXIT_OK,
             "360c4f75f161218322058a4da33612053fad31af3c2b8e76bba9ac58fd09e10c",
         ),
-        (  # no round runs, so equations_hold is violated at swap(a,b), environment [0]
+        (  # no round runs, so the carrier check is unknown at swap(a,b)
             ("bag.qit", "--max-rounds", "0", "--algebra", "corrupted_length_algebra.json"),
-            EXIT_CHECK_FAILED,
-            "f72d117507ca22fb7b1635604192437bcfe73c5af81ae76cd9274e06a4a1fabb",
+            EXIT_UNKNOWN,
+            "6d8ba07bba79d6d1a0610b004327eda7ee483fb774c26ae9158130e97a584a9a",
         ),
     ],
 )
@@ -549,20 +549,18 @@ def test_selftest_makes_one_carrier_walk(capsys, fixtures, monkeypatch):
         # no round runs
         (("bag.qit", "--max-rounds", "0"), None, "swap(a,b)"),
         # no round runs; the 59,582 environments are inside the one carrier
-        # budget, where a separate dependent budget of 50,000 gave exit 3
+        # budget
         (("omega_tree.qit", "--size-bound", "4", "--max-rounds", "0"), None,
          "perm(a,{0->1,1->0})"),
-        # a round stops after 10 instances: the target reads the one walk,
-        # where a second walk's saturation reached the fixpoint, passed the
-        # premise and gave exit 5 beside a violated equations_hold
+        # a round stops after 10 instances
         (("bag.qit", "--size-bound", "3", "--max-rounds", "2"), 10, "swap(a,b)"),
     ],
 )
-def test_selftest_refuses_elimination_on_a_carrier_the_equations_fail(
+def test_selftest_is_unknown_on_a_carrier_its_budget_left_unsaturated(
     capsys, fixtures, monkeypatch, argv, max_instances, equation
 ):
-    # with a satisfying algebra, the failed coherence premise stops selftest
-    # where elimination begins: a semantic error, and no report
+    # sides that a budgeted saturation left apart prove nothing: the carrier
+    # check raises the budget note, and no report or premise failure follows
     from qitbench import cli
 
     if max_instances is not None:
@@ -572,10 +570,9 @@ def test_selftest_refuses_elimination_on_a_carrier_the_equations_fail(
         )
     path, *options = argv
     code, out, err = run(capsys, "selftest", str(fixtures / path), *options, "--format", "json")
-    assert code == EXIT_SEMANTIC
-    assert out == ""
-    assert err == (
-        '{"error": "CoherenceError", "message": "coherence premise failed: '
-        f"{{'verdict': 'failed', 'equation': '{equation}', "
-        "'reason': 'instantiated sides not provably equal'}\"}\n"
+    assert code == EXIT_UNKNOWN
+    assert out == (
+        '{\n  "note": "saturation budget exhausted before the sides of '
+        f'{equation} were proved equal",\n  "verdict": "unknown"\n}}\n'
     )
+    assert err == ""

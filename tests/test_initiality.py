@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from qitbench import engine, initiality
+from qitbench import initiality
 from qitbench.cli import algebra_from_json
 from qitbench.encodings import (
     NIL,
@@ -19,7 +19,13 @@ from qitbench.encodings import (
     ordinal_notations,
     parity_algebra,
 )
-from qitbench.engine import CarrierSatReport, ClassId, check_equations_hold, new_qw
+from qitbench.engine import (
+    CarrierSatReport,
+    ClassId,
+    SaturationResult,
+    check_equations_hold,
+    new_qw,
+)
 from qitbench.equations import ENV_BUDGET, SatReport, instances, make_system
 from qitbench.errors import (
     BudgetExceededError,
@@ -65,7 +71,7 @@ from qitbench.terms import (
     table_algebra,
     term_key,
 )
-from test_engine import SMALL_SIG, UNBOUND_SYSTEM
+from test_engine import SMALL_SIG, UNBOUND_SYSTEM, _small_systems
 
 
 def build(inst, bound):
@@ -975,8 +981,7 @@ def _bag_unsaturated_state(fixtures):
 
 
 def _late_handle_state(fixtures):
-    # a handle that is not its class's root, over which no round runs: a
-    # failing environment names the class by its root
+    # a handle that is not its class's root, over which no round runs
     st, cids = _bag3_state(fixtures)
     st.max_rounds = 0
     return st, cids[-1:]
@@ -990,55 +995,110 @@ CARRIER_STATES = {
 FAILING_CARRIERS = {"bag-unsaturated", "late-handle"}
 
 
+def _carrier(fixtures, case):
+    st, classes = CARRIER_STATES[case](fixtures)
+    return st, st.roots() if classes is None else classes
+
+
+def _unproved(equation):
+    # the note of a carrier walk whose saturation stopped on its budget
+    return f"saturation budget exhausted before the sides of {equation} were proved equal"
+
+
 @pytest.mark.parametrize("case", sorted(CARRIER_STATES))
 def test_the_shared_walk_checks_equations_as_their_own_loop_did(fixtures, case):
-    runs = []
-    for check in (check_equations_hold, _reference_equations_hold):
-        st, classes = CARRIER_STATES[case](fixtures)
-        report = check(st, st.roots() if classes is None else classes)
-        runs.append((report, st.log, st.class_count))
-    assert runs[0] == runs[1]
-    assert runs[0][0].ok == (case not in FAILING_CARRIERS)
+    # where the reference reports violated, no round reached a fixpoint, so
+    # the walk raises the budget note instead; both leave the same carrier
+    ref, classes = _carrier(fixtures, case)
+    want = _reference_equations_hold(ref, classes)
+    st, classes = _carrier(fixtures, case)
+    if want.ok:
+        assert check_equations_hold(st, classes) == want
+    else:
+        with pytest.raises(BudgetExceededError) as exc:
+            check_equations_hold(st, classes)
+        assert str(exc.value) == _unproved(want.eq_name)
+    assert (st.log, st.class_count) == (ref.log, ref.class_count)
+    assert want.ok == (case not in FAILING_CARRIERS)
 
 
 @pytest.mark.parametrize("case", sorted(CARRIER_STATES))
-def test_coherence_over_a_constant_family_is_the_equation_check(fixtures, monkeypatch, case):
-    # the same verdict, first equation and environment roots, and the same
-    # interning and merges; so the constant target selftest builds from the
-    # equation check is dep_target's
-    failures = []
-
-    def walk(state, carrier, lift, budget, real=engine._carrier_walk):
-        failed = real(state, carrier, lift, budget)
-        roots = failed and tuple(o if isinstance(o, int) else o[1] for o in failed[1])
-        failures.append(failed and (failed[0], roots))
-        return failed
-
-    monkeypatch.setattr(engine, "_carrier_walk", walk)
-    monkeypatch.setattr(initiality, "_carrier_walk", walk)
+def test_coherence_over_a_constant_family_is_the_equation_check(fixtures, case):
+    # the same verdict, or the same budget note where the reference reports
+    # violated, and the same interning and merges; so the constant target
+    # selftest builds from the equation check is dep_target's
     family, step = (lambda c: ("*",)), (lambda op, idxs, vals: "*")
-    st, classes = CARRIER_STATES[case](fixtures)
-    plain = check_equations_hold(st, st.roots() if classes is None else classes)
+    ref, classes = _carrier(fixtures, case)
+    want = _reference_equations_hold(ref, classes)
+    assert want.ok == (case not in FAILING_CARRIERS)
+    st, classes = _carrier(fixtures, case)
     st2, classes2 = CARRIER_STATES[case](fixtures)
+    if not want.ok:
+        with pytest.raises(BudgetExceededError) as plain:
+            check_equations_hold(st, classes)
+        with pytest.raises(BudgetExceededError) as coherence:
+            check_coherence(st2, family, step, classes=classes2)
+        assert str(plain.value) == str(coherence.value) == _unproved(want.eq_name)
+        assert st.log == st2.log == ref.log
+        return
+    plain = check_equations_hold(st, classes)
     coherence = check_coherence(st2, family, step, classes=classes2)
-    assert failures[0] == failures[1]
-    assert (coherence.ok, coherence.eq_name) == (plain.ok, plain.eq_name)
-    assert st2.log == st.log
-    assert plain.ok == (case not in FAILING_CARRIERS)
-    if plain.ok:
-        dep = constant_target(plain)
-        assert dep.coherence == coherence
-        gen_env = {g: "*" for g in st.generators}
-        want = check_comp(st2, DepTarget(family, step, coherence), gen_env=gen_env)
-        assert check_comp(st, dep, gen_env=gen_env) == want
-    else:
-        assert failures[0] == (plain.eq_name, plain.env)
-        with pytest.raises(CoherenceError) as got:
-            constant_target(plain)
-        st3, classes3 = CARRIER_STATES[case](fixtures)
-        with pytest.raises(CoherenceError) as want:
-            dep_target(st3, family, step, classes=classes3)
-        assert str(got.value) == str(want.value)
+    assert plain == want and coherence.ok
+    assert st2.log == st.log == ref.log
+    dep = constant_target(plain)
+    assert dep.coherence == coherence
+    gen_env = {g: "*" for g in st.generators}
+    want = check_comp(st2, DepTarget(family, step, coherence), gen_env=gen_env)
+    assert check_comp(st, dep, gen_env=gen_env) == want
+
+
+def test_sides_apart_at_a_fixpoint_are_violated(fixtures, monkeypatch):
+    # only an engine bug leaves sides apart at a fixpoint: a saturation
+    # that claims one without a round shows the walk reports them
+    st, classes = _bag_unsaturated_state(fixtures)
+    monkeypatch.setattr(st, "saturate", lambda: SaturationResult(True, 1, 0, 0))
+    report = check_equations_hold(st, classes)
+    assert (report.ok, report.eq_name) == (False, "swap(a,b)")
+
+
+def test_constant_target_refuses_a_report_of_unequal_sides():
+    # a failed equation check is a failed coherence premise, in dep_target's
+    # words
+    report = CarrierSatReport(False, "swap(a,b)", (0, 1))
+    with pytest.raises(CoherenceError) as got:
+        constant_target(report)
+    assert str(got.value) == (
+        "coherence premise failed: {'verdict': 'failed', 'equation': 'swap(a,b)', "
+        "'reason': 'instantiated sides not provably equal'}"
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    system=_small_systems(),
+    size=hst.integers(1, 3),
+    max_rounds=hst.integers(0, 3),
+    max_instances=hst.integers(1, 40),
+)
+def test_the_equations_hold_on_every_carrier_or_the_budget_says_unknown(
+    system, size, max_rounds, max_instances
+):
+    # whatever the budgets, the carrier check and the constant-family
+    # premise prove the equations or answer unknown: an unequal pair at a
+    # fixpoint would be an engine bug.  The instance budget keeps each
+    # round small, since a two-variable equation can square the carrier
+    family, step = (lambda c: ("*",)), (lambda op, idxs, vals: "*")
+    for check in (
+        check_equations_hold,
+        lambda st, classes: check_coherence(st, family, step, classes=classes),
+    ):
+        st = new_qw(SMALL_SIG, system, max_rounds=max_rounds, max_instances=max_instances)
+        classes = [c for c, _ in st.enumerate_classes(size)]
+        try:
+            report = check(st, classes)
+        except BudgetExceededError:
+            continue
+        assert report.ok, report
 
 
 def test_a_fragment_holds_each_class_once_by_its_first_handle(fixtures):

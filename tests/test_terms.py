@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qitbench.encodings import NIL, bag_term, cons, length_algebra, parity_algebra
+from qitbench.encodings import (
+    NIL,
+    bag_of,
+    bag_term,
+    cons,
+    length_algebra,
+    ordinal_notations,
+    parity_algebra,
+)
+from qitbench.engine import closed_terms
 from qitbench.errors import (
     ArityMismatchError,
     BudgetExceededError,
@@ -23,13 +32,20 @@ from qitbench.terms import (
     OmegaTable,
     OpNode,
     Var,
+    _payload_key,
+    _payload_to_json,
     branch_pairs,
+    branch_values,
+    branches_to_json,
     canonical_dumps,
     check_hom,
     eval_alg,
+    fold_term,
     iota,
     map_opnode,
+    map_branches,
     map_term,
+    node_key,
     omega_table,
     signature,
     subst,
@@ -38,9 +54,11 @@ from qitbench.terms import (
     term_key,
     term_size,
     term_to_json,
+    term_vars,
     validate_term,
     var_block,
 )
+from qitbench.translate import free_term
 
 # the reference two-operator signature used for the law suites: one constant
 # and one binary operator, with variables "x" and "y"
@@ -328,3 +346,108 @@ def test_var_block_is_the_table_the_schema_builds(fixtures):
     assert eq.lhs.branches == var_block(OMEGA, 0, 2) == identity
     assert eq.rhs.branches == var_block(OMEGA, 0, 2, {0: 1, 1: 0}) == swapped
 
+
+
+def test_fold_term_runs_in_post_order():
+    # children left to right, a countable map's entries and then its default
+    calls = []
+
+    def leaf(name):
+        calls.append(name)
+        return name
+
+    def step(op, values):
+        calls.append((op, values))
+        return op
+
+    finite = Node("f", (Node("f", (Var("x"), Node("c", ()))), Var("y")))
+    assert fold_term(finite, leaf, step) == "f"
+    assert calls == ["x", ("c", ()), ("f", ("x", "c")), "y", ("f", ("f", "y"))]
+    calls.clear()
+    countable = Node("w", omega_table({2: Var("x"), 0: Node("u", (Var("y"),))}, Node("c", ())))
+    assert fold_term(countable, leaf, step) == "w"
+    assert calls == [
+        "y", ("u", ("y",)), "x", ("c", ()), ("w", OmegaTable(((0, "u"), (2, "x")), "c")),
+    ]
+
+
+# the term walks as the recursions they were before they became folds
+def _reference_size(t):
+    if isinstance(t, Var):
+        return 1
+    return 1 + sum(_reference_size(b) for b in branch_values(t.branches))
+
+
+def _reference_key(t):
+    if isinstance(t, Var):
+        return (1, 0, _payload_key(t.name))
+    return node_key(t.op, map_branches(_reference_key, t.branches))
+
+
+def _reference_vars(t):
+    if isinstance(t, Var):
+        return frozenset([t.name])
+    out = set()
+    for b in branch_values(t.branches):
+        out |= _reference_vars(b)
+    return frozenset(out)
+
+
+def _reference_to_json(t):
+    if isinstance(t, Var):
+        return {"var": _payload_to_json(t.name)}
+    return {"op": t.op, "branches": branches_to_json(t.branches, _reference_to_json)}
+
+
+def _reference_free(t):
+    if isinstance(t, Var):
+        return t if isinstance(t.name, int) else Node(f"inl({t.name})", ())
+    return Node(f"inr({t.op})", map_branches(_reference_free, t.branches, normalize=True))
+
+
+def _reference_eval(t, env, alg):
+    if isinstance(t, Var):
+        try:
+            return env[t.name]
+        except (KeyError, IndexError, TypeError):
+            raise UnboundVariableError(
+                f"variable {t.name!r} outside the environment"
+            ) from None
+    step = alg.interp if isinstance(alg, FiniteAlgebra) else alg
+    return step(t.op, map_branches(lambda b: _reference_eval(b, env, alg), t.branches))
+
+
+_BAG, _ORDINALS = bag_of(("a", "b")), ordinal_notations()
+_BAG_TERMS = closed_terms(_BAG.signature, 5) + [
+    side for e in _BAG.system.equations for side in (e.lhs, e.rhs)
+]
+_ORDINAL_TERMS = closed_terms(_ORDINALS.signature, 5) + [
+    side for e in _ORDINALS.system.equations for side in (e.lhs, e.rhs)
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(_BAG_TERMS + _ORDINAL_TERMS), _terms(3)))
+def test_the_term_walks_are_their_recursions(t):
+    assert term_size(t) == _reference_size(t)
+    assert term_key(t) == _reference_key(t)
+    assert term_vars(t) == _reference_vars(t)
+    # the JSON texts, so the order of the keys is compared too
+    assert repr(term_to_json(t)) == repr(_reference_to_json(t))
+    assert free_term(t) == _reference_free(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_BAG_TERMS), st.lists(st.integers(0, 4), max_size=2).map(tuple))
+def test_evaluation_is_its_recursion(t, env):
+    # into length_algebra(4); an environment too short for the term's
+    # variables is refused in the same words
+    alg = length_algebra(4)
+    try:
+        want = _reference_eval(t, env, alg)
+    except UnboundVariableError as exc:
+        with pytest.raises(UnboundVariableError) as got:
+            eval_alg(t, env, alg)
+        assert str(got.value) == str(exc)
+    else:
+        assert eval_alg(t, env, alg) == want
