@@ -14,9 +14,8 @@ through :func:`branch_pairs`, a probed carrier sees ``Arity.width``
 positions, :func:`var_block` fills a map with a block of equation
 variables, and :func:`branches_to_json` writes a map as JSON.
 
-A function defined by structural recursion on terms is a fold,
-:func:`fold_term`: size, order key, variables, JSON form, evaluation in an
-algebra (and so substitution), and the engine's compiled patterns.
+Structural recursion on terms is one fold, :func:`fold_term`: the size, order
+key, variables, JSON form and evaluation (so substitution) of a term.
 """
 
 from __future__ import annotations
@@ -316,16 +315,17 @@ def map_opnode(f: Callable[[Any], Any], s: OpNode) -> OpNode:
 
 def fold_term(t: Term, leaf: Callable[[Any], Any], step: Callable[[str, Any], Any]) -> Any:
     """The fold out of the terms: ``leaf(name)`` at a leaf, ``step(op,
-    values)`` at a node over the branch map of its children's values.
-    Calls run in post-order, children left to right, a countable map's
-    entries before its default (the order of :func:`map_branches`)."""
-
-    def go(t: Term) -> Any:
-        if isinstance(t, Var):
-            return leaf(t.name)
-        return step(t.op, map_branches(go, t.branches))
-
-    return go(t)
+    values)`` at a node over its children's values, mapped as
+    :func:`map_branches` maps a branch map.  Calls run in post-order,
+    children left to right, a countable map's entries before its default."""
+    if isinstance(t, Var):
+        return leaf(t.name)
+    # map_branches inlined, since a closure calling itself is a cycle per fold
+    b = t.branches
+    if isinstance(b, OmegaTable):
+        entries = tuple([(i, fold_term(u, leaf, step)) for i, u in b.entries])
+        return step(t.op, OmegaTable(entries, fold_term(b.default, leaf, step)))
+    return step(t.op, tuple([fold_term(u, leaf, step) for u in b]))
 
 
 def term_size(t: Term) -> int:

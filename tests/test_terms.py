@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -451,3 +452,17 @@ def test_evaluation_is_its_recursion(t, env):
         assert str(got.value) == str(exc)
     else:
         assert eval_alg(t, env, alg) == want
+
+
+def test_the_folds_leave_no_reference_cycles():
+    # a cycle per fold is work for the garbage collector on every caller
+    t, alg = bag_term(["a", "b"] * 3), length_algebra(4)
+    gc.collect()
+    gc.disable()
+    try:
+        for walk in (term_size, term_key, term_vars, term_to_json, free_term):
+            walk(t)
+        eval_alg(t, {}, alg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
