@@ -1268,9 +1268,8 @@ def _carrier_walk(state: QWState, carrier: list, lift: Callable, budget: int) ->
     """The carrier checks' one walk: ``lift(side, env)`` interns each side
     of each of :func:`equations.instances` over ``carrier`` by its compiled
     plan, giving a class root and a value; after one ``saturate()`` the
-    sides must share both.  The first failure (equation, env, reason), or None.
-    Sides left apart by a saturation that stopped on its budget are not a
-    failure: they raise ``BudgetExceededError``."""
+    sides must share both, and sides a budget-stopped saturation left apart
+    raise ``BudgetExceededError``.  The first failure (equation, env, reason), or None."""
     pending = []
     for eq, env in instances(state.system, carrier, budget):
         plan = state._plans[eq.name]
@@ -1298,7 +1297,9 @@ def _cell_term(t: Term, env: tuple, bases: dict[str, int], probe: int) -> Any:
     """A term over a separator table's cells: a leaf is its value under
     ``env``, a node its operator's first cell and the branches that index
     it, countable ones read as :func:`probe_key` reads them."""
-    return fold_term(t, env.__getitem__, lambda op, kids: (bases[op], probe_key(kids, probe)[1:]))
+    return fold_term(
+        t, env.__getitem__, lambda op, kids: (bases[op], probe_key(kids, probe)[1:])
+    )
 
 
 def find_separator(

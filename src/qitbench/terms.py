@@ -14,8 +14,7 @@ through :func:`branch_pairs`, a probed carrier sees ``Arity.width``
 positions, :func:`var_block` fills a map with a block of equation
 variables, and :func:`branches_to_json` writes a map as JSON.
 
-Structural recursion on terms is one fold, :func:`fold_term`: the size, order
-key, variables, JSON form and evaluation (so substitution) of a term.
+Size, order key, variables, JSON form and evaluation are :func:`fold_term`.
 """
 
 from __future__ import annotations
@@ -393,15 +392,16 @@ def _interp(alg: Any, op: str, branches: Any) -> Any:
 
 
 def eval_alg(t: Term, env: Any, alg: Any) -> Any:
-    """Evaluate a term in an algebra: the fold with leaves read from ``env``
-    (a mapping or a tuple indexed by integer variables) and nodes through
-    the algebra step."""
+    """Evaluate a term in an algebra: leaves through ``env`` (a mapping or a
+    tuple indexed by integer variables), nodes through the algebra step."""
 
     def leaf(name: Any) -> Any:
         try:
             return env[name]
         except (KeyError, IndexError, TypeError):
-            raise UnboundVariableError(f"variable {name!r} outside the environment") from None
+            raise UnboundVariableError(
+                f"variable {name!r} outside the environment"
+            ) from None
 
     return fold_term(t, leaf, partial(_interp, alg))
 

@@ -1048,8 +1048,8 @@ def test_coherence_over_a_constant_family_is_the_equation_check(fixtures, case):
     dep = constant_target(plain)
     assert dep.coherence == coherence
     gen_env = {g: "*" for g in st.generators}
-    want = check_comp(st2, DepTarget(family, step, coherence), gen_env=gen_env)
-    assert check_comp(st, dep, gen_env=gen_env) == want
+    comp = check_comp(st2, DepTarget(family, step, coherence), gen_env=gen_env)
+    assert check_comp(st, dep, gen_env=gen_env) == comp
 
 
 def test_sides_apart_at_a_fixpoint_are_violated(fixtures, monkeypatch):
