@@ -42,6 +42,7 @@ ever "proved" or "unknown".
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
@@ -191,10 +192,18 @@ class QWState:
                 raise WorkbenchError(f"generator {g!r} clashes with an operator name")
         self.max_rounds = max_rounds
         self.max_instances = max_instances
-        # each equation compiled once, in the order rounds visit them
+        # each equation's plan by name, each distinct side compiled once; a
+        # round visits one plan per unordered pair of distinct sides, the
+        # first by name: a tautology or a repeat (mirrored or not) adds nothing
+        side = functools.cache(_Side)
         self._plans = {
-            e.name: _Plan(e) for e in sorted(system.equations, key=lambda e: e.name)
+            e.name: _Plan(e, side) for e in sorted(system.equations, key=lambda e: e.name)
         }
+        rules: dict[frozenset, _Plan] = {}
+        for plan in self._plans.values():
+            if plan.lhs is not plan.rhs:
+                rules.setdefault(frozenset((plan.lhs, plan.rhs)), plan)
+        self._rules = tuple(rules.values())
         self._parent: list[int] = []
         self._rank: list[int] = []
         self._payloads: list[Payload] = []
@@ -617,8 +626,10 @@ class QWState:
 
         Each round instantiates equations over the classes existing at the
         round's start, merges the instantiated sides, and restores
-        congruence.  A fixpoint means a full round produced no merge and no
-        new class.
+        congruence.  A round keeps one rule per unordered pair of distinct
+        sides, the first equation by name: a tautology or a repeat (mirrored
+        or not) would merge nothing new.  A fixpoint means a full round
+        produced no merge and no new class.
 
         The work is incremental and leaves the log as full rounds make it.
         A call at the version where the last one reached a fixpoint returns
@@ -629,8 +640,8 @@ class QWState:
         the keys of the environments left out may change, and the equation
         finishes over all of them.  Environments are streamed in ascending
         order from each equation's compiled plan, and ``max_instances``
-        counts the instances a round makes, so a round takes at most one
-        environment past its budget.
+        counts the instances a round makes of the rules it keeps, so a
+        round takes at most one environment past its budget.
         """
         budget = self.max_rounds if max_rounds is None else max_rounds
         if budget >= 1 and len(self._log) == self._fixpoint_version:
@@ -648,7 +659,7 @@ class QWState:
             # as the round merges; None once that is every class
             changed: set[int] | None = set()
             seen, view = self._mark, None
-            for plan in self._plans.values():
+            for plan in self._rules:
                 index = self._enodes()
                 if changed is not None and (view is None or seen != len(self._log)):
                     # the touched classes, and what is near them, move only
@@ -1015,14 +1026,15 @@ class _Side:
 
 
 class _Plan:
-    """An equation compiled once per state: both sides and its height."""
+    """An equation compiled once per state: both sides, each compiled by
+    ``side(term, var_count)``, and its height."""
 
     __slots__ = ("name", "height", "lhs", "rhs")
 
-    def __init__(self, eq):
+    def __init__(self, eq, side: Callable[[Term, int], _Side]):
         self.name = eq.name
         self.height = max(_height(eq.lhs), _height(eq.rhs))
-        self.lhs, self.rhs = _Side(eq.lhs, eq.var_count), _Side(eq.rhs, eq.var_count)
+        self.lhs, self.rhs = side(eq.lhs, eq.var_count), side(eq.rhs, eq.var_count)
 
 
 class _Touched:

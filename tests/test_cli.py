@@ -552,8 +552,8 @@ def test_selftest_makes_one_carrier_walk(capsys, fixtures, monkeypatch):
         # budget
         (("omega_tree.qit", "--size-bound", "4", "--max-rounds", "0"), None,
          "perm(a,{0->1,1->0})"),
-        # a round stops after 10 instances
-        (("bag.qit", "--size-bound", "3", "--max-rounds", "2"), 10, "swap(a,b)"),
+        # a round stops after 4 instances
+        (("bag.qit", "--size-bound", "3", "--max-rounds", "2"), 4, "swap(a,b)"),
     ],
 )
 def test_selftest_is_unknown_on_a_carrier_its_budget_left_unsaturated(
