@@ -1733,8 +1733,9 @@ def _unbound_variable_session(fx):
 
 # Digests of the log and of the derivations after a seeded mix of interning
 # pairs of terms, saturating with 0..3 rounds and deciding earlier pairs;
-# the cases with 10 and 30 instances exit mid-round, one on the countable
-# path, and bag(a,b,c)'s rounds now stay within 30 instances on seed 2.
+# the omega_tree.qit case with 30 instances and the bag(a,b,c) case with
+# 10 exit mid-round.  A bag(a,b,c) round keeps 3 of the 9 swap equations,
+# so on seed 2 its rounds stay within 30 instances.
 PINNED_SESSIONS = [
     pytest.param(
         _bag_session, 1, 200_000,
@@ -1948,11 +1949,11 @@ def test_redundant_equations_change_no_partition(system, side):
 
 
 def test_an_enumeration_past_its_instance_budget_is_sound_and_complete(fixtures):
-    # sizes 4 to 7 each stop saturating at the budget (a round instantiates
-    # swap(a,b) alone, so one instance), so merges are missing; each class
-    # returned still holds a closed term within the bound, each closed
-    # term's class is returned, and no two classes share a term that a
-    # saturated listing keeps apart
+    # sizes 4 to 7 each stop saturating at the budget of one instance (of
+    # bag.qit's four equations a round keeps swap(a,b) alone), so merges are
+    # missing; each class returned still holds a closed term within the
+    # bound, each closed term's class is returned, and no two classes share
+    # a term that a saturated listing keeps apart
     sig, system = _qit(fixtures, "bag.qit")
     st = new_qw(sig, system, max_instances=1)
     results = []
