@@ -46,6 +46,7 @@ import functools
 import heapq
 import itertools
 import math
+from collections import Counter
 from typing import Any, Callable, Iterable, Iterator
 
 from .equations import ENV_BUDGET, EquationSystem, instances, sat_check
@@ -204,6 +205,9 @@ class QWState:
             if plan.lhs is not plan.rhs:
                 rules.setdefault(frozenset((plan.lhs, plan.rhs)), plan)
         self._rules = tuple(rules.values())
+        # the sides shared among the plans, which the carrier walk lifts once
+        uses = Counter(side for plan in self._plans.values() for side in (plan.lhs, plan.rhs))
+        self._shared = frozenset(side for side, n in uses.items() if n > 1)
         self._parent: list[int] = []
         self._rank: list[int] = []
         self._payloads: list[Payload] = []
@@ -1281,14 +1285,26 @@ def _carrier_walk(state: QWState, carrier: list, lift: Callable, budget: int) ->
     of each of :func:`equations.instances` over ``carrier`` by its compiled
     plan, giving a class root and a value; after one ``saturate()`` the
     sides must share both, and sides a budget-stopped saturation left apart
-    raise ``BudgetExceededError``.  The first failure (equation, env, reason), or None."""
-    pending = []
-    for eq, env in instances(state.system, carrier, budget):
+    raise ``BudgetExceededError``.  A side shared among the plans is lifted
+    once per environment: again it would intern nothing and pass the same
+    fiber checks.  The first failure (equation, env, reason), or None."""
+    pending, shared, lifted = [], state._shared, {}
+
+    def once(side: _Side, at: tuple, env: tuple) -> tuple:
+        if (side, at) not in lifted:
+            lifted[side, at] = lift(side, env)
+        return lifted[side, at]
+
+    # beside each environment, its carrier indexes, which key shared sides
+    indexes = instances(state.system, range(len(carrier)), budget)
+    for (eq, env), (_, at) in zip(instances(state.system, carrier, budget), indexes):
         plan = state._plans[eq.name]
         try:
-            pending.append((eq.name, env, lift(plan.lhs, env), lift(plan.rhs, env)))
+            li = once(plan.lhs, at, env) if plan.lhs in shared else lift(plan.lhs, env)
+            ri = once(plan.rhs, at, env) if plan.rhs in shared else lift(plan.rhs, env)
         except FiberMismatchError as exc:
             return eq.name, env, str(exc)
+        pending.append((eq.name, env, li, ri))
     fixpoint = state.saturate().fixpoint
     for name, env, (li, lv), (ri, rv) in pending:
         if state._find(li) != state._find(ri):

@@ -16,8 +16,10 @@ the whole carrier, and say so in their reports.  Each settles the state
 checks the algebra-map law by one walk over the operator layers the
 carrier stores over the fragment, :func:`_law_walk`.  The coherence
 premise is the walk of ``check_equations_hold`` with a value per layer:
-each side is interned through the equation's compiled plan, as lifting
-its term layer by layer would, with step and fiber checks in post-order.
+each distinct side is interned once per environment through its compiled
+plan, as lifting its term layer by layer would, with step and fiber
+checks in post-order.  A recursion target is re-checked on each use over
+operator cells it tabulates once.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .equations import (
     sat_check,
 )
 from .errors import (
+    BudgetExceededError,
     CoherenceError,
     FiberMismatchError,
     StaleProofError,
@@ -69,8 +72,9 @@ class RecTarget(Record):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "sat_report", sat_report)
-        # the algebra's operation table when it last passed the re-check:
-        # kept by ``_validate_target``, not a field
+        # the operator cells over the carrier and the values that last passed
+        # the re-check on them: kept by ``_validate_target``, not fields
+        object.__setattr__(self, "cells", [])
         object.__setattr__(self, "passed_table", [])
 
 
@@ -85,17 +89,19 @@ def rec_target(algebra: FiniteAlgebra, system: EquationSystem) -> RecTarget:
 
 def _validate_target(state: QWState, target: RecTarget) -> None:
     """Recursion is only well defined into a satisfying algebra; the proof
-    is re-checked on use so a tweaked interpretation is caught.  The
-    re-check tabulates the operations over the carrier and runs
-    ``sat_check`` again only when that table differs from the one that
-    last passed.  Where the table would have more cells than ``sat_check``
-    has environments, or more than its budget, ``sat_check`` runs on every
-    use."""
+    is re-checked on use so a tweaked interpretation is caught.  Each use
+    evaluates the operations on the target's cells, tabulated once, and runs
+    ``sat_check`` again only when those values differ from the ones that
+    last passed.  Where there would be more cells than ``sat_check`` has
+    environments, or than its budget, ``sat_check`` runs on every use."""
     if target.system != state.system:
         raise StaleProofError("target was built for a different equation system")
     if not target.sat_report.satisfied:
         raise StaleProofError("target carries a violated satisfaction report")
-    table = _operation_table(target.algebra, target.system, ENV_BUDGET)
+    if not target.cells:
+        target.cells.append(_operation_cells(target.algebra, target.system, ENV_BUDGET))
+    cells = target.cells[0]
+    table = None if cells is None else _operation_table(target.algebra, cells)
     if table is not None and target.passed_table == [table]:
         return
     fresh = sat_check(target.algebra, target.system)
@@ -106,24 +112,26 @@ def _validate_target(state: QWState, target: RecTarget) -> None:
     target.passed_table[:] = [] if table is None else [table]
 
 
-def _operation_table(
-    algebra: FiniteAlgebra, system: EquationSystem, budget: int
-) -> tuple | None:
-    """The carrier and every operator's value at each branch assignment
-    over it, probed at the system's depth: all ``sat_check`` reads.  None
-    when the table costs more than ``sat_check`` itself (more cells than
-    environments) or than ``budget``, or when an operation is undefined
-    somewhere or leaves the carrier, so that ``sat_check`` judges every
-    use."""
+def _operation_cells(algebra: FiniteAlgebra, system: EquationSystem, budget: int) -> list | None:
+    """Every operator layer over the carrier, probed at the system's depth, as
+    ``(op, branches)``: all ``sat_check`` reads.  None where they outnumber
+    ``sat_check``'s environments or ``budget``."""
     cells = min(instance_count(system, len(algebra.carrier)), budget)
     try:
         layers = budgeted_opnodes(system.signature, algebra.carrier, system.probe, cells)
-        values = tuple(_interp(algebra, s.op, s.branches) for s in layers)
+    except BudgetExceededError:
+        return None
+    return [(s.op, s.branches) for s in layers]
+
+
+def _operation_table(algebra: FiniteAlgebra, cells: list) -> tuple | None:
+    """The algebra's value on each cell, or None where an operation is undefined
+    or leaves the carrier, so that ``sat_check`` judges every use."""
+    try:
+        values = tuple([_interp(algebra, op, branches) for op, branches in cells])
     except WorkbenchError:
         return None
-    if not all(v in algebra.carrier for v in values):
-        return None
-    return algebra.carrier, values
+    return values if all(v in algebra.carrier for v in values) else None
 
 
 def _all_values(

@@ -258,6 +258,19 @@ def test_rec_value(capsys, fixtures):
     assert json.loads(out)["value"] == 3
 
 
+@pytest.mark.parametrize("algebra, value", [
+    ([], "'*'"), (["--algebra", "length_algebra.json"], "2"),
+])
+def test_rec_on_a_carrier_no_round_saturated(capsys, fixtures, algebra, value):
+    # with no round, a::b::[] and b::a::[] stay apart, and recursion still
+    # gives the term's value: an unsaturated carrier only misses merges
+    algebra = [str(fixtures / a) if a.endswith(".json") else a for a in algebra]
+    code, out, err = run(
+        capsys, "rec", str(fixtures / "bag.qit"), "a::b::[]", "--max-rounds", "0", *algebra
+    )
+    assert (code, out, err) == (EXIT_OK, f"value: {value}\n", "")
+
+
 def test_selftest_bag(capsys, fixtures):
     code, out, err = run(
         capsys, "selftest", str(fixtures / "bag.qit"),

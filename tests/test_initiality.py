@@ -4,12 +4,13 @@ import itertools
 import json
 from unittest import mock
 from collections import Counter
+from functools import partial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
-from qitbench import initiality
+from qitbench import engine, initiality
 from qitbench.cli import algebra_from_json
 from qitbench.encodings import (
     NIL,
@@ -20,13 +21,22 @@ from qitbench.encodings import (
     parity_algebra,
 )
 from qitbench.engine import (
+    UNEQUAL_SIDES,
     CarrierSatReport,
     ClassId,
     SaturationResult,
     check_equations_hold,
+    closed_terms,
     new_qw,
 )
-from qitbench.equations import ENV_BUDGET, SatReport, instances, make_system
+from qitbench.equations import (
+    ENV_BUDGET,
+    SatReport,
+    instance_count,
+    instances,
+    make_system,
+    sat_check,
+)
 from qitbench.errors import (
     BudgetExceededError,
     CoherenceError,
@@ -71,7 +81,7 @@ from qitbench.terms import (
     table_algebra,
     term_key,
 )
-from test_engine import SMALL_SIG, UNBOUND_SYSTEM, _small_systems
+from test_engine import SMALL_SIG, SMALL_TERMS, UNBOUND_SYSTEM, _small_systems
 
 
 def build(inst, bound):
@@ -108,6 +118,44 @@ def test_qw_rec_sees_classes_interned_after_an_earlier_call(bag):
     longer = st.intern_term(bag_term(["b", "a", "b"]))
     assert qw_rec(st, target, longer) == 3
     assert qw_rec(st, target, st.intern_term(bag_term(["a", "b", "b"]))) == 3
+
+
+def _two_point_algebra(values):
+    # SMALL_SIG over {0, 1}: c, d, f at 0 and 1, then g at (0,0) to (1,1)
+    cells = [("c", ()), ("d", ()), ("f", (0,)), ("f", (1,))]
+    cells += [("g", b) for b in itertools.product((0, 1), repeat=2)]
+    table = dict(zip(cells, values))
+    return FiniteAlgebra((0, 1), lambda op, branches: table[op, tuple(branches)])
+
+
+TWO_POINT_ALGEBRAS = [_two_point_algebra(v) for v in itertools.product((0, 1), repeat=8)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    system=_small_systems(),
+    pick=hst.integers(0, len(TWO_POINT_ALGEBRAS) - 1),
+    size=hst.integers(1, 3),
+    later=hst.lists(hst.sampled_from(SMALL_TERMS), max_size=4),
+    max_rounds=hst.integers(0, 2),
+    max_instances=hst.integers(1, 30),
+)
+def test_recursion_on_a_carrier_a_budget_left_unsaturated_evaluates_the_term(
+    system, pick, size, later, max_rounds, max_instances
+):
+    # qw_rec settles a stale state under its budget and folds the class's
+    # representative; every merge is an equation instance or a congruence,
+    # which a model respects, so the value is the term's wherever the
+    # budget stopped.  The terms interned after the enumeration leave the
+    # state stale, so qw_rec's own saturation can stop on its budget too
+    models = TWO_POINT_ALGEBRAS[pick:] + TWO_POINT_ALGEBRAS[:pick]
+    alg = next((a for a in models if sat_check(a, system).satisfied), None)
+    assume(alg is not None)
+    target = rec_target(alg, system)
+    st = new_qw(SMALL_SIG, system, max_rounds=max_rounds, max_instances=max_instances)
+    st.enumerate_classes(size)
+    for t in [*closed_terms(SMALL_SIG, size), *later]:
+        assert qw_rec(st, target, st.intern_term(t)) == eval_alg(t, {}, alg)
 
 
 def test_rec_target_refuses_violating_algebra(bag):
@@ -184,7 +232,8 @@ def test_target_recheck_runs_sat_check_only_on_a_new_table(bag, monkeypatch):
 def test_target_recheck_table_is_not_a_constructor_argument(bag):
     st, _ = build(bag, 4)
     forged = _corrupted(bag)
-    table = initiality._operation_table(forged.algebra, bag.system, 200_000)
+    cells = initiality._operation_cells(forged.algebra, bag.system, 200_000)
+    table = initiality._operation_table(forged.algebra, cells)
     assert table is not None
     with pytest.raises(TypeError):
         RecTarget(forged.algebra, bag.system, SatReport(True), [table])
@@ -192,6 +241,31 @@ def test_target_recheck_table_is_not_a_constructor_argument(bag):
     assert forged.passed_table == []
     with pytest.raises(StaleProofError):
         qw_rec(st, forged, st.intern_term(NIL))
+
+
+def test_target_recheck_tabulates_its_cells_once(bag, monkeypatch):
+    # the cells are built on the first use and kept on the target; each use
+    # evaluates the algebra on them, so a changed table is still caught
+    builds = []
+    real = initiality.budgeted_opnodes
+    monkeypatch.setattr(
+        initiality, "budgeted_opnodes", lambda *a: builds.append(1) or real(*a)
+    )
+    st, _ = build(bag, 4)
+    table = _parity_table()
+    target = rec_target(table_algebra(bag.signature, (0, 1), table), bag.system)
+    ab = st.intern_term(bag_term(["a", "b"]))
+    assert target.cells == []
+    for _ in range(3):
+        assert qw_rec(st, target, ab) == 0
+    assert len(builds) == 1 and len(target.cells[0]) == count_opnodes(bag.signature, 2, 2)
+    table[("nil", ("finite",))] = 1
+    assert qw_rec(st, target, ab) == 1
+    assert len(builds) == 1
+    # another target over the same algebra builds its own
+    other = rec_target(table_algebra(bag.signature, (0, 1), table), bag.system)
+    assert qw_rec(st, other, ab) == 1
+    assert len(builds) == 2 and other.cells == target.cells
 
 
 def test_target_recheck_falls_back_on_a_wide_operator(monkeypatch):
@@ -219,6 +293,7 @@ def test_target_recheck_falls_back_on_a_wide_operator(monkeypatch):
         assert calls["t"] < 100  # 60 environments and the fold, no table
     assert len(checks) == 3
     assert target.passed_table == []
+    assert target.cells == [None]
 
 
 def test_check_rec_hom_ok(bag):
@@ -839,17 +914,26 @@ def _reference_lift(family, step, env, t, index_alg):
 
 def _reference_coherence(state, family, step, classes=None):
     # lifts each side through the term, one qw_intro per layer, and decides
-    # each pair with decide_eq
+    # each pair with decide_eq; a side term already lifted under an
+    # environment is not lifted again, since that would intern nothing and
+    # pass the same fiber checks
     options = [(c, v) for c in initiality._fragment(state, classes) for v in family(c)]
 
     def intro_alg(op, branches):
         return state.qw_intro(OpNode(op, branches))
 
+    lifted = {}
+
+    def lift(t, env):
+        if (t, env) not in lifted:
+            lifted[t, env] = _reference_lift(family, step, env, t, intro_alg)
+        return lifted[t, env]
+
     pending = []
     for eq, env in instances(state.system, options, initiality.ENV_BUDGET):
         try:
-            li, lv = _reference_lift(family, step, env, eq.lhs, intro_alg)
-            ri, rv = _reference_lift(family, step, env, eq.rhs, intro_alg)
+            li, lv = lift(eq.lhs, env)
+            ri, rv = lift(eq.rhs, env)
         except FiberMismatchError as exc:
             return CoherenceReport(False, eq.name, str(exc))
         pending.append((eq.name, li, lv, ri, rv))
@@ -1099,6 +1183,144 @@ def test_the_equations_hold_on_every_carrier_or_the_budget_says_unknown(
         except BudgetExceededError:
             continue
         assert report.ok, report
+
+
+def _walk_every_equation(state, carrier, lift):
+    # the carrier walk lifting both sides of every instance, as it did
+    # before a side shared among the plans was lifted once per environment
+    pending = []
+    for eq, env in instances(state.system, carrier, ENV_BUDGET):
+        plan = state._plans[eq.name]
+        try:
+            pending.append((eq.name, env, lift(plan.lhs, env), lift(plan.rhs, env)))
+        except FiberMismatchError as exc:
+            return eq.name, env, str(exc)
+    fixpoint = state.saturate().fixpoint
+    for name, env, (li, lv), (ri, rv) in pending:
+        if state._find(li) != state._find(ri):
+            if not fixpoint:
+                raise BudgetExceededError(_unproved(name))
+            return name, env, UNEQUAL_SIDES
+        if lv != rv:
+            return name, env, f"values differ in the common fiber: {lv!r} vs {rv!r}"
+    return None
+
+
+def _every_lift_equations_hold(state, classes):
+    roots = [state._live_root(c) for c in classes]
+    failed = _walk_every_equation(
+        state, roots, lambda side, env: (state._instantiate(side, env), None)
+    )
+    return CarrierSatReport(True) if failed is None else CarrierSatReport(False, *failed[:2])
+
+
+def _every_lift_coherence(state, family, step, classes):
+    options = [
+        (c, state._live_root(c), v) for c in initiality._fragment(state, classes) for v in family(c)
+    ]
+    lift = partial(initiality._lift, state, family=family, step=step)
+    failed = _walk_every_equation(state, options, lift)
+    return CoherenceReport(True) if failed is None else CoherenceReport(False, failed[0], failed[2])
+
+
+# families and steps over SMALL_SIG: one constant, one whose values can
+# differ across a pair, one that can leave its fiber, one whose fibers
+# depend on the class
+SMALL_FAMILIES = {
+    "constant": (lambda c: ("*",), lambda op, idxs, vals: "*"),
+    "parity": (lambda c: (0, 1), lambda op, idxs, vals: (_total(vals) + (op == "c")) % 2),
+    "leaves_fiber": (lambda c: (0, 1), lambda op, idxs, vals: _total(vals) + (op == "g")),
+    "by_class": (
+        lambda c: tuple(range(1 + c.index % 3)),
+        lambda op, idxs, vals: min(_total(vals), 1 + (op == "f")),
+    ),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@example(  # a tautology, whose one side is lifted once per environment
+    system=make_system(SMALL_SIG, [
+        ("e0", 1, node("g", Var(0), node("c")), node("g", Var(0), node("c"))),
+        ("e1", 1, node("f", Var(0)), node("d")),
+    ]),
+    size=3, max_rounds=3, max_instances=40, kind="leaves_fiber",
+)
+@example(  # a mirror pair whose mirror sorts first: e1 lifts no side anew
+    system=make_system(SMALL_SIG, [
+        ("e1", 1, node("f", Var(0)), node("g", Var(0), node("d"))),
+        ("e0", 1, node("g", Var(0), node("d")), node("f", Var(0))),
+    ]),
+    size=3, max_rounds=3, max_instances=40, kind="parity",
+)
+@example(  # one equation under two names: e1 lifts nothing
+    system=make_system(SMALL_SIG, [
+        ("e0", 2, node("g", Var(0), Var(1)), node("g", Var(1), Var(0))),
+        ("e1", 2, node("g", Var(0), Var(1)), node("g", Var(1), Var(0))),
+    ]),
+    size=3, max_rounds=3, max_instances=40, kind="by_class",
+)
+@given(
+    system=_small_systems(max_equations=3),
+    size=hst.integers(1, 3),
+    max_rounds=hst.integers(0, 3),
+    max_instances=hst.integers(1, 40),
+    kind=hst.sampled_from(sorted(SMALL_FAMILIES)),
+)
+def test_lifting_a_shared_side_once_per_environment_changes_no_walk(
+    system, size, max_rounds, max_instances, kind
+):
+    # the equation check and the coherence premise report, log and intern
+    # as a walk that lifts both sides of every instance does; a budget note
+    # counts as the report
+    family, step = SMALL_FAMILIES[kind]
+
+    def run(check):
+        st = new_qw(SMALL_SIG, system, max_rounds=max_rounds, max_instances=max_instances)
+        classes = [c for c, _ in st.enumerate_classes(size)]
+        try:
+            report = check(st, classes)
+        except BudgetExceededError as exc:
+            report = str(exc)
+        return report, st.log, st.class_count
+
+    assert run(check_equations_hold) == run(_every_lift_equations_hold)
+    assert run(lambda st, cl: check_coherence(st, family, step, classes=cl)) == run(
+        lambda st, cl: _every_lift_coherence(st, family, step, cl)
+    )
+
+
+def test_each_walk_lifts_a_shared_side_once_per_environment(fixtures, monkeypatch):
+    # bag(a,b,c)'s nine swap equations have nine distinct sides under their
+    # one variable, so each walk over the 56 classes of size 6 lifts 9 * 56
+    # sides, not both sides of 504 instances; omega_tree.qit shares no side,
+    # so each of its walks lifts both sides of every instance
+    lifts = []
+    real = engine._carrier_walk
+
+    def counted(state, carrier, lift, budget):
+        lifts.append(0)
+
+        def spy(side, env):
+            lifts[-1] += 1
+            return lift(side, env)
+
+        return real(state, carrier, spy, budget)
+
+    monkeypatch.setattr(engine, "_carrier_walk", counted)
+    monkeypatch.setattr(initiality, "_carrier_walk", counted)
+    family, step = (lambda c: ("*",)), (lambda op, idxs, vals: "*")
+    bag3 = (fixtures / "bag.qit").read_text().replace("X = {a, b}", "X = {a, b, c}")
+    walks = []
+    for text, size in ((bag3, 6), ((fixtures / "omega_tree.qit").read_text(), 3)):
+        sig, system = elaborate(parse_decl(text))
+        st = new_qw(sig, system)
+        cids = [c for c, _ in st.enumerate_classes(size)]
+        assert check_equations_hold(st, cids).ok
+        assert dep_target(st, family, step, classes=cids).coherence.ok
+        walks.append((lifts[-2:], 2 * instance_count(system, len(cids))))
+    (bag_lifts, bag_every), (omega_lifts, omega_every) = walks
+    assert (bag_lifts, bag_every) == ([504, 504], 1008)
+    assert omega_lifts == [omega_every] * 2 and omega_every > 0
 
 
 def test_a_fragment_holds_each_class_once_by_its_first_handle(fixtures):

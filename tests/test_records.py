@@ -162,6 +162,9 @@ def test_a_record_keeps_what_its_constructor_adds_beside_the_fields():
     other = RecTarget(*_args(RecTarget))
     other.passed_table.append("table")
     assert target == other and hash(target) == hash(other)
+    other.cells.append(None)
+    assert target.cells == [] and "cells" not in repr(other)
+    assert target == other and hash(target) == hash(other)
     with pytest.raises(TypeError):
         RecTarget(*_args(RecTarget), passed_table=[])
 
