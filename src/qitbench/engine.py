@@ -1286,8 +1286,8 @@ def _carrier_walk(state: QWState, carrier: list, lift: Callable, budget: int) ->
     plan, giving a class root and a value; after one ``saturate()`` the
     sides must share both, and sides a budget-stopped saturation left apart
     raise ``BudgetExceededError``.  A side shared among the plans is lifted
-    once per environment: again it would intern nothing and pass the same
-    fiber checks.  The first failure (equation, env, reason), or None."""
+    once per environment; another lift would intern nothing and pass the
+    same fiber checks.  The first failure (equation, env, reason), or None."""
     pending, shared, lifted = [], state._shared, {}
 
     def once(side: _Side, at: tuple, env: tuple) -> tuple:

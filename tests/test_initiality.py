@@ -1186,8 +1186,8 @@ def test_the_equations_hold_on_every_carrier_or_the_budget_says_unknown(
 
 
 def _walk_every_equation(state, carrier, lift):
-    # the carrier walk lifting both sides of every instance, as it did
-    # before a side shared among the plans was lifted once per environment
+    # the carrier walk with no table of lifts: both sides of every
+    # instance are lifted, a shared side again under each environment
     pending = []
     for eq, env in instances(state.system, carrier, ENV_BUDGET):
         plan = state._plans[eq.name]
