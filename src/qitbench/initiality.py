@@ -456,6 +456,13 @@ def _elim_values(
         state.saturate()
     env = dict(gen_env) if gen_env else {}
 
+    def fault(message: str) -> WorkbenchError:
+        # a round its instance budget stopped leaves the rebuild pending and
+        # the memo's keys stale, so short of a fixpoint a miss is unknown
+        if len(state._log) == state._fixpoint_version:
+            return WorkbenchError(message)
+        return BudgetExceededError(f"saturation budget exhausted: {message}")
+
     def leaf(name: str) -> tuple[ClassId, Any]:
         cls = state.intern_term(Var(name))
         try:
@@ -472,7 +479,7 @@ def _elim_values(
         # the fold's classes are roots
         root = state._layer(op, map_branches(lambda c: c.index, idxs), False)
         if root is None:
-            raise WorkbenchError("representative layer unexpectedly not interned")
+            raise fault("representative layer unexpectedly not interned")
         intro = ClassId(root)
         val = dep.step(op, idxs, vals)
         if val not in dep.family(intro):
@@ -486,9 +493,7 @@ def _elim_values(
     for c in state.roots():
         idx, val = pairs[c.index]
         if not state.same_class(idx, c):
-            raise WorkbenchError(
-                "first projection of the pair recursion left its class"
-            )
+            raise fault("first projection of the pair recursion left its class")
         memo[c.index] = val
     return memo
 
@@ -502,7 +507,8 @@ def qw_elim(
 ) -> Any:
     """Dependent elimination: a value in the fiber over the class, computed
     through the algebra on (class, value) pairs.  The index component is
-    checked to land back in the class it started from."""
+    checked to land back in the class it started from; short of a fixpoint,
+    where a rebuild may be pending, a failed check reads unknown."""
     values = _elim_values(state, dep, gen_env=gen_env)
     return values[state.canonical(c).index]
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import cached_property
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .equations import EquationSystem, make_system
 from .errors import (
@@ -584,7 +584,7 @@ def _validate_decl(decl: QITDecl) -> None:
                     f"binder {b.name!r} reused in the telescope", b.pos.line, b.pos.col
                 )
             binder_names.add(b.name)
-            _validate_type(decl, ctor, b.type, allow_condition=is_equality)
+            _validate_type(decl, b.type, allow_condition=is_equality)
         if is_equality:
             binders = {b.name: b.type for b in ctor.telescope}
             _validate_pattern(decl, binders, ctor.lhs)
@@ -595,146 +595,125 @@ def _validate_decl(decl: QITDecl) -> None:
                     _validate_pattern(decl, binders, b.type.rhs)
 
 
-def _validate_type(decl: QITDecl, ctor, tp, *, allow_condition: bool) -> None:
-    if isinstance(tp, ConstType):
-        if tp.name == "Nat":
-            return
-        if decl.enum(tp.name) is None and decl.perm_set(tp.name) is None:
-            raise ScopeError(
-                f"unknown type {tp.name!r} (declare it in the with-clause)",
-                tp.pos.line,
-                tp.pos.col,
-            )
-        return
-    if isinstance(tp, SelfType):
-        return
-    if isinstance(tp, PiType):
-        _validate_type(decl, ctor, tp.domain, allow_condition=False)
-        _validate_type(decl, ctor, tp.codomain, allow_condition=False)
-        return
-    if isinstance(tp, SigmaType):
-        _validate_type(decl, ctor, tp.first, allow_condition=False)
-        _validate_type(decl, ctor, tp.second, allow_condition=False)
-        return
-    if isinstance(tp, ConditionType):
-        if not allow_condition:
-            raise DeclSyntaxError(
-                "condition entries may only appear in equality constructors",
-                tp.pos.line,
-                tp.pos.col,
-            )
-        return
-    raise DeclSyntaxError(f"unrecognised type form {tp!r}")
+def _parts(node) -> Iterator:
+    """``node``, then its parts in preorder: a function type's domain then
+    codomain, a pair type's first then second part, and an application's
+    arguments from left to right.  The walk keeps its own stack."""
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, PiType):
+            todo += (node.codomain, node.domain)
+        elif isinstance(node, SigmaType):
+            todo += (node.second, node.first)
+        elif isinstance(node, PatApply):
+            todo += reversed(node.args)
+
+
+def _validate_type(decl: QITDecl, tp, *, allow_condition: bool) -> None:
+    """Constant types are declared or ``Nat``; a condition is a whole binder type."""
+    for part in _parts(tp):
+        if isinstance(part, ConstType):
+            if part.name != "Nat" and (
+                decl.enum(part.name) is None and decl.perm_set(part.name) is None
+            ):
+                raise ScopeError(
+                    f"unknown type {part.name!r} (declare it in the with-clause)",
+                    part.pos.line,
+                    part.pos.col,
+                )
+        elif isinstance(part, ConditionType):
+            if not (allow_condition and part is tp):
+                raise DeclSyntaxError(
+                    "condition entries may only appear in equality constructors",
+                    part.pos.line,
+                    part.pos.col,
+                )
+        elif not isinstance(part, (SelfType, PiType, SigmaType)):
+            raise DeclSyntaxError(f"unrecognised type form {part!r}")
 
 
 def _validate_pattern(decl: QITDecl, binders: dict, pat) -> None:
     ctor_names = {c.name for c in decl.element_ctors}
-    if isinstance(pat, PatName):
-        if isinstance(pat.name, int):
-            return
-        if pat.name in binders or pat.name in ctor_names or pat.name in decl._values:
-            return
-        raise ScopeError(f"unbound name {pat.name!r} in pattern", pat.pos.line, pat.pos.col)
-    if isinstance(pat, PatCompose):
-        if pat.fun not in binders:
-            raise ScopeError(f"unbound name {pat.fun!r}", pat.pos.line, pat.pos.col)
-        if pat.perm not in binders:
-            raise ScopeError(f"unbound name {pat.perm!r}", pat.pos.line, pat.pos.col)
-        tp = binders[pat.perm]
-        if not (isinstance(tp, ConstType) and decl.perm_set(tp.name) is not None):
-            raise ScopeError(
-                f"{pat.perm!r} is not a permutation parameter", pat.pos.line, pat.pos.col
-            )
-        return
-    if isinstance(pat, PatApply):
-        if pat.head in binders:
-            tp = binders[pat.head]
-            if not (isinstance(tp, PiType) and isinstance(tp.codomain, SelfType)):
+    names = {*binders, *ctor_names, *decl._values}
+    for part in _parts(pat):
+        if isinstance(part, PatName):
+            if not (isinstance(part.name, int) or part.name in names):
                 raise ScopeError(
-                    f"{pat.head!r} cannot be applied: only branch families may be indexed",
-                    pat.pos.line,
-                    pat.pos.col,
+                    f"unbound name {part.name!r} in pattern", part.pos.line, part.pos.col
                 )
-        elif pat.head not in ctor_names:
-            raise ScopeError(
-                f"unknown constructor {pat.head!r}", pat.pos.line, pat.pos.col
+        elif isinstance(part, PatCompose):
+            if part.fun not in binders:
+                raise ScopeError(f"unbound name {part.fun!r}", part.pos.line, part.pos.col)
+            if part.perm not in binders:
+                raise ScopeError(f"unbound name {part.perm!r}", part.pos.line, part.pos.col)
+            tp = binders[part.perm]
+            if not (isinstance(tp, ConstType) and decl.perm_set(tp.name) is not None):
+                raise ScopeError(
+                    f"{part.perm!r} is not a permutation parameter", part.pos.line, part.pos.col
+                )
+        elif isinstance(part, PatApply):
+            if part.head in binders:
+                tp = binders[part.head]
+                if not (isinstance(tp, PiType) and isinstance(tp.codomain, SelfType)):
+                    raise ScopeError(
+                        f"{part.head!r} cannot be applied: only branch families may be indexed",
+                        part.pos.line,
+                        part.pos.col,
+                    )
+            elif part.head not in ctor_names:
+                raise ScopeError(
+                    f"unknown constructor {part.head!r}", part.pos.line, part.pos.col
+                )
+        else:
+            raise DeclSyntaxError(
+                "not an equation pattern (branch tables belong to ground terms)",
+                part.pos.line,
+                part.pos.col,
             )
-        for a in pat.args:
-            _validate_pattern(decl, binders, a)
-        return
-    raise DeclSyntaxError(
-        "not an equation pattern (branch tables belong to ground terms)",
-        pat.pos.line,
-        pat.pos.col,
-    )
 
 
 # -- positivity and classification ------------------------------------------------------
 
 
 def _occurs_self(tp) -> bool:
-    if isinstance(tp, SelfType):
-        return True
-    if isinstance(tp, PiType):
-        return _occurs_self(tp.domain) or _occurs_self(tp.codomain)
-    if isinstance(tp, SigmaType):
-        return _occurs_self(tp.first) or _occurs_self(tp.second)
-    return False
+    return any(isinstance(part, SelfType) for part in _parts(tp))
 
 
 def check_positivity(decl: QITDecl) -> None:
     """The declared type may never occur in a function argument position.
-    Raises PositivityError at the offending domain."""
+    Raises PositivityError at the first function type, in preorder, whose
+    domain mentions it: a function type inside a domain without the
+    declared type has no such domain either."""
     for ctor in decl.element_ctors + decl.equality_ctors:
         for b in ctor.telescope:
-            _check_positive(b.type)
-
-
-def _check_positive(tp) -> None:
-    if isinstance(tp, PiType):
-        if _occurs_self(tp.domain):
-            raise PositivityError(
-                "the declared type occurs in a function argument position",
-                tp.pos.line,
-                tp.pos.col,
-            )
-        _check_positive(tp.codomain)
-    elif isinstance(tp, SigmaType):
-        _check_positive(tp.first)
-        _check_positive(tp.second)
+            for part in _parts(b.type):
+                if isinstance(part, PiType) and _occurs_self(part.domain):
+                    raise PositivityError(
+                        "the declared type occurs in a function argument position",
+                        part.pos.line,
+                        part.pos.col,
+                    )
 
 
 def classify(decl: QITDecl) -> Classification:
     """Recursive if an equality telescope mentions the declared type,
     conditional if one carries a condition entry, finitary if no constant
     type is countable."""
-    recursive = any(
-        _occurs_self(b.type)
-        for ctor in decl.equality_ctors
-        for b in ctor.telescope
-        if not isinstance(b.type, ConditionType)
-    )
+    recursive = any(_occurs_self(b.type) for ctor in decl.equality_ctors for b in ctor.telescope)
     conditional = any(
         isinstance(b.type, ConditionType)
         for ctor in decl.equality_ctors
         for b in ctor.telescope
     )
     finitary = not any(
-        _mentions_nat(b.type)
+        isinstance(part, ConstType) and part.name == "Nat"
         for ctor in decl.element_ctors + decl.equality_ctors
         for b in ctor.telescope
+        for part in _parts(b.type)
     )
     return Classification(recursive, conditional, finitary)
-
-
-def _mentions_nat(tp) -> bool:
-    if isinstance(tp, ConstType):
-        return tp.name == "Nat"
-    if isinstance(tp, PiType):
-        return _mentions_nat(tp.domain) or _mentions_nat(tp.codomain)
-    if isinstance(tp, SigmaType):
-        return _mentions_nat(tp.first) or _mentions_nat(tp.second)
-    return False
 
 
 # -- elaboration -----------------------------------------------------------------------

@@ -1185,6 +1185,68 @@ def test_the_equations_hold_on_every_carrier_or_the_budget_says_unknown(
         assert report.ok, report
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    system=_small_systems(),
+    size=hst.integers(1, 3),
+    max_rounds=hst.integers(0, 3),
+    max_instances=hst.integers(1, 40),
+)
+@example(
+    # the instance budget stops each size's first round before its
+    # rebuild, so the pair recursion's lookups read stale keys
+    system=make_system(SMALL_SIG, [("e0", 1, node("g", node("f", node("c")), node("c")), Var(0))]),
+    size=3,
+    max_rounds=2,
+    max_instances=1,
+)
+def test_elimination_into_the_constant_family_is_ok_or_unknown(
+    system, size, max_rounds, max_instances
+):
+    # the constant family is trivially coherent, so the computation rule
+    # holds and elimination gives "*", or a pending rebuild says unknown
+    dep = DepTarget(lambda c: ("*",), lambda op, idxs, vals: "*", CoherenceReport(True))
+    st = new_qw(SMALL_SIG, system, max_rounds=max_rounds, max_instances=max_instances)
+    classes = [c for c, _ in st.enumerate_classes(size)]
+    try:
+        assert check_comp(st, dep).ok
+        assert {qw_elim(st, dep, c) for c in classes} == {"*"}
+    except BudgetExceededError:
+        assert st.version != st._fixpoint_version  # only short of a fixpoint
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    system=_small_systems(),
+    pick=hst.integers(0, len(TWO_POINT_ALGEBRAS) - 1),
+    size=hst.integers(1, 3),
+    later=hst.lists(hst.sampled_from(SMALL_TERMS), max_size=4),
+    max_rounds=hst.integers(0, 2),
+    max_instances=hst.integers(1, 30),
+)
+def test_law_checks_on_a_carrier_a_budget_left_unsaturated_hold_in_a_model(
+    system, pick, size, later, max_rounds, max_instances
+):
+    # _fragment saturates a stale state under its budget and drops the
+    # result; the law walk reads the operator index, so a budget-stopped
+    # carrier only lacks merges, and a model satisfies the laws on it.
+    # The terms interned before each check leave the state stale, so the
+    # fragment's own saturation can stop on its budget too
+    models = TWO_POINT_ALGEBRAS[pick:] + TWO_POINT_ALGEBRAS[:pick]
+    alg = next((a for a in models if sat_check(a, system).satisfied), None)
+    assume(alg is not None)
+    target = rec_target(alg, system)
+    st = new_qw(SMALL_SIG, system, max_rounds=max_rounds, max_instances=max_instances)
+    st.enumerate_classes(size)
+    for t in later:
+        st.intern_term(t)
+    assert check_rec_hom(st, target).ok
+    h = {c: qw_rec(st, target, c) for c in st.roots()}
+    for t in later:
+        st.intern_term(node("f", t))
+    assert check_uniq(st, target, h).ok
+
+
 def _walk_every_equation(state, carrier, lift):
     # the carrier walk with no table of lifts: both sides of every
     # instance are lifted, a shared side again under each environment

@@ -194,6 +194,36 @@ def test_positivity_nested_violation():
         check_positivity(parse_decl(src))
 
 
+def _one_constructor(telescope: str) -> str:
+    return f"data T : Set with X = {{a}} where\n  z : T\n  k : {telescope} -> T\n"
+
+
+@pytest.mark.parametrize(
+    "telescope, error, col",
+    [
+        # the outer arrow, whose domain holds an arrow into T
+        ("(f : (X -> T) -> T)", PositivityError, 21),
+        # the second arrow: the first one's domain is X
+        ("(f : X -> (T -> X) -> T)", PositivityError, 26),
+        # an arrow inside a pair type
+        ("(p : (T -> X) * T)", PositivityError, 15),
+        # the first undeclared type in preorder
+        ("(f : X -> Y -> T)", ScopeError, 17),
+    ],
+)
+def test_declaration_checks_report_the_first_offending_part(telescope, error, col):
+    with pytest.raises(error) as err:
+        check_positivity(parse_decl(_one_constructor(telescope)))
+    assert (err.value.line, err.value.col) == (3, col)
+
+
+def test_arrows_and_pairs_over_constants_are_accepted():
+    decl = parse_decl(_one_constructor("(f : X -> X -> T) (p : X * T)"))
+    check_positivity(decl)
+    cls = classify(decl)
+    assert (cls.recursive, cls.finitary) == (False, True)
+
+
 def test_positivity_fuzz():
     rng = random.Random(20260808)
     for _ in range(100):
