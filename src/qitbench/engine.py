@@ -645,7 +645,9 @@ class QWState:
         finishes over all of them.  Environments are streamed in ascending
         order from each equation's compiled plan, and ``max_instances``
         counts the instances a round makes of the rules it keeps, so a
-        round takes at most one environment past its budget.
+        round takes at most one environment past its budget.  Every exit
+        restores congruence first, a round stopped on its instance budget
+        included, so the memo's keys are canonical whatever the outcome.
         """
         budget = self.max_rounds if max_rounds is None else max_rounds
         if budget >= 1 and len(self._log) == self._fixpoint_version:
@@ -681,6 +683,7 @@ class QWState:
                     instances += 1
                     if instances > self.max_instances:
                         # as saturated as budgeted, like the round-budget exit below
+                        round_merges += self._rebuild()
                         self._saturated_version = len(self._log)
                         return SaturationResult(
                             False, rounds, merges + round_merges,

@@ -1,14 +1,16 @@
 """Executable initiality for a constructed carrier.
 
-Recursion into a finite algebra is one memoised fold over the carrier:
-each class takes the step of its canonical layer over its children's
-values.  Into the term algebra that fold gives the representative, so
-recursion equals evaluating the representative.  A dynamic check
-confirms the value does not depend on the member chosen.  Homomorphism
-and uniqueness are checked exhaustively over a bounded fragment of
-classes, and dependent elimination is the same fold through the algebra
-on (class, value) pairs, guarded by a coherence premise over the
-equations.
+Every class value comes from one memoised fold over the carrier,
+:func:`_values`: each class takes the step of its canonical layer over
+its children's values.  Into the term algebra that fold gives the
+representative, so recursion equals evaluating the representative.  A
+dynamic check confirms the value does not depend on the member chosen.
+Homomorphism and uniqueness are checked exhaustively over a bounded
+fragment of classes.  Dependent elimination is recursion into the
+algebra of (class, value) pairs, with a check that the first projection
+returns the class it started from, guarded by a coherence premise over
+the equations; like recursion, it folds only the classes it is asked
+about and those below them.
 
 All checks here are bounded: they quantify over enumerated fragments, not
 the whole carrier, and say so in their reports.  Each settles the state
@@ -134,29 +136,38 @@ def _operation_table(algebra: FiniteAlgebra, cells: list) -> tuple | None:
     return values if all(v in algebra.carrier for v in values) else None
 
 
-def _all_values(
+def _values(
     state: QWState,
-    algebra: Any,
+    leaf: Callable[[str, Any], Any],
+    step: Callable[[str, Any], Any],
     gen_env: Mapping | None,
     classes: Iterable[ClassId] | None = None,
 ) -> dict[int, Any]:
-    """Value of every class: the canonical representative evaluated, as
-    one fold over the carrier.  Given ``classes``, the fold covers only
-    them and the classes their representatives are built from."""
+    """The one fold that values classes: a stale state is saturated, then
+    every class is valued, or given ``classes`` those and the classes
+    their representatives are built from (:meth:`QWState.fold`).  A
+    generator leaf takes ``leaf(name, value)``, its value given in
+    ``gen_env``; an operator layer takes ``step(op, values)``."""
     if state.stale:
         state.saturate()
     env = dict(gen_env) if gen_env else {}
 
-    def leaf(name: str) -> Any:
+    def lookup(name: str) -> Any:
         try:
-            return env[name]
+            value = env[name]
         except KeyError:
             raise UnboundVariableError(
                 f"variable {name!r} outside the environment"
             ) from None
+        return leaf(name, value)
 
     roots = None if classes is None else [state.canonical(c).index for c in classes]
-    return state.fold(leaf, lambda op, values: _interp(algebra, op, values), roots)
+    return state.fold(lookup, step, roots)
+
+
+def _given(name: str, value: Any) -> Any:
+    """Recursion's leaf: a generator's value as given."""
+    return value
 
 
 def qw_rec(
@@ -170,7 +181,7 @@ def qw_rec(
     evaluated, folding only the classes that representative is built
     from."""
     _validate_target(state, target)
-    values = _all_values(state, target.algebra, gen_env, (c,))
+    values = _values(state, _given, partial(_interp, target.algebra), gen_env, (c,))
     return values[state.canonical(c).index]
 
 
@@ -218,9 +229,7 @@ def _law_walk(
     built: those in the operator index with a valued class, children in the
     fragment and a countable table below the probe.  The rest have no
     interned introduction and are counted as skipped, so the walk costs
-    what the carrier holds.  After an instance-budget exit the rebuild is
-    pending, and the index holds merged layers that a lookup by the memo's
-    stale keys would miss.  Returns the first layer that breaks the law, or
+    what the carrier holds.  Returns the first layer that breaks the law, or
     None, with the layers checked and skipped (before it, if it breaks)."""
     vals = values()
     handle: dict[int, ClassId] = {}
@@ -266,7 +275,7 @@ def check_rec_hom(
     as a counterexample rather than a refusal."""
     broken, checked, skipped = _law_walk(
         state, _fragment(state, classes),
-        lambda: _all_values(state, target.algebra, gen_env),
+        lambda: _values(state, _given, partial(_interp, target.algebra), gen_env),
         lambda s, kids: _interp(target.algebra, s.op, kids),
     )
     return FragmentHomReport(broken is None, broken, checked, skipped)
@@ -323,7 +332,7 @@ def check_uniq(
     )
     if broken is not None:
         return UniqReport(False, premise_counterexample=broken)
-    values = _all_values(state, target.algebra, gen_env)
+    values = _values(state, _given, partial(_interp, target.algebra), gen_env)
     for i in sorted(hmap):
         if hmap[i] != values[i]:
             return UniqReport(False, conclusion_counterexample=ClassId(i))
@@ -447,39 +456,26 @@ def constant_target(equations: CarrierSatReport) -> DepTarget:
 def _elim_values(
     state: QWState,
     dep: DepTarget,
-    *,
-    gen_env: Mapping | None = None,
+    gen_env: Mapping | None,
+    classes: Iterable[ClassId] | None = None,
 ) -> dict[int, Any]:
+    """Elimination as recursion into the algebra of (class, value) pairs:
+    each value is checked against the fiber over its class, and each
+    folded class's first projection against the class itself."""
     if not dep.coherence.ok:
         raise CoherenceError("refusing elimination: coherence premise not verified")
-    if state.stale:
-        state.saturate()
-    env = dict(gen_env) if gen_env else {}
 
-    def fault(message: str) -> WorkbenchError:
-        # a round its instance budget stopped leaves the rebuild pending and
-        # the memo's keys stale, so short of a fixpoint a miss is unknown
-        if len(state._log) == state._fixpoint_version:
-            return WorkbenchError(message)
-        return BudgetExceededError(f"saturation budget exhausted: {message}")
-
-    def leaf(name: str) -> tuple[ClassId, Any]:
-        cls = state.intern_term(Var(name))
-        try:
-            val = env[name]
-        except KeyError:
-            raise UnboundVariableError(
-                f"no dependent value supplied for generator {name!r}"
-            ) from None
-        return cls, val
+    def leaf(name: str, value: Any) -> tuple[ClassId, Any]:
+        return state.intern_term(Var(name)), value
 
     def step(op: str, pairs: Any) -> tuple[ClassId, Any]:
         idxs = map_branches(lambda p: p[0], pairs)
         vals = map_branches(lambda p: p[1], pairs)
-        # the fold's classes are roots
+        # the fold's classes are roots, and every saturation exit leaves
+        # the memo's keys canonical
         root = state._layer(op, map_branches(lambda c: c.index, idxs), False)
         if root is None:
-            raise fault("representative layer unexpectedly not interned")
+            raise WorkbenchError("representative layer unexpectedly not interned")
         intro = ClassId(root)
         val = dep.step(op, idxs, vals)
         if val not in dep.family(intro):
@@ -488,13 +484,11 @@ def _elim_values(
             )
         return intro, val
 
-    pairs = state.fold(leaf, step)
     memo: dict[int, Any] = {}
-    for c in state.roots():
-        idx, val = pairs[c.index]
-        if not state.same_class(idx, c):
-            raise fault("first projection of the pair recursion left its class")
-        memo[c.index] = val
+    for root, (idx, val) in _values(state, leaf, step, gen_env, classes).items():
+        if idx.index != root:
+            raise WorkbenchError("first projection of the pair recursion left its class")
+        memo[root] = val
     return memo
 
 
@@ -506,10 +500,10 @@ def qw_elim(
     gen_env: Mapping | None = None,
 ) -> Any:
     """Dependent elimination: a value in the fiber over the class, computed
-    through the algebra on (class, value) pairs.  The index component is
-    checked to land back in the class it started from; short of a fixpoint,
-    where a rebuild may be pending, a failed check reads unknown."""
-    values = _elim_values(state, dep, gen_env=gen_env)
+    through the algebra on (class, value) pairs, folding only the classes
+    the class's representative is built from.  The index component is
+    checked to land back in the class it started from."""
+    values = _elim_values(state, dep, gen_env, (c,))
     return values[state.canonical(c).index]
 
 
@@ -538,7 +532,7 @@ def check_comp(
     class gives exactly the step applied to the branchwise eliminations."""
     broken, checked, _ = _law_walk(
         state, _fragment(state, classes),
-        lambda: _elim_values(state, dep, gen_env=gen_env),
+        lambda: _elim_values(state, dep, gen_env),
         lambda s, kids: dep.step(s.op, s.branches, kids),
     )
     return CompReport(broken is None, broken, checked)
@@ -566,7 +560,7 @@ def check_rep_independence(
     never depends on which member is picked.  This is the invariance half
     of recursion made into a runtime check."""
     _validate_target(state, target)
-    values = _all_values(state, target.algebra, gen_env)
+    values = _values(state, _given, partial(_interp, target.algebra), gen_env)
     env = dict(gen_env) if gen_env else {}
     for c in state.roots():
         expected = values[c.index]

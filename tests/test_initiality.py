@@ -49,8 +49,9 @@ from qitbench.initiality import (
     CoherenceReport,
     DepTarget,
     RecTarget,
-    _all_values,
     _elim_values,
+    _given,
+    _values,
     check_coherence,
     check_comp,
     check_rec_hom,
@@ -82,6 +83,11 @@ from qitbench.terms import (
     term_key,
 )
 from test_engine import SMALL_SIG, SMALL_TERMS, UNBOUND_SYSTEM, _small_systems
+
+
+def _rec_values(st, alg, env, classes=None):
+    # recursion's fold into ``alg``
+    return _values(st, _given, partial(_interp, alg), env, classes)
 
 
 def build(inst, bound):
@@ -384,8 +390,7 @@ def test_budgets_are_refused_before_any_work(bag, monkeypatch, check):
     st.saturate()
     monkeypatch.setattr(initiality, "ENV_BUDGET", 3)
     folds = []
-    for name in ("_all_values", "_elim_values"):
-        monkeypatch.setattr(initiality, name, lambda *a, **kw: folds.append(a))
+    monkeypatch.setattr(initiality, "_values", lambda *a, **kw: folds.append(a))
     runs = {
         "check_equations_hold": lambda: check_equations_hold(st, cids, env_budget=3),
         "check_coherence": lambda: check_coherence(st, family, step, classes=cids),
@@ -413,7 +418,7 @@ def test_law_walks_read_stored_layers_past_a_trillion_over_the_fragment(fixtures
     assert total > 10**12
     version = st.version
     hom = check_rec_hom(st, good)
-    h = {ClassId(r): v for r, v in _all_values(st, good.algebra, None).items()}
+    h = {ClassId(r): v for r, v in _rec_values(st, good.algebra, None).items()}
     uniq = check_uniq(st, good, h)
     comp = check_comp(st, dep)
     assert st.version == version
@@ -586,16 +591,17 @@ def test_fold_equals_evaluating_representatives(fixtures, path, size, generators
     expected = {
         c.index: eval_alg(st.representative(c), env, alg) for c in st.roots()
     }
-    assert _all_values(st, alg, env) == expected
+    assert _rec_values(st, alg, env) == expected
 
 
 @pytest.mark.parametrize("path,size,generators,algebra", FOLD_CASES)
 def test_recursion_folds_only_the_queried_class(
     fixtures, monkeypatch, path, size, generators, algebra
 ):
-    # qw_rec folds the class's own subgraph; each answer is the full fold's
+    # qw_rec and qw_elim fold the class's own subgraph; each answer is the
+    # full fold's
     st, alg, env = _fold_case(fixtures, path, size, generators, algebra)
-    expected = _all_values(st, alg, env)
+    expected = _rec_values(st, alg, env)
     # the recording and corrupted algebras are no recursion targets: let
     # them through the re-check so the fold itself is compared
     monkeypatch.setattr(initiality, "_validate_target", lambda state, target: None)
@@ -603,7 +609,23 @@ def test_recursion_folds_only_the_queried_class(
     for c in st.roots():
         assert qw_rec(st, target, c, gen_env=env) == expected[c.index]
     leaf = st.roots()[0]
-    assert _all_values(st, alg, env, [leaf]) == {leaf.index: expected[leaf.index]}
+    assert _rec_values(st, alg, env, [leaf]) == {leaf.index: expected[leaf.index]}
+    # and so does qw_elim, through the pair algebra: on a generator's
+    # class it takes no step
+    steps = []
+
+    def step(op, idxs, vals):
+        steps.append(op)
+        return _interp(alg, op, vals)
+
+    dep = DepTarget(lambda c: _Everything(), step, CoherenceReport(True))
+    expected = _elim_values(st, dep, env)
+    for c in st.roots():
+        assert qw_elim(st, dep, c, gen_env=env) == expected[c.index]
+    for g in generators:
+        steps.clear()
+        assert qw_elim(st, dep, st.intern_term(Var(g)), gen_env=env) == env[g]
+        assert steps == []
 
 
 def test_an_unbound_generator_raises_only_where_the_queried_class_uses_it(
@@ -617,7 +639,7 @@ def test_an_unbound_generator_raises_only_where_the_queried_class_uses_it(
     with pytest.raises(UnboundVariableError):
         qw_rec(st, target, w, gen_env={"v": "v"})
     with pytest.raises(UnboundVariableError):
-        _all_values(st, alg, {"v": "v"})
+        _rec_values(st, alg, {"v": "v"})
 
 
 def test_fold_drops_entries_that_collapse_onto_the_default():
@@ -629,7 +651,7 @@ def test_fold_drops_entries_that_collapse_onto_the_default():
     c = st.intern_term(omega_node("s", [(0, node("f", node("c")))], node("leaf")))
     st.saturate()
     assert st.representative(c) == omega_node("s", [], node("leaf"))
-    values = _all_values(st, _recording, {})
+    values = _rec_values(st, _recording, {})
     assert values == {
         r.index: eval_alg(st.representative(r), {}, _recording) for r in st.roots()
     }
@@ -662,7 +684,7 @@ def test_elimination_equals_walking_representatives(
         idx, val = walk(st.representative(c))
         assert st.same_class(idx, c)
         expected[c.index] = val
-    assert _elim_values(st, dep, gen_env=env) == expected
+    assert _elim_values(st, dep, env) == expected
 
 
 def _height(op, branches):
@@ -870,7 +892,7 @@ def test_law_walk_over_stored_layers_equals_enumerating_every_layer(
     bad = FiniteAlgebra((0, 1, 2), _walk_algebra(case, st.signature, st.probe, cell))
     good = rec_target(alg, st.system)
     forged = RecTarget(bad, st.system, SatReport(True))
-    values = _all_values(st, alg, gens)
+    values = _rec_values(st, alg, gens)
     h = {c: values[st.canonical(c).index] for c in classes or st.roots()}
     for i in moved:
         c = list(h)[i % len(h)]
@@ -1193,26 +1215,61 @@ def test_the_equations_hold_on_every_carrier_or_the_budget_says_unknown(
     max_instances=hst.integers(1, 40),
 )
 @example(
-    # the instance budget stops each size's first round before its
-    # rebuild, so the pair recursion's lookups read stale keys
+    # the instance budget stops each size's first round mid-round, so the
+    # pair recursion reads the keys that round's rebuild made canonical
     system=make_system(SMALL_SIG, [("e0", 1, node("g", node("f", node("c")), node("c")), Var(0))]),
     size=3,
     max_rounds=2,
     max_instances=1,
 )
-def test_elimination_into_the_constant_family_is_ok_or_unknown(
+def test_elimination_into_the_constant_family_is_ok_on_every_carrier(
     system, size, max_rounds, max_instances
 ):
-    # the constant family is trivially coherent, so the computation rule
-    # holds and elimination gives "*", or a pending rebuild says unknown
+    # the constant family is trivially coherent, so wherever the budgets
+    # stop, the computation rule holds and elimination gives "*": every
+    # saturation exit rebuilds, so each layer the pair recursion looks up
+    # is interned under its canonical key
     dep = DepTarget(lambda c: ("*",), lambda op, idxs, vals: "*", CoherenceReport(True))
     st = new_qw(SMALL_SIG, system, max_rounds=max_rounds, max_instances=max_instances)
     classes = [c for c, _ in st.enumerate_classes(size)]
-    try:
-        assert check_comp(st, dep).ok
-        assert {qw_elim(st, dep, c) for c in classes} == {"*"}
-    except BudgetExceededError:
-        assert st.version != st._fixpoint_version  # only short of a fixpoint
+    assert check_comp(st, dep).ok
+    assert {qw_elim(st, dep, c) for c in [*classes, *st.roots()]} == {"*"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    system=_small_systems(),
+    pick=hst.integers(0, len(TWO_POINT_ALGEBRAS) - 1),
+    size=hst.integers(1, 3),
+    later=hst.lists(hst.sampled_from(SMALL_TERMS), max_size=4),
+    max_rounds=hst.integers(0, 2),
+    max_instances=hst.integers(1, 30),
+)
+def test_elimination_into_a_model_at_its_carrier_is_recursion(
+    system, pick, size, later, max_rounds, max_instances
+):
+    # initiality as a test: eliminating into the constant family at a
+    # model's carrier, stepping by the model's operations, is recursion
+    # into the model on every class, wherever the budgets stopped.  The
+    # model satisfies the equations, so that family is coherent.  The terms
+    # interned after the enumeration leave the state stale, so either
+    # call's own saturation can stop on its budget too
+    models = TWO_POINT_ALGEBRAS[pick:] + TWO_POINT_ALGEBRAS[:pick]
+    alg = next((a for a in models if sat_check(a, system).satisfied), None)
+    assume(alg is not None)
+    target = rec_target(alg, system)
+    dep = DepTarget(
+        lambda c: alg.carrier,
+        lambda op, idxs, vals: _interp(alg, op, vals),
+        CoherenceReport(True),
+    )
+    st = new_qw(SMALL_SIG, system, max_rounds=max_rounds, max_instances=max_instances)
+    st.enumerate_classes(size)
+    for t in later:
+        c = st.intern_term(t)
+        assert qw_elim(st, dep, c) == qw_rec(st, target, c)
+    for c in st.roots():
+        assert qw_elim(st, dep, c) == qw_rec(st, target, c)
 
 
 @settings(max_examples=100, deadline=None)
