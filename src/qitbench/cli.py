@@ -359,11 +359,18 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _count(text: str) -> int:
+    """A bound or depth option's value: a whole number, 0 or more."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"want a whole number, 0 or more, got {text!r}")
+    return int(text)
+
+
 _OPTIONS = {
-    "--max-rounds": dict(type=int, default=40, help="saturation round budget"),
-    "--size-bound": dict(type=int, default=4, help="closed term size bound"),
+    "--max-rounds": dict(type=_count, default=40, help="saturation round budget"),
+    "--size-bound": dict(type=_count, default=4, help="closed term size bound"),
     "--carrier-bound": dict(
-        type=int, default=0, help="separator carrier bound (0 disables the search)"
+        type=_count, default=0, help="separator carrier bound (0 disables the search)"
     ),
     "--free": dict(action="append", metavar="GEN", help="generator name (free-algebra mode)"),
 }
@@ -372,7 +379,7 @@ _OPTIONS = {
 def _add_common(p: argparse.ArgumentParser, *options: str) -> None:
     """``--format`` and ``--probe``, then the named ``_OPTIONS`` the command reads."""
     p.add_argument("--format", choices=("human", "json"), default="human")
-    p.add_argument("--probe", type=int, default=2, help="probe depth for countable branching")
+    p.add_argument("--probe", type=_count, default=2, help="probe depth for countable branching")
     for name in options:
         p.add_argument(name, **_OPTIONS[name])
 

@@ -1352,7 +1352,10 @@ def find_separator(
     with values ascending, so complete tables come in lexicographic order.
     A branch is cut once the terms evaluate equal on the cells set so far
     or an equation instance's sides differ: every completion agrees, so no
-    separator is cut.  A hit is re-checked with ``eval_alg`` and
+    separator is cut.  Each pair (the terms, and each instance with its
+    mirror compiled once) is evaluated up to the first unset cell it reads
+    and waits on that cell; setting a cell re-settles only the pairs
+    waiting on it.  A hit is re-checked with ``eval_alg`` and
     ``sat_check``.  ``max_algebras`` bounds the cells assigned over all
     carriers; each carrier's equation instances are bounded by
     ``ENV_BUDGET`` before they are compiled."""
@@ -1368,53 +1371,64 @@ def find_separator(
         bases: dict[str, int] = {}
         for i, (name, _) in enumerate(slots):
             bases.setdefault(name, i)
-        cells: list[int | None] = [None] * len(slots)
+        cells = [-1] * len(slots)  # -1: not set yet
 
-        def value(c: Any) -> int | None:
-            # a cell's index within its operator is its branch values read
-            # as digits base m, as branch_assignments orders them
+        def read(c: Any) -> int:
+            # a value, or ~k for the first unset cell k read; a cell's index
+            # within its operator is its branch values read as digits base
+            # m, as branch_assignments orders them
             if c.__class__ is int:
                 return c
             base, kids = c
             i = 0
-            for k in kids:
-                v = value(k)
-                if v is None:
-                    return None
+            for kid in kids:
+                v = read(kid)
+                if v < 0:
+                    return v
                 i = i * m + v
-            return cells[base + i]
+            v = cells[base + i]
+            return v if v >= 0 else ~(base + i)
 
-        def undetermined(pairs: list) -> list | None:
-            """The pairs not yet evaluated on both sides, or None once a
-            pair's sides differ."""
-            rest = []
-            for lhs, rhs in pairs:
-                lv = value(lhs)
-                rv = None if lv is None else value(rhs)
-                if rv is None:
-                    rest.append((lhs, rhs))
-                elif lv != rv:
-                    return None
-            return rest
+        # watch[k]: the pairs waiting on cell k; trail: the cells pairs were
+        # filed under, cut back to marks[k] before cell k's next value
+        watch: list[list] = [[] for _ in slots]
+        trail: list[int] = []
 
-        tc, uc = _cell_term(t, (), bases, probe), _cell_term(u, (), bases, probe)
+        def settle(pairs: list) -> bool:
+            """File each (lhs, rhs, cut when equal) pair under the cell it
+            waits on; False once one is cut."""
+            for pair in pairs:
+                lhs, rhs, cut_when_equal = pair
+                v = read(lhs)
+                if v >= 0:
+                    w = read(rhs)
+                    if w >= 0:
+                        if (v == w) is cut_when_equal:
+                            return False
+                        continue
+                    v = w
+                watch[~v].append(pair)
+                trail.append(~v)
+            return True
+
         compiled: dict[tuple, None] = {}
         for e, env in envs:
             lhs = _cell_term(e.lhs, env, bases, probe)
             rhs = _cell_term(e.rhs, env, bases, probe)
-            if lhs != rhs:
+            if lhs != rhs and (rhs, lhs) not in compiled:
                 compiled[lhs, rhs] = None
-        root = undetermined(list(compiled))
-        if root is None:
+        target = (_cell_term(t, (), bases, probe), _cell_term(u, (), bases, probe), True)
+        if not settle([target, *((lhs, rhs, False) for lhs, rhs in compiled)]):
             continue
-        # pending[k]: the instances still undetermined before cell k is set
-        pending = [root]
+        marks = [len(trail)]
         k = 0
         while k >= 0:
-            v = 0 if cells[k] is None else cells[k] + 1
+            while len(trail) > marks[k]:
+                watch[trail.pop()].pop()
+            v = cells[k] + 1
             if v == m:
-                cells[k] = None
-                pending.pop()
+                cells[k] = -1
+                marks.pop()
                 k -= 1
                 continue
             if nodes >= max_algebras:
@@ -1423,14 +1437,10 @@ def find_separator(
                 )
             nodes += 1
             cells[k] = v
-            tv = value(tc)
-            if tv is not None and tv == value(uc):
-                continue
-            rest = undetermined(pending[k])
-            if rest is None:
+            if not settle(watch[k]):
                 continue
             if k + 1 < len(slots):
-                pending.append(rest)
+                marks.append(len(trail))
                 k += 1
                 continue
             alg = table_algebra(sig, carrier, dict(zip(slots, cells)), probe=probe)

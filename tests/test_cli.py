@@ -479,6 +479,36 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, fixtures, 
     assert run(capsys, *argv)[0] in (EXIT_OK, EXIT_UNKNOWN, EXIT_SEPARATED)
 
 
+# a command and operands that read each bound or depth option
+BOUND_OPTIONS = [
+    ("separate", ["a::[]", "b::[]"], "--carrier-bound"),
+    ("eq", ["a::[]", "b::[]"], "--carrier-bound"),
+    ("enumerate", [], "--size-bound"),
+    ("enumerate", [], "--max-rounds"),
+    ("check", [], "--probe"),
+]
+
+
+@pytest.mark.parametrize("command, operands, option", BOUND_OPTIONS)
+@pytest.mark.parametrize("value", ["-1", "two"])
+def test_a_bound_that_is_not_a_whole_number_is_a_usage_error(
+    capsys, fixtures, command, operands, option, value
+):
+    argv = [command, str(fixtures / "bag.qit"), *operands, option, value]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert json.loads(err) == {
+        "error": "usage",
+        "message": f"argument {option}: want a whole number, 0 or more, got {value!r}",
+    }
+
+
+@pytest.mark.parametrize("command, operands, option", BOUND_OPTIONS)
+def test_a_bound_of_zero_is_accepted(capsys, fixtures, command, operands, option):
+    argv = [command, str(fixtures / "bag.qit"), *operands, option, "0"]
+    assert run(capsys, *argv)[0] in (EXIT_OK, EXIT_UNKNOWN, EXIT_SEPARATED)
+
+
 def test_console_entry_point(fixtures):
     proc = subprocess.run(
         [sys.executable, "-m", "qitbench.cli", "check", str(fixtures / "bag.qit")],

@@ -448,6 +448,30 @@ def test_separator_is_the_lex_first_table(bag):
     }
 
 
+# the cells each query assigns before it answers: the size of the search
+# tree, which watching pairs on the cells they wait on must leave as it is
+SEARCH_TREES = [
+    pytest.param(["a", "b"], ["b", "a"], 3, 1609, None, id="equal-at-bound-3"),
+    pytest.param(
+        ["a"] * 2,
+        ["a"] * 8,
+        4,
+        122,
+        {"nil": [0], "cons(a)": [1, 2, 3, 0], "cons(b)": [0, 1, 2, 3]},
+        id="lex-first-at-bound-4",
+    ),
+]
+
+
+@pytest.mark.parametrize("left, right, bound, cells, table", SEARCH_TREES)
+def test_separator_search_assigns_a_pinned_number_of_cells(bag, left, right, bound, cells, table):
+    t, u = bag_term(left), bag_term(right)
+    alg = find_separator(bag.signature, bag.system, t, u, bound, max_algebras=cells)
+    assert (alg if alg is None else _bag_table(alg, ("a", "b"))) == table
+    with pytest.raises(BudgetExceededError, match=f"^assigned {cells - 1} table cells"):
+        find_separator(bag.signature, bag.system, t, u, bound, max_algebras=cells - 1)
+
+
 def test_separator_reaches_carrier_four_over_three_elements():
     # a complete-table scan spends its 500k budget before carrier 4 here
     inst = bag_of(("a", "b", "c"))
@@ -1495,6 +1519,26 @@ def _assert_same_separator(sig, system, t, u, carrier_bound):
 )
 def test_separator_equals_the_complete_table_scan(system, pair):
     _assert_same_separator(SMALL_SIG, system, *pair, 2)
+
+
+@pytest.mark.parametrize(
+    "left, right, separated",
+    [
+        pytest.param([], ["a"], True, id="nil-vs-a"),
+        pytest.param(["a"], ["b"], True, id="a-vs-b"),
+        pytest.param(["a", "a"], ["a"], True, id="aa-vs-a"),
+        pytest.param(["a", "b"], ["b", "b"], True, id="ab-vs-bb"),
+        pytest.param(["a", "b"], ["b", "a"], False, id="ab-vs-ba"),
+        pytest.param(["a", "a", "b"], ["a", "b", "a"], False, id="aab-vs-aba"),
+        pytest.param(["b", "a", "a"], ["a", "b", "a"], False, id="baa-vs-aba"),
+    ],
+)
+def test_separator_with_mirrored_instances_equals_the_complete_table_scan(
+    bag, left, right, separated
+):
+    # swap(a,b) and swap(b,a) give each instance's mirror, compiled once
+    alg = _assert_same_separator(bag.signature, bag.system, bag_term(left), bag_term(right), 2)
+    assert (alg is not None) == separated
 
 
 def _tree(op, entries, default):
