@@ -86,8 +86,12 @@ def _diag(exc: Exception) -> None:
 
 
 def _read(path: str) -> str:
+    """A file's text; one that is not UTF-8 is an IO error, as a missing one is."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise OSError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
 
 
 def _load_pipeline(args):
@@ -166,6 +170,16 @@ def _load_algebra(args, sig: Signature) -> FiniteAlgebra:
             raise WorkbenchError(f"algebra file is not JSON: {exc}") from None
         return algebra_from_json(obj, sig, args.probe)
     return one_point_algebra()
+
+
+def _gen_env(alg: FiniteAlgebra, generators: tuple[str, ...]) -> dict:
+    """The valuation of the ``--free`` generators: each takes the algebra's
+    first carrier element, so generators need a carrier that has one."""
+    if generators and not alg.carrier:
+        raise WorkbenchError(
+            "--free generators take the algebra's first carrier element, and its carrier is empty"
+        )
+    return {g: alg.carrier[0] for g in generators}
 
 
 def _find_separator(args, sig, system, generators, t1, t2):
@@ -282,10 +296,10 @@ def cmd_rec(args) -> int:
     decl, sig, system, state = _load_pipeline(args)
     alg = _load_algebra(args, sig)
     target = rec_target(alg, system)
+    gen_env = _gen_env(alg, state.generators)
     t = parse_ground_term(args.term, decl, probe=args.probe, generators=state.generators)
     c = state.intern_term(t)
     state.saturate()
-    gen_env = {g: alg.carrier[0] for g in state.generators}
     value = qw_rec(state, target, c, gen_env=gen_env)
     payload = {"value": value}
     _emit(args, payload, [f"value: {value!r}"])
@@ -323,7 +337,7 @@ def cmd_selftest(args) -> int:
     alg = _load_algebra(args, sig)
     satrep = sat_check(alg, system)
     report["satisfaction"] = satrep.to_json()
-    gen_env = {g: alg.carrier[0] for g in state.generators}
+    gen_env = _gen_env(alg, state.generators)
 
     target = RecTarget(alg, system, satrep)
     hom = check_rec_hom(state, target, gen_env=gen_env)

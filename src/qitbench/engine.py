@@ -46,7 +46,6 @@ import functools
 import heapq
 import itertools
 import math
-from collections import Counter
 from typing import Any, Callable, Iterable, Iterator
 
 from .equations import ENV_BUDGET, EquationSystem, instances, sat_check
@@ -205,9 +204,6 @@ class QWState:
             if plan.lhs is not plan.rhs:
                 rules.setdefault(frozenset((plan.lhs, plan.rhs)), plan)
         self._rules = tuple(rules.values())
-        # the sides shared among the plans, which the carrier walk lifts once
-        uses = Counter(side for plan in self._plans.values() for side in (plan.lhs, plan.rhs))
-        self._shared = frozenset(side for side, n in uses.items() if n > 1)
         self._parent: list[int] = []
         self._rank: list[int] = []
         self._payloads: list[Payload] = []
@@ -989,38 +985,31 @@ def _height(t: Term) -> int:
 
 
 class _Side:
-    """One side of an equation, compiled.  ``join(index, roots, found)``
-    adds to ``found`` the values of the side's variables (``bound``,
-    ascending) under each way the side matches one of ``roots``; a bare
-    variable has no join.  ``layers`` interns an instance bottom up: each
-    layer's operator and the slots of its children, where slots below the
-    variable count hold the environment and each layer's class takes the
-    next; ``out`` is the side's slot.  ``order`` is the term's post-order
-    as slots, each variable occurrence and each layer once, children before
-    parents."""
+    """One side of an equation, compiled.  ``term`` is the side itself.
+    ``join(index, roots, found)`` adds to ``found`` the values of the
+    side's variables (``bound``, ascending) under each way the side matches
+    one of ``roots``; a bare variable has no join.  ``layers`` interns an
+    instance bottom up: each layer's operator and the slots of its
+    children, where slots below the variable count hold the environment and
+    each layer's class takes the next; ``out`` is the side's slot."""
 
-    __slots__ = ("head", "bound", "missing", "join", "layers", "out", "order")
+    __slots__ = ("term", "head", "bound", "missing", "join", "layers", "out")
 
     def __init__(self, t: Term, n: int):
         names = term_vars(t)
+        self.term = t
         self.bound = tuple(sorted(names))
         self.missing = tuple(v for v in range(n) if v not in names)
         self.head = None if isinstance(t, Var) else t.op
         self.join = None if self.head is None else _compile_join(t, self.bound)
         layers: list[tuple[str, Any]] = []
-        order: list[int] = []
-
-        def place(slot: int) -> int:
-            order.append(slot)
-            return slot
 
         def layer(op: str, kids: Any) -> int:
             layers.append((op, kids))
-            return place(n + len(layers) - 1)
+            return n + len(layers) - 1
 
-        self.out = fold_term(t, place, layer)
+        self.out = fold_term(t, lambda slot: slot, layer)
         self.layers = tuple(layers)
-        self.order = tuple(order)
 
     def domains(self, bound: list, missing: list) -> list:
         """Per variable, the ascending values a product takes there."""
@@ -1288,26 +1277,23 @@ def _carrier_walk(state: QWState, carrier: list, lift: Callable, budget: int) ->
     of each of :func:`equations.instances` over ``carrier`` by its compiled
     plan, giving a class root and a value; after one ``saturate()`` the
     sides must share both, and sides a budget-stopped saturation left apart
-    raise ``BudgetExceededError``.  A side shared among the plans is lifted
-    once per environment; another lift would intern nothing and pass the
-    same fiber checks.  The first failure (equation, env, reason), or None."""
-    pending, shared, lifted = [], state._shared, {}
-
-    def once(side: _Side, at: tuple, env: tuple) -> tuple:
-        if (side, at) not in lifted:
-            lifted[side, at] = lift(side, env)
-        return lifted[side, at]
-
-    # beside each environment, its carrier indexes, which key shared sides
+    raise ``BudgetExceededError``.  Each lift is memoised by the side and
+    the environment's carrier indexes, so a side that several plans share
+    is lifted once per environment; another lift would intern nothing and
+    pass the same fiber checks.  The first failure (equation, env, reason),
+    or None."""
+    pending, lifted = [], {}
+    # beside each environment, its carrier indexes, which key the lifts
     indexes = instances(state.system, range(len(carrier)), budget)
     for (eq, env), (_, at) in zip(instances(state.system, carrier, budget), indexes):
         plan = state._plans[eq.name]
         try:
-            li = once(plan.lhs, at, env) if plan.lhs in shared else lift(plan.lhs, env)
-            ri = once(plan.rhs, at, env) if plan.rhs in shared else lift(plan.rhs, env)
+            for side in (plan.lhs, plan.rhs):
+                if (side, at) not in lifted:
+                    lifted[side, at] = lift(side, env)
         except FiberMismatchError as exc:
             return eq.name, env, str(exc)
-        pending.append((eq.name, env, li, ri))
+        pending.append((eq.name, env, lifted[plan.lhs, at], lifted[plan.rhs, at]))
     fixpoint = state.saturate().fixpoint
     for name, env, (li, lv), (ri, rv) in pending:
         if state._find(li) != state._find(ri):

@@ -7,10 +7,11 @@ representative, so recursion equals evaluating the representative.  A
 dynamic check confirms the value does not depend on the member chosen.
 Homomorphism and uniqueness are checked exhaustively over a bounded
 fragment of classes.  Dependent elimination is recursion into the
-algebra of (class, value) pairs, with a check that the first projection
-returns the class it started from, guarded by a coherence premise over
-the equations; like recursion, it folds only the classes it is asked
-about and those below them.
+algebra of (class, root, value) triples, :func:`_pair`, whose step finds
+the layer's class and checks the value against the fiber over it, with a
+check that the first projection returns the class it started from,
+guarded by a coherence premise over the equations; like recursion, it
+folds only the classes it is asked about and those below them.
 
 All checks here are bounded: they quantify over enumerated fragments, not
 the whole carrier, and say so in their reports.  Each settles the state
@@ -18,15 +19,16 @@ the whole carrier, and say so in their reports.  Each settles the state
 checks the algebra-map law by one walk over the operator layers the
 carrier stores over the fragment, :func:`_law_walk`.  The coherence
 premise is the walk of ``check_equations_hold`` with a value per layer:
-each distinct side is interned once per environment through its compiled
-plan, as lifting its term layer by layer would, with step and fiber
-checks in post-order.  A recursion target is re-checked on each use over
-operator cells it tabulates once.
+each side is evaluated in that same algebra of triples, interning its
+layers, and each distinct side once per environment, with leaf and step
+fiber checks in post-order.  A recursion target is re-checked on each use
+over operator cells it tabulates once.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping
 
 from .engine import (
@@ -62,6 +64,7 @@ from .terms import (
     branches_to_json,
     budgeted_opnodes,
     count_opnodes,
+    fold_term,
     map_branches,
     probe_key,
 )
@@ -393,40 +396,46 @@ def _lift(
     step: Callable[[str, Any, Any], Any],
 ) -> tuple[int, Any]:
     """Dependent evaluation of a compiled side under an environment of
-    ``(class, root, value)`` options, in the term's post-order:
-    each leaf's value is checked against its fiber, and each layer is
-    interned from its canonical key before the step's value is checked
-    against the fiber over it.  Returns the side's class root and value."""
-    n = len(env)
-    ids = [o[0] for o in env]
-    roots = [o[1] for o in env]
-    vals = [o[2] for o in env]
-    layers = side.layers
-    for slot in side.order:
-        if slot < n:
-            if vals[slot] not in family(ids[slot]):
-                raise FiberMismatchError(
-                    f"leaf value {vals[slot]!r} outside the fiber over {ids[slot]!r}"
-                )
-            continue
-        op, kids = layers[slot - n]
-        if kids.__class__ is tuple:
-            at = tuple([roots[k] for k in kids])
-            idxs = tuple([ids[k] for k in kids])
-            vs = tuple([vals[k] for k in kids])
-        else:
-            at, idxs, vs = (map_branches(x.__getitem__, kids) for x in (roots, ids, vals))
-        root = state._layer(op, at, True)
-        idx = ClassId(root)
-        val = step(op, idxs, vs)
-        if val not in family(idx):
-            raise FiberMismatchError(
-                f"step value {val!r} outside the fiber over {idx!r} at {op!r}"
-            )
-        ids.append(idx)
-        roots.append(root)
-        vals.append(val)
-    return roots[side.out], vals[side.out]
+    ``(class, root, value)`` options: the side's term folded into the
+    algebra of triples (:func:`_pair`), interning each layer, with each
+    leaf's value checked against its fiber.  Returns the side's class root
+    and value."""
+
+    def leaf(slot: int) -> tuple:
+        c, _, v = env[slot]
+        if v not in family(c):
+            raise FiberMismatchError(f"leaf value {v!r} outside the fiber over {c!r}")
+        return env[slot]
+
+    return fold_term(side.term, leaf, partial(_pair, state, family, step, True))[1:]
+
+
+def _pair(
+    state: QWState,
+    family: Callable[[ClassId], tuple],
+    step: Callable[[str, Any, Any], Any],
+    intern: bool,
+    op: str,
+    kids: Any,
+) -> tuple[ClassId, int, Any]:
+    """The step of the algebra of ``(class, root, value)`` triples that
+    coherence and elimination share: the layer ``op`` over the children's
+    roots is found by its canonical key, a new class when ``intern`` is
+    set, and ``step(op, classes, values)`` must land in the fiber over it."""
+    if kids.__class__ is tuple:
+        idxs, at, vals = zip(*kids) if kids else ((), (), ())
+    else:
+        idxs, at, vals = (map_branches(itemgetter(i), kids) for i in range(3))
+    root = state._layer(op, at, intern)
+    if root is None:
+        raise WorkbenchError("representative layer unexpectedly not interned")
+    idx = ClassId(root)
+    val = step(op, idxs, vals)
+    if val not in family(idx):
+        raise FiberMismatchError(
+            f"step value {val!r} outside the fiber over {idx!r} at {op!r}"
+        )
+    return idx, root, val
 
 
 def dep_target(
@@ -459,33 +468,21 @@ def _elim_values(
     gen_env: Mapping | None,
     classes: Iterable[ClassId] | None = None,
 ) -> dict[int, Any]:
-    """Elimination as recursion into the algebra of (class, value) pairs:
-    each value is checked against the fiber over its class, and each
-    folded class's first projection against the class itself."""
+    """Elimination as recursion into the algebra of (class, root, value)
+    triples (:func:`_pair`): each step's value is checked against the
+    fiber over its class, and each folded class's first projection against
+    the class itself.  The fold's classes are roots, and every saturation
+    exit leaves the memo's keys canonical, so each layer is found."""
     if not dep.coherence.ok:
         raise CoherenceError("refusing elimination: coherence premise not verified")
 
-    def leaf(name: str, value: Any) -> tuple[ClassId, Any]:
-        return state.intern_term(Var(name)), value
+    def leaf(name: str, value: Any) -> tuple[ClassId, int, Any]:
+        c = state.intern_term(Var(name))
+        return c, c.index, value
 
-    def step(op: str, pairs: Any) -> tuple[ClassId, Any]:
-        idxs = map_branches(lambda p: p[0], pairs)
-        vals = map_branches(lambda p: p[1], pairs)
-        # the fold's classes are roots, and every saturation exit leaves
-        # the memo's keys canonical
-        root = state._layer(op, map_branches(lambda c: c.index, idxs), False)
-        if root is None:
-            raise WorkbenchError("representative layer unexpectedly not interned")
-        intro = ClassId(root)
-        val = dep.step(op, idxs, vals)
-        if val not in dep.family(intro):
-            raise FiberMismatchError(
-                f"elimination value {val!r} outside the fiber over {intro!r}"
-            )
-        return intro, val
-
+    step = partial(_pair, state, dep.family, dep.step, False)
     memo: dict[int, Any] = {}
-    for root, (idx, val) in _values(state, leaf, step, gen_env, classes).items():
+    for root, (idx, _, val) in _values(state, leaf, step, gen_env, classes).items():
         if idx.index != root:
             raise WorkbenchError("first projection of the pair recursion left its class")
         memo[root] = val

@@ -112,6 +112,18 @@ def test_missing_file_is_io_error(capsys, fixtures):
     assert json.loads(err)["error"] == "io"
 
 
+@pytest.mark.parametrize("algebra", [False, True])
+def test_a_file_that_is_not_utf8_is_an_io_error(capsys, fixtures, tmp_path, algebra):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"data \xff : Set where\n")
+    argv = ["sat", str(fixtures / "bag.qit"), "--algebra"] if algebra else ["check"]
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert json.loads(err) == {
+        "error": "io", "message": f"{path}: not UTF-8 at byte 5: invalid start byte",
+    }
+
+
 def test_usage_error(capsys):
     code, out, err = run(capsys, "frobnicate")
     assert code == EXIT_USAGE
@@ -290,6 +302,32 @@ def test_selftest_wreductions_free(capsys, fixtures):
     assert code == EXIT_OK
     report = json.loads(out)
     assert report["enumeration"]["classes"] == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["rec", "wreductions.qit", "v"], ["selftest", "wreductions.qit"],
+])
+def test_free_generators_over_an_empty_carrier_are_a_semantic_error(capsys, fixtures, command):
+    # a generator takes the algebra's first carrier element, which an empty
+    # carrier lacks
+    code, out, err = run(
+        capsys, command[0], str(fixtures / command[1]), *command[2:], "--free", "v",
+        "--algebra", str(fixtures / "empty_algebra.json"),
+    )
+    assert (code, out) == (EXIT_SEMANTIC, "")
+    assert json.loads(err)["error"] == "WorkbenchError"
+    assert "carrier is empty" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("command", ["sat", "selftest"])
+def test_an_empty_carrier_without_generators_is_a_model(capsys, fixtures, command):
+    # wreductions.qit has no constants, so the empty algebra satisfies it
+    code, out, err = run(
+        capsys, command, str(fixtures / "wreductions.qit"),
+        "--algebra", str(fixtures / "empty_algebra.json"), "--format", "json",
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["verdict"] in ("satisfied", "ok")
 
 
 def test_selftest_corrupted_algebra(capsys, fixtures):

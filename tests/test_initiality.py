@@ -543,6 +543,25 @@ def test_coherence_failure_refuses_elimination(bag):
         dep_target(st, family, order_sensitive, classes=fragment)
 
 
+def test_coherence_and_elimination_leave_the_fiber_at_one_step(bag):
+    # coherence and elimination take one step of the algebra of triples, so
+    # a step that leaves its fiber at cons(b) fails both with one text: the
+    # walk over a fragment whose swap instances reach cons(b), and the
+    # elimination into a target checked on an empty fragment
+    st, _ = build(bag, 2)
+    nil, b = st.intern_term(bag_term([])), st.canonical(st.intern_term(bag_term(["b"])))
+    family = lambda c: (0, 1)
+    step = lambda op, idxs, vals: 2 if op == "cons(b)" else 0
+    want = f"step value 2 outside the fiber over {b!r} at 'cons(b)'"
+    assert check_coherence(st, family, step, classes=[nil]) == CoherenceReport(
+        False, "swap(a,b)", want
+    )
+    dep = dep_target(st, family, step, classes=[])
+    with pytest.raises(FiberMismatchError) as exc:
+        qw_elim(st, dep, b)
+    assert str(exc.value) == want
+
+
 def test_comp_holds_on_every_builtin_dep_target(bag, bag_a):
     for inst in (bag, bag_a):
         st, classes = build(inst, 4)
