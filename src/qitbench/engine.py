@@ -8,11 +8,12 @@ instantiate equations over existing classes (driven by matching, so an
 environment fires once one side's instance is present), merge the two
 sides, and restore congruence.  Rounds are semi-naive: an equation is
 matched only near the classes touched since the last completed round
-began, and a call at a fixpoint returns at once; the merge log is the one
-full rounds make.  Congruence upkeep is incremental too: each class keeps
-a use list of the operator payloads over it, a merge marks the losing
-class's users stale, and the rebuild re-keys only those, in payload order,
-making the merges that passes over every payload would.  Each equation
+began, a round that has merged nothing skips the environments the round
+before it made, and a call at a fixpoint returns at once; the merge log
+is the one full rounds make.  Congruence upkeep is incremental too: each
+class keeps a use list of the operator payloads over it, a merge marks the
+losing class's users stale, and the rebuild re-keys only those, in payload
+order, making the merges that passes over every payload would.  Each equation
 is compiled once per state into a plan: each side's match is a join, nested
 loops over one relation per head operator that maps a class to its
 distinct canonical e-nodes (operator layers over canonical child classes,
@@ -223,6 +224,9 @@ class QWState:
         self._saturated_version = 0
         self._fixpoint_version = -1
         self._mark = 0
+        # per rule, the environments the last round that ran pulled, as
+        # canonical when pulled
+        self._made: list[set[tuple[int, ...]]] = [set() for _ in self._rules]
         # the e-class analysis per class root (stage, representative key,
         # chosen layer as operator or generator name and child roots),
         # refreshed at the next ``_analysis()`` from the classes that
@@ -284,12 +288,9 @@ class QWState:
 
     def _canon_branches(self, branches: Any) -> Any:
         if isinstance(branches, OmegaTable):
-            default = self._find(branches.default)
-            entries = sorted(
-                (i, self._find(v))
-                for i, v in branches.entries
-                if self._find(v) != default
-            )
+            find = self._find
+            default = find(branches.default)
+            entries = sorted((i, r) for i, v in branches.entries if (r := find(v)) != default)
             return ("w", tuple(entries), default)
         return tuple(map(self._find, branches))
 
@@ -608,7 +609,10 @@ class QWState:
     def _instantiate(self, side: _Side, env: tuple[int, ...]) -> int:
         """Intern a side's instance under an environment of class roots:
         its layers bottom up, each looked up by its canonical key, making
-        the ``_add`` calls of interning the instance term."""
+        the ``_add`` calls of interning the instance term.  Every slot holds
+        a class root, so a key is read off the slots: a countable layer's
+        entries, in index order since the side was compiled, leave out
+        those whose root is the default's."""
         memo, find = self._memo, self._find
         vals = list(env)
         # _layer inlined: a call per layer cost bag3-enumerate 4-5% (Python 3.11, 2 cores)
@@ -616,7 +620,9 @@ class QWState:
             if kids.__class__ is tuple:
                 key = ("n", op, tuple([vals[k] for k in kids]))
             else:
-                key = ("n", op, self._canon_branches(map_branches(vals.__getitem__, kids)))
+                d = vals[kids.default]
+                entries = tuple([(i, vals[k]) for i, k in kids.entries if vals[k] != d])
+                key = ("n", op, ("w", entries, d))
             hit = memo.get(key)
             vals.append(self._new(key) if hit is None else find(hit))
         return vals[side.out]
@@ -638,10 +644,17 @@ class QWState:
         since the last completed round began; the rest would intern and
         merge nothing.  Should a merge move the root of an untouched class,
         the keys of the environments left out may change, and the equation
-        finishes over all of them.  Environments are streamed in ascending
-        order from each equation's compiled plan, and ``max_instances``
-        counts the instances a round makes of the rules it keeps, so a
-        round takes at most one environment past its budget.  Every exit
+        finishes over all of them.  While a round has merged nothing, it
+        skips the environments the round before it made, canonicalised at
+        its start: the memo's keys are canonical then, so each layer of such
+        an instance is found and its sides share a class.  Before its first
+        merge a round pulls each environment once, so no other can repeat;
+        after it the memo may be stale until the rebuild, and a repeat may
+        intern a congruent duplicate, so the skipping stops for the round.
+        Environments are streamed in ascending order from each equation's
+        compiled plan, and ``max_instances`` counts the instances a round
+        makes of the rules it keeps, a skipped one included, so a round
+        takes at most one environment past its budget.  Every exit
         restores congruence first, a round stopped on its instance budget
         included, so the memo's keys are canonical whatever the outcome.
         """
@@ -650,6 +663,7 @@ class QWState:
             return SaturationResult(True, 1, 0, 0)
         merges = self._rebuild()
         before_all = len(self._payloads)
+        find = self._find
         rounds = 0
         for rounds in range(1, budget + 1):
             round_merges = 0
@@ -661,7 +675,10 @@ class QWState:
             # as the round merges; None once that is every class
             changed: set[int] | None = set()
             seen, view = self._mark, None
-            for plan in self._rules:
+            # each rule's environments of the round before, canonical now
+            before = [{tuple(map(find, env)) for env in envs} for envs in self._made]
+            self._made = [set() for _ in self._rules]
+            for plan, done, made in zip(self._rules, before, self._made):
                 index = self._enodes()
                 if changed is not None and (view is None or seen != len(self._log)):
                     # the touched classes, and what is near them, move only
@@ -685,21 +702,27 @@ class QWState:
                             False, rounds, merges + round_merges,
                             len(self._payloads) - before_all,
                         )
-                    env = tuple(map(self._find, raw))
+                    env = tuple(map(find, raw))
+                    made.add(env)
+                    if not round_merges and env in done:
+                        # made the round before over the same canonical
+                        # layers: it would intern and merge nothing
+                        continue
                     lid = self._instantiate(plan.lhs, env)
                     rid = self._instantiate(plan.rhs, env)
-                    if touched is not None:
-                        lroot, rroot = self._find(lid), self._find(rid)
-                    if self._union(lid, rid, Justification("sqeq", plan.name, env)):
-                        round_merges += 1
-                        if touched is None:
-                            continue
-                        lost = lroot if self._parent[lroot] != lroot else rroot
-                        if lost < old and lost not in touched.classes:
-                            # an untouched class lost its root, so the keys of
-                            # environments left out may be new: finish over all
-                            envs = self._instance_envs(plan, roots, index, after=raw)
-                            touched = None
+                    lroot, rroot = find(lid), find(rid)
+                    if lroot == rroot:
+                        continue
+                    self._union(lid, rid, Justification("sqeq", plan.name, env))
+                    round_merges += 1
+                    if touched is None:
+                        continue
+                    lost = lroot if self._parent[lroot] != lroot else rroot
+                    if lost < old and lost not in touched.classes:
+                        # an untouched class lost its root, so the keys of
+                        # environments left out may be new: finish over all
+                        envs = self._instance_envs(plan, roots, index, after=raw)
+                        touched = None
             round_merges += self._rebuild()
             merges += round_merges
             self._mark = start
@@ -990,8 +1013,9 @@ class _Side:
     side's variables (``bound``, ascending) under each way the side matches
     one of ``roots``; a bare variable has no join.  ``layers`` interns an
     instance bottom up: each layer's operator and the slots of its
-    children, where slots below the variable count hold the environment and
-    each layer's class takes the next; ``out`` is the side's slot."""
+    children (a countable layer's entries in index order), where slots
+    below the variable count hold the environment and each layer's class
+    takes the next; ``out`` is the side's slot."""
 
     __slots__ = ("term", "head", "bound", "missing", "join", "layers", "out")
 
@@ -1005,6 +1029,8 @@ class _Side:
         layers: list[tuple[str, Any]] = []
 
         def layer(op: str, kids: Any) -> int:
+            if kids.__class__ is not tuple:
+                kids = OmegaTable(tuple(sorted(kids.entries)), kids.default)
             layers.append((op, kids))
             return n + len(layers) - 1
 

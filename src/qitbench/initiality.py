@@ -401,13 +401,20 @@ def _lift(
     leaf's value checked against its fiber.  Returns the side's class root
     and value."""
 
-    def leaf(slot: int) -> tuple:
-        c, _, v = env[slot]
-        if v not in family(c):
-            raise FiberMismatchError(f"leaf value {v!r} outside the fiber over {c!r}")
-        return env[slot]
+    return fold_term(
+        side.term,
+        lambda slot: _fiber_leaf(family, env[slot]),
+        partial(_pair, state, family, step, True),
+    )[1:]
 
-    return fold_term(side.term, leaf, partial(_pair, state, family, step, True))[1:]
+
+def _fiber_leaf(family: Callable[[ClassId], tuple], triple: tuple) -> tuple:
+    """A leaf of the algebra of triples: its value must lie in the fiber
+    over its class."""
+    c, _, v = triple
+    if v not in family(c):
+        raise FiberMismatchError(f"leaf value {v!r} outside the fiber over {c!r}")
+    return triple
 
 
 def _pair(
@@ -469,16 +476,17 @@ def _elim_values(
     classes: Iterable[ClassId] | None = None,
 ) -> dict[int, Any]:
     """Elimination as recursion into the algebra of (class, root, value)
-    triples (:func:`_pair`): each step's value is checked against the
-    fiber over its class, and each folded class's first projection against
-    the class itself.  The fold's classes are roots, and every saturation
-    exit leaves the memo's keys canonical, so each layer is found."""
+    triples (:func:`_pair`): each leaf's and each step's value is checked
+    against the fiber over its class, as in the coherence walk, and each
+    folded class's first projection against the class itself.  The fold's
+    classes are roots, and every saturation exit leaves the memo's keys
+    canonical, so each layer is found."""
     if not dep.coherence.ok:
         raise CoherenceError("refusing elimination: coherence premise not verified")
 
     def leaf(name: str, value: Any) -> tuple[ClassId, int, Any]:
         c = state.intern_term(Var(name))
-        return c, c.index, value
+        return _fiber_leaf(dep.family, (c, c.index, value))
 
     step = partial(_pair, state, dep.family, dep.step, False)
     memo: dict[int, Any] = {}

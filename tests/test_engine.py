@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import contextlib
+import copy
 import hashlib
 import heapq
 import itertools
 import json
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -1294,6 +1297,177 @@ def test_plans_stream_the_reference_environments_on_countable_patterns(
         else:
             st.intern_term(pool[op % len(pool)])
         _assert_plans_stream_the_reference(st, picks)
+
+
+# the countable pools that are shipped encodings
+_COUNTABLE_SYSTEMS = ("omega_tree.qit", "ordinal")
+
+
+@contextlib.contextmanager
+def _checked_skips():
+    """While the block runs, record for each environment saturation pulls
+    whether it is instantiated, and check each one a round skips:
+    instantiated on a copy of the state as the round skipped it, it interns
+    nothing and its sides share a class.  Yields the records, True for an
+    environment instantiated."""
+    pulls = []
+    envs_of, instantiate = QWState._instance_envs, QWState._instantiate
+
+    def counted(self, side, env):
+        pulls[-1] = True
+        return instantiate(self, side, env)
+
+    def pulled(self, plan, *args, **kw):
+        for raw in envs_of(self, plan, *args, **kw):
+            pulls.append(False)
+            yield raw
+            if pulls[-1]:
+                continue
+            # skipped, and nothing has happened since: the state the round
+            # skipped it in
+            st = copy.deepcopy(self)
+            env = tuple(map(st._find, raw))
+            log = len(st._log)
+            lid, rid = (instantiate(st, side, env) for side in (plan.lhs, plan.rhs))
+            assert len(st._log) == log
+            assert st._find(lid) == st._find(rid)
+
+    with mock.patch.object(QWState, "_instance_envs", pulled):
+        with mock.patch.object(QWState, "_instantiate", counted):
+            yield pulls
+
+
+def _session(st, ops):
+    """Run ops on a state: an integer saturates with that many rounds, a
+    term is interned."""
+    for op in ops:
+        if isinstance(op, int):
+            st.saturate(max_rounds=op)
+        else:
+            st.intern_term(op)
+
+
+@settings(max_examples=100, deadline=None)
+@example(  # round 2 merges d into f(d)'s class, so a later environment that
+    # comes to one the round before made interns a congruent duplicate of
+    # f(d): skipping on after that merge would leave it out of the log
+    system=make_system(SMALL_SIG, [("e0", 2, Var(1), node("f", node("d")))]),
+    max_instances=400,
+    ops=[node("c"), 2],
+)
+@example(  # after round 2's first merge, a later environment that comes to
+    # one the round before made has sides no merge has joined yet
+    system=make_system(SMALL_SIG, [("e0", 2, node("g", Var(0), node("d")), Var(1))]),
+    max_instances=400,
+    ops=[node("c"), 2],
+)
+@given(
+    _small_systems(max_equations=3),
+    hst.integers(5, 400),
+    hst.lists(
+        hst.one_of(hst.sampled_from(SMALL_TERMS), hst.integers(0, 3)), min_size=1, max_size=10
+    ),
+)
+def test_a_round_skips_only_environments_that_change_nothing(system, max_instances, ops):
+    # small instance budgets exit mid-round, leaving a part of a round to
+    # skip from in the next call
+    with _checked_skips():
+        _session(new_qw(SMALL_SIG, system, max_instances=max_instances), ops)
+
+
+@settings(max_examples=40, deadline=None)
+@example(build="ordinal", max_instances=400, ops=[10, 20, 30, 50, -3, 61, 72, -3])
+@given(
+    hst.sampled_from(_COUNTABLE_SYSTEMS),
+    hst.integers(5, 400),
+    hst.lists(hst.one_of(hst.integers(0, 10_000), hst.integers(-3, -1)), min_size=1, max_size=8),
+)
+def test_a_round_skips_only_environments_that_change_nothing_on_countable_systems(
+    fixtures, build, max_instances, ops
+):
+    # ops are pool indexes to intern and -1 to -3 to saturate with that
+    # many rounds
+    sig, system = _COUNTABLE_POOLS[build](fixtures)
+    pool = closed_terms(sig, 5, probe=system.probe)
+    steps = [-op if op < 0 else pool[op % len(pool)] for op in ops]
+    with _checked_skips():
+        _session(new_qw(sig, system, max_instances=max_instances), steps)
+
+
+@settings(max_examples=40, deadline=None)
+@example(build="ordinal", ops=[10, 20, 30, 50, -3, 61, 72, -3])
+@given(
+    hst.sampled_from(_COUNTABLE_SYSTEMS),
+    hst.lists(hst.one_of(hst.integers(0, 10_000), hst.integers(-3, -1)), min_size=1, max_size=8),
+)
+def test_incremental_saturation_equals_full_rounds_on_countable_systems(fixtures, build, ops):
+    # the countable sibling of the test over small systems: ops are pool
+    # indexes to intern and -1 to -3 to saturate with that many rounds
+    sig, system = _COUNTABLE_POOLS[build](fixtures)
+    pool = closed_terms(sig, 5, probe=system.probe)
+    st = new_qw(sig, system, max_instances=2000)
+    ref = new_qw(sig, system, max_instances=2000)
+    for op in ops:
+        if op < 0:
+            got = st.saturate(max_rounds=-op)
+            want, tripped = _reference_saturate(ref, -op)
+            if tripped:
+                assert st.log[: len(ref.log)] == ref.log
+                return
+            assert got == want
+        else:
+            t = pool[op % len(pool)]
+            assert st.intern_term(t) == ref.intern_term(t)
+        assert st.log == ref.log
+    assert _partition(st) == _partition(ref)
+
+
+def _entries_reversed(t):
+    """The term with every countable map's entries listed in reverse index
+    order, not normalised."""
+    if isinstance(t, Var):
+        return t
+    b = map_branches(_entries_reversed, t.branches)
+    if isinstance(b, OmegaTable):
+        b = OmegaTable(b.entries[::-1], b.default)
+    return Node(t.op, b)
+
+
+def test_a_countable_side_out_of_index_order_makes_the_log_of_its_normal_form():
+    # make_system takes a countable map whose entries are out of index
+    # order; the side compiles its entries in index order, so instances
+    # are keyed as the memo keys them and the log is the normal form's
+    inst = ordinal_notations()
+    eqs = [
+        (e.name, e.var_count, _entries_reversed(e.lhs), _entries_reversed(e.rhs))
+        for e in inst.system.equations
+    ]
+    reordered = make_system(inst.signature, eqs, probe=inst.system.probe)
+    assert reordered.equations != inst.system.equations
+    logs = []
+    for system in (inst.system, reordered):
+        st = new_qw(inst.signature, system)
+        st.enumerate_classes(6)
+        logs.append(st.log)
+    assert logs[0] == logs[1]
+
+
+@pytest.mark.parametrize(
+    "build, size, pulled, made",
+    [
+        pytest.param(ordinal_notations, 6, 444, 245, id="ordinal-6"),
+        pytest.param(lambda: bag_of(("a", "b", "c")), 8, 336, 168, id="bag-abc-8"),
+    ],
+)
+def test_an_enumeration_makes_a_pinned_number_of_instances(build, size, pulled, made):
+    # the passes of the ordinal-enumerate and bag3-enumerate workloads: a
+    # round that has merged nothing skips the environments the round before
+    # made, so of the environments pulled (each counted as an instance)
+    # only ``made`` are instantiated, where every one was before
+    inst = build()
+    with _checked_skips() as pulls:
+        new_qw(inst.signature, inst.system).enumerate_classes(size)
+    assert (len(pulls), sum(pulls)) == (pulled, made)
 
 
 @settings(max_examples=30, deadline=None)

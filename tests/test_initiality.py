@@ -562,6 +562,20 @@ def test_coherence_and_elimination_leave_the_fiber_at_one_step(bag):
     assert str(exc.value) == want
 
 
+def test_elimination_checks_a_generator_value_against_its_fiber(fixtures):
+    # a generator's given value is a leaf of the algebra of triples, so
+    # elimination checks it against the fiber over the generator's class
+    # with the coherence walk's text, where it used to return it as given
+    sig, system = elaborate(parse_decl((fixtures / "wreductions.qit").read_text()), probe=2)
+    st = new_qw(sig, system, generators=("v",))
+    v = st.intern_term(Var("v"))
+    dep = dep_target(st, lambda c: (0,), lambda op, idxs, vals: 0, classes=[v])
+    with pytest.raises(FiberMismatchError) as exc:
+        qw_elim(st, dep, v, gen_env={"v": 99})
+    assert str(exc.value) == f"leaf value 99 outside the fiber over {st.canonical(v)!r}"
+    assert qw_elim(st, dep, v, gen_env={"v": 0}) == 0
+
+
 def test_comp_holds_on_every_builtin_dep_target(bag, bag_a):
     for inst in (bag, bag_a):
         st, classes = build(inst, 4)
