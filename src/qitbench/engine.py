@@ -1367,10 +1367,16 @@ def find_separator(
     separator is cut.  Each pair (the terms, and each instance with its
     mirror compiled once) is evaluated up to the first unset cell it reads
     and waits on that cell; setting a cell re-settles only the pairs
-    waiting on it.  A hit is re-checked with ``eval_alg`` and
-    ``sat_check``.  ``max_algebras`` bounds the cells assigned over all
-    carriers; each carrier's equation instances are bounded by
-    ``ENV_BUDGET`` before they are compiled."""
+    waiting on it.  By the least-number rule a cell takes at most one more
+    than ``d``, the largest element that it or an earlier cell reads as a
+    branch value or that an earlier cell holds: if the lex-first separator
+    held ``v > d + 1`` there, swapping ``d + 1`` and ``v`` would give an
+    isomorphic separator, equal on the earlier cells and smaller at this
+    one, so the rule skips no first hit.  A hit is re-checked with
+    ``eval_alg`` and ``sat_check``.  ``max_algebras`` bounds the cells
+    assigned, those the rule allows, over all carriers; each carrier's
+    equation instances are bounded by ``ENV_BUDGET`` before they are
+    compiled."""
     probe = system.probe
     validate_term(sig, t, var_domain=frozenset())
     validate_term(sig, u, var_domain=frozenset())
@@ -1383,6 +1389,8 @@ def find_separator(
         bases: dict[str, int] = {}
         for i, (name, _) in enumerate(slots):
             bases.setdefault(name, i)
+        # reach[k]: the largest element cells 0..k read as branch values
+        reach = list(itertools.accumulate((max(key[1:], default=-1) for _, key in slots), max))
         cells = [-1] * len(slots)  # -1: not set yet
 
         def read(c: Any) -> int:
@@ -1433,14 +1441,16 @@ def find_separator(
         if not settle([target, *((lhs, rhs, False) for lhs, rhs in compiled)]):
             continue
         marks = [len(trail)]
+        most = [-1]  # most[k]: the largest value set in cells 0..k-1
         k = 0
         while k >= 0:
             while len(trail) > marks[k]:
                 watch[trail.pop()].pop()
             v = cells[k] + 1
-            if v == m:
+            if v == m or v > max(reach[k], most[k]) + 1:
                 cells[k] = -1
                 marks.pop()
+                most.pop()
                 k -= 1
                 continue
             if nodes >= max_algebras:
@@ -1453,6 +1463,7 @@ def find_separator(
                 continue
             if k + 1 < len(slots):
                 marks.append(len(trail))
+                most.append(max(most[k], v))
                 k += 1
                 continue
             alg = table_algebra(sig, carrier, dict(zip(slots, cells)), probe=probe)

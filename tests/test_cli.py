@@ -171,7 +171,6 @@ def test_separate_not_found_for_equal_terms(capsys, fixtures):
 
 
 def test_separate_answers_proved_pairs_without_searching(capsys, fixtures):
-    # the search alone overruns its 500000 cells at carrier 5 on this pair
     bag = str(fixtures / "bag.qit")
     argv = ("separate", bag, "a::b::[]", "b::a::[]", "--carrier-bound", "5")
     code, out, err = run(capsys, *argv)
@@ -179,6 +178,18 @@ def test_separate_answers_proved_pairs_without_searching(capsys, fixtures):
     code, out, err = run(capsys, *argv, "--format", "json")
     assert (code, out) == (
         EXIT_UNKNOWN, '{\n  "carrier_bound": 5,\n  "verdict": "not-found"\n}\n'
+    )
+
+
+def test_separate_searches_an_equal_pair_to_carrier_five(capsys, fixtures):
+    # no saturation round proves the pair, so the search must answer; with
+    # the least-number rule it exhausts carrier 5 within its default budget
+    code, out, err = run(
+        capsys, "separate", str(fixtures / "bag.qit"), "a::b::[]", "b::a::[]",
+        "--max-rounds", "0", "--carrier-bound", "5", "--format", "json",
+    )
+    assert (code, json.loads(out)) == (
+        EXIT_UNKNOWN, {"carrier_bound": 5, "verdict": "not-found"}
     )
 
 

@@ -452,27 +452,52 @@ def test_separator_is_the_lex_first_table(bag):
 
 
 # the cells each query assigns before it answers: the size of the search
-# tree, which watching pairs on the cells they wait on must leave as it is
+# tree, which the least-number rule prunes (a cell takes at most one more
+# than the largest element the cells up to it read or hold) and watching
+# pairs on the cells they wait on must leave as it is
 SEARCH_TREES = [
-    pytest.param(["a", "b"], ["b", "a"], 3, 1609, None, id="equal-at-bound-3"),
+    pytest.param(("a", "b"), ["a", "b"], ["b", "a"], 3, 188, None, id="equal-at-bound-3"),
     pytest.param(
+        ("a", "b"),
         ["a"] * 2,
         ["a"] * 8,
         4,
-        122,
+        37,
         {"nil": [0], "cons(a)": [1, 2, 3, 0], "cons(b)": [0, 1, 2, 3]},
         id="lex-first-at-bound-4",
+    ),
+    # without the rule: 68,917 cells at bound 4, past the default budget at 5
+    pytest.param(
+        ("a", "b", "c"), ["a", "b"], ["b", "a"], 4, 1469, None, id="three-elements-at-bound-4"
+    ),
+    pytest.param(
+        ("a", "b", "c"), ["a", "b"], ["b", "a"], 5, 12722, None, id="three-elements-at-bound-5"
     ),
 ]
 
 
-@pytest.mark.parametrize("left, right, bound, cells, table", SEARCH_TREES)
-def test_separator_search_assigns_a_pinned_number_of_cells(bag, left, right, bound, cells, table):
+@pytest.mark.parametrize("elements, left, right, bound, cells, table", SEARCH_TREES)
+def test_separator_search_assigns_a_pinned_number_of_cells(
+    elements, left, right, bound, cells, table
+):
+    inst = bag_of(elements)
     t, u = bag_term(left), bag_term(right)
-    alg = find_separator(bag.signature, bag.system, t, u, bound, max_algebras=cells)
-    assert (alg if alg is None else _bag_table(alg, ("a", "b"))) == table
+    alg = find_separator(inst.signature, inst.system, t, u, bound, max_algebras=cells)
+    assert (alg if alg is None else _bag_table(alg, elements)) == table
     with pytest.raises(BudgetExceededError, match=f"^assigned {cells - 1} table cells"):
-        find_separator(bag.signature, bag.system, t, u, bound, max_algebras=cells - 1)
+        find_separator(inst.signature, inst.system, t, u, bound, max_algebras=cells - 1)
+
+
+def test_separator_bounds_a_cell_by_the_values_set_before_it():
+    # three constants come first and read no element, so their values, not
+    # the cells' arguments, bound the cells after them; that bound must be
+    # the one of the values set now, not of values backtracked over
+    sig = signature([("c", 0), ("d", 0), ("e", 0), ("f", 1)])
+    system = make_system(sig, [("ff", 1, node("f", node("f", Var(0))), Var(0))])
+    t, u = node("c"), node("f", node("f", node("c")))
+    assert find_separator(sig, system, t, u, 3, max_algebras=100) is None
+    with pytest.raises(BudgetExceededError, match="^assigned 99 table cells"):
+        find_separator(sig, system, t, u, 3, max_algebras=99)
 
 
 def test_separator_reaches_carrier_four_over_three_elements():
@@ -1671,6 +1696,22 @@ def _separator_by_scan(sig, system, t, u, carrier_bound):
     return None
 
 
+def _assert_least_numbers(alg, sig, probe):
+    """Each cell, in canonical order, holds at most one more than the
+    largest element that it or an earlier cell reads as a branch value or
+    that an earlier cell holds: the lex-first table of its isomorphism
+    class obeys this, since renaming the larger value to that one would
+    give an earlier table."""
+    if alg is None:
+        return
+    d = -1
+    for s in enumerate_opnodes(sig, alg.carrier, probe):
+        d = max((d, *probe_key(s.branches, probe)[1:]))
+        v = alg.interp(s.op, s.branches)
+        assert v <= d + 1, (s, v, d)
+        d = max(d, v)
+
+
 def _rows(alg, sig, probe):
     if alg is None:
         return None
@@ -1681,6 +1722,7 @@ def _rows(alg, sig, probe):
 
 def _assert_same_separator(sig, system, t, u, carrier_bound):
     want = _separator_by_scan(sig, system, t, u, carrier_bound)
+    _assert_least_numbers(want, sig, system.probe)
     got = find_separator(sig, system, t, u, carrier_bound)
     assert _rows(got, sig, system.probe) == _rows(want, sig, system.probe)
     return got
@@ -1713,6 +1755,27 @@ def test_separator_with_mirrored_instances_equals_the_complete_table_scan(
     # swap(a,b) and swap(b,a) give each instance's mirror, compiled once
     alg = _assert_same_separator(bag.signature, bag.system, bag_term(left), bag_term(right), 2)
     assert (alg is not None) == separated
+
+
+@hst.composite
+def _bag_pairs(draw):
+    # a list against another list or against a reordering of itself
+    left = draw(hst.lists(hst.sampled_from("ab"), max_size=3))
+    if draw(hst.booleans()):
+        return left, draw(hst.permutations(left))
+    return left, draw(hst.lists(hst.sampled_from("ab"), max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@example((["a", "b"], ["b", "a"]))
+@example((["a"], ["b", "b"]))
+@given(_bag_pairs())
+def test_separator_equals_the_complete_table_scan_at_carrier_three(pair):
+    # equal pairs scan every table up to carrier 3, so the search's
+    # no-hit answer is compared with the scan's as well as its first hit
+    inst = bag_of(("a", "b"))
+    left, right = pair
+    _assert_same_separator(inst.signature, inst.system, bag_term(left), bag_term(right), 3)
 
 
 def _tree(op, entries, default):
