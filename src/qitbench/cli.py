@@ -45,6 +45,7 @@ from .terms import (
     FiniteAlgebra,
     Signature,
     enumerate_opnodes,
+    eval_alg,
     probe_key,
     row_key,
     table_algebra,
@@ -345,9 +346,7 @@ def cmd_selftest(args) -> int:
     ok = ok and satrep.satisfied and hom.ok
 
     if satrep.satisfied:
-        values = {
-            c: qw_rec(state, target, c, gen_env=gen_env) for c, _ in classes
-        }
+        values = {c: eval_alg(t, gen_env, alg) for c, t in classes}
         uniq = check_uniq(state, target, values, gen_env=gen_env)
         report["uniqueness"] = uniq.to_json()
         ok = ok and uniq.ok

@@ -3,10 +3,10 @@
 Every class value comes from one memoised fold over the carrier,
 :func:`_values`: each class takes the step of its canonical layer over
 its children's values.  Into the term algebra that fold gives the
-representative, so recursion equals evaluating the representative.  A
-dynamic check confirms the value does not depend on the member chosen.
-Homomorphism and uniqueness are checked exhaustively over a bounded
-fragment of classes.  Dependent elimination is recursion into the
+representative, so recursion equals evaluating the representative.  The
+homomorphism check covers every member of a bounded fragment's classes,
+so it also confirms the value does not depend on the member chosen;
+uniqueness is checked exhaustively over such a fragment.  Dependent elimination is recursion into the
 algebra of (class, root, value) triples, :func:`_pair`, whose step finds
 the layer's class and checks the value against the fiber over it, with a
 check that the first projection returns the class it started from,
@@ -17,7 +17,9 @@ All checks here are bounded: they quantify over enumerated fragments, not
 the whole carrier, and say so in their reports.  Each settles the state
 (saturating it if stale) and picks its fragment through :func:`_fragment`,
 checks the algebra-map law by one walk over the operator layers the
-carrier stores over the fragment, :func:`_law_walk`.  The coherence
+carrier stores over the fragment, :func:`_law_walk`; recursion's check
+then reads the members no such layer is, generator leaves and countable
+tables past the probe (:func:`_unranked`).  The coherence
 premise is the walk of ``check_equations_hold`` with a value per layer:
 each side is evaluated in that same algebra of triples, interning its
 layers, and each distinct side once per environment, with leaf and step
@@ -61,6 +63,7 @@ from .terms import (
     Record,
     Var,
     _interp,
+    branch_values,
     branches_to_json,
     budgeted_opnodes,
     count_opnodes,
@@ -189,11 +192,12 @@ def qw_rec(
 
 
 class FragmentHomReport(Record):
-    def __init__(self, ok: bool, counterexample: OpNode | None = None, checked=0, skipped=0):
+    def __init__(self, ok: bool, counterexample=None, checked=0, skipped=0, generator=None):
         object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "counterexample", counterexample)  # an OpNode
         object.__setattr__(self, "checked", checked)
         object.__setattr__(self, "skipped", skipped)
+        object.__setattr__(self, "generator", generator)  # a generator's name
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {
@@ -202,13 +206,15 @@ class FragmentHomReport(Record):
             "skipped": self.skipped,
         }
         if self.counterexample is not None:
-            out["operator"] = self.counterexample.op
-            out["branches"] = _opnode_branches_json(self.counterexample)
+            out.update(_layer_json(self.counterexample))
+        if self.generator is not None:
+            out["generator"] = self.generator
         return out
 
 
-def _opnode_branches_json(s: OpNode) -> Any:
-    return branches_to_json(s.branches, lambda c: c.index)
+def _layer_json(s: OpNode) -> dict:
+    """A counterexample layer: its operator and its branches' class indexes."""
+    return {"operator": s.op, "branches": branches_to_json(s.branches, lambda c: c.index)}
 
 
 def _fragment(state: QWState, classes: Iterable[ClassId] | None) -> tuple[ClassId, ...]:
@@ -216,6 +222,14 @@ def _fragment(state: QWState, classes: Iterable[ClassId] | None) -> tuple[ClassI
     if state.stale:
         state.saturate()
     return tuple(classes) if classes is not None else state.roots()
+
+
+def _handles(state: QWState, fragment: tuple[ClassId, ...]) -> dict[int, ClassId]:
+    """Each class root of the fragment with its first handle, in fragment order."""
+    handle: dict[int, ClassId] = {}
+    for c in fragment:
+        handle.setdefault(state._live_root(c), c)
+    return handle
 
 
 def _law_walk(
@@ -232,12 +246,12 @@ def _law_walk(
     built: those in the operator index with a valued class, children in the
     fragment and a countable table below the probe.  The rest have no
     interned introduction and are counted as skipped, so the walk costs
-    what the carrier holds.  Returns the first layer that breaks the law, or
-    None, with the layers checked and skipped (before it, if it breaks)."""
+    what the carrier holds; a stored table past the probe is no layer over
+    the fragment, and :func:`_unranked` reads it.  Returns the first layer
+    that breaks the law, or None, with the layers checked and skipped
+    (before it, if it breaks)."""
     vals = values()
-    handle: dict[int, ClassId] = {}
-    for c in fragment:
-        handle.setdefault(state._live_root(c), c)
+    handle = _handles(state, fragment)
     pos = {r: i for i, r in enumerate(handle)}
     n, probe, index = len(pos), state.probe, state._enodes()
     found, base = [], 0
@@ -266,22 +280,52 @@ def check_rec_hom(
     classes: Iterable[ClassId] | None = None,
     gen_env: Mapping | None = None,
 ) -> FragmentHomReport:
-    """Check the algebra-map law on every operator layer over the fragment:
+    """Check the algebra-map law on every member of the fragment's classes:
     stepping in the algebra after recursing equals recursing from the
-    introduced class.  Layers whose introduction is not interned are
+    introduced class.  First every operator layer over the fragment
+    (:func:`_law_walk`): layers whose introduction is not interned are
     skipped, and counted without being built; a fresh singleton class would
     evaluate to exactly the stepped value, so the content of the check
-    lives on merged classes.  The walk reads the layers the carrier stores
-    (:func:`_law_walk`), so it has no layer budget.
+    lives on merged classes.  Then, uncounted, the members no such layer is
+    (:func:`_unranked`).  The walks read what the carrier stores, so they
+    have no layer budget.
 
     Evaluation here is deliberately ungated so a corrupted target shows up
     as a counterexample rather than a refusal."""
+    fragment = _fragment(state, classes)
+    step = partial(_interp, target.algebra)
+    vals = _values(state, _given, step, gen_env)
     broken, checked, skipped = _law_walk(
-        state, _fragment(state, classes),
-        lambda: _values(state, _given, partial(_interp, target.algebra), gen_env),
-        lambda s, kids: _interp(target.algebra, s.op, kids),
+        state, fragment, lambda: vals, lambda s, kids: step(s.op, kids)
     )
+    if broken is None:
+        broken = _unranked(state, _handles(state, fragment), vals, gen_env or {}, step)
+    if broken.__class__ is str:
+        return FragmentHomReport(False, None, checked, skipped, broken)
     return FragmentHomReport(broken is None, broken, checked, skipped)
+
+
+def _unranked(state: QWState, handle: dict, vals: Mapping, env: Mapping, step: Callable) -> Any:
+    """The law on the members of the fragment's classes that no layer over
+    the fragment is: a generator leaf has its given value, if it has one,
+    and a stored countable layer with a table entry past the probe and its
+    children in the fragment steps to its class's value.  Returns the first
+    generator's name or layer that breaks it, or None."""
+    for root, c in handle.items() if state.generators else ():
+        for p in state.members(c):
+            if p.__class__ is GenLeaf and env.get(p.name, vals[root]) != vals[root]:
+                return p.name
+    index = state._enodes()
+    for op in [op for op, arity in state.signature.ops if arity.is_omega]:
+        for root in handle:
+            for kids in index[op].get(root, ()):
+                if (
+                    kids.support()[-1:] >= (state.probe,)
+                    and all(x in handle for x in branch_values(kids))
+                    and step(op, map_branches(vals.__getitem__, kids)) != vals[root]
+                ):
+                    return OpNode(op, map_branches(handle.__getitem__, kids))
+    return None
 
 
 class UniqReport(Record):
@@ -298,11 +342,7 @@ class UniqReport(Record):
         if self.ok:
             return {"verdict": "ok"}
         if self.premise_counterexample is not None:
-            return {
-                "verdict": "premise-counterexample",
-                "operator": self.premise_counterexample.op,
-                "branches": _opnode_branches_json(self.premise_counterexample),
-            }
+            return {"verdict": "premise-counterexample", **_layer_json(self.premise_counterexample)}
         return {
             "verdict": "conclusion-counterexample",
             "class": self.conclusion_counterexample.index,
@@ -521,8 +561,7 @@ class CompReport(Record):
     def to_json(self) -> dict:
         out: dict[str, Any] = {"verdict": "ok" if self.ok else "counterexample", "checked": self.checked}
         if self.counterexample is not None:
-            out["operator"] = self.counterexample.op
-            out["branches"] = _opnode_branches_json(self.counterexample)
+            out.update(_layer_json(self.counterexample))
         return out
 
 
@@ -541,43 +580,3 @@ def check_comp(
         lambda s, kids: dep.step(s.op, s.branches, kids),
     )
     return CompReport(broken is None, broken, checked)
-
-
-class RepIndependenceReport(Record):
-    def __init__(self, ok: bool, class_id: ClassId | None = None, member: Any = None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "class_id", class_id)
-        object.__setattr__(self, "member", member)
-
-    def to_json(self) -> dict:
-        if self.ok:
-            return {"verdict": "ok"}
-        return {"verdict": "counterexample", "class": self.class_id.index}
-
-
-def check_rep_independence(
-    state: QWState,
-    target: RecTarget,
-    *,
-    gen_env: Mapping | None = None,
-) -> RepIndependenceReport:
-    """Evaluate every recorded member of every class and confirm the value
-    never depends on which member is picked.  This is the invariance half
-    of recursion made into a runtime check."""
-    _validate_target(state, target)
-    values = _values(state, _given, partial(_interp, target.algebra), gen_env)
-    env = dict(gen_env) if gen_env else {}
-    for c in state.roots():
-        expected = values[c.index]
-        for payload in state.members(c):
-            if isinstance(payload, GenLeaf):
-                got = env.get(payload.name, expected)
-            else:
-                got = _interp(
-                    target.algebra,
-                    payload.op,
-                    map_branches(lambda i: values[state.canonical(ClassId(i)).index], payload.branches),
-                )
-            if got != expected:
-                return RepIndependenceReport(False, c, payload)
-    return RepIndependenceReport(True)

@@ -18,7 +18,7 @@ from qitbench.cli import (
     algebra_from_json,
     main,
 )
-from qitbench.encodings import length_algebra
+from qitbench.encodings import bag_term, length_algebra
 from qitbench.equations import sat_check
 from qitbench.errors import WorkbenchError
 from qitbench.schema import MAX_TERM_DEPTH
@@ -633,6 +633,36 @@ def test_selftest_makes_one_carrier_walk(capsys, fixtures, monkeypatch):
         "e7d52d5caf85d1db84784fb5885ecbc5fcdbefbf0319c9b2d41e4d01e75fe247"
     )
     assert calls == ["check_equations_hold", "_carrier_walk"]
+
+
+def test_selftest_uniqueness_reads_the_evaluated_representatives(capsys, fixtures, monkeypatch):
+    # the map that uniqueness checks is each enumerated representative
+    # evaluated in the algebra, not recursion: an evaluation wrong on one
+    # class fails uniqueness, and only uniqueness
+    from qitbench import cli
+
+    real, terms = cli.eval_alg, []
+
+    def wrong_on_a_b(t, env, alg):
+        terms.append(t)
+        value = real(t, env, alg)
+        return (value + 1) % 5 if t == bag_term(["a", "b"]) else value
+
+    argv = [
+        "selftest", str(fixtures / "bag.qit"),
+        "--algebra", str(fixtures / "length_algebra.json"), "--format", "json",
+    ]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    right = json.loads(out)
+    monkeypatch.setattr(cli, "eval_alg", wrong_on_a_b)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_CHECK_FAILED, "")
+    wrong = json.loads(out)
+    assert len(terms) == wrong["enumeration"]["classes"]
+    assert bag_term(["a", "b"]) in terms
+    assert wrong["uniqueness"]["verdict"] == "premise-counterexample"
+    assert wrong == {**right, "uniqueness": wrong["uniqueness"], "verdict": "failed"}
 
 
 @pytest.mark.parametrize(

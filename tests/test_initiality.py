@@ -14,6 +14,7 @@ from qitbench import engine, initiality
 from qitbench.cli import algebra_from_json
 from qitbench.encodings import (
     NIL,
+    bag_of,
     bag_term,
     length_algebra,
     one_point_algebra,
@@ -24,6 +25,8 @@ from qitbench.engine import (
     UNEQUAL_SIDES,
     CarrierSatReport,
     ClassId,
+    GenLeaf,
+    Justification,
     SaturationResult,
     check_equations_hold,
     closed_terms,
@@ -55,7 +58,6 @@ from qitbench.initiality import (
     check_coherence,
     check_comp,
     check_rec_hom,
-    check_rep_independence,
     check_uniq,
     constant_target,
     dep_target,
@@ -315,16 +317,6 @@ def test_check_rec_hom_counterexample_on_corrupted(bag):
     report = check_rec_hom(st, _corrupted(bag))
     assert not report.ok
     assert report.counterexample is not None
-
-
-def test_rep_independence(bag, omega_tree):
-    for inst, bound, alg in (
-        (bag, 4, length_algebra(4)),
-        (bag, 4, parity_algebra()),
-        (omega_tree, 3, one_point_algebra()),
-    ):
-        st, _ = build(inst, bound)
-        assert check_rep_independence(st, rec_target(alg, inst.system)).ok
 
 
 def test_check_uniq_accepts_recursion_itself(bag):
@@ -942,6 +934,149 @@ def test_law_walk_over_stored_layers_equals_enumerating_every_layer(
         stored, reference = _walks(run)
         assert stored == reference
         assert st.version == version
+
+
+# -- the algebra-map law on every member, against forced wrong merges ---------------
+
+
+def _reference_member_walk(state, alg, gen_env):
+    # every member of every class valued over its children's values, a
+    # generator leaf by its given value, against the class's value
+    values = _rec_values(state, alg, gen_env)
+    env = dict(gen_env) if gen_env else {}
+    root = lambda i: state.canonical(ClassId(i)).index
+    for c in state.roots():
+        expected = values[c.index]
+        for payload in state.members(c):
+            if isinstance(payload, GenLeaf):
+                got = env.get(payload.name, expected)
+            else:
+                kids = map_branches(lambda i: values[root(i)], payload.branches)
+                got = _interp(alg, payload.op, kids)
+            if got != expected:
+                return False
+    return True
+
+
+def _forced(make, merge):
+    # a fresh state, with two classes wrongly merged and then saturated
+    st = make()
+    if merge is not None:
+        st._union(*merge, Justification("sqeq", "forced"))
+        st.saturate()
+    return st
+
+
+def _wide_root(st):
+    # the class of the one stored layer with a table entry past the probe
+    (root,) = [
+        r
+        for op, arity in st.signature.ops if arity.is_omega
+        for r, layers in st._enodes()[op].items()
+        for kids in layers if kids.support()[-1:] >= (st.probe,)
+    ]
+    return root
+
+
+def _forced_cases(fixtures, case):
+    # the state maker, its wrong merges (every pair of classes, or the wide
+    # layer's class with each other class), the models and generator values
+    if case == "bag":
+        bag = bag_of(("a", "b"))
+
+        def make():
+            st = new_qw(bag.signature, bag.system)
+            st.enumerate_classes(4)
+            return st
+
+        algebras, gens = [length_algebra(4), parity_algebra()], None
+    else:
+        _, gens, _, interp, _ = WALK_CASES[case]
+        bound = {"wreductions": 3, "omega_tree": 3, "ordinals": 4}[case]
+        make = lambda: _walk_state(fixtures, case, bound, 40, case != "wreductions")
+        algebras = [FiniteAlgebra((0, 1, 2), interp)]
+    st = make()
+    roots = [c.index for c in st.roots()]
+    if case in ("omega_tree", "ordinals"):
+        wide = _wide_root(st)
+        merges = [(wide, r) for r in roots if r != wide]
+    else:
+        merges = list(itertools.combinations(roots, 2))
+    return make, merges, algebras, gens
+
+
+@pytest.mark.parametrize(
+    "case, cases, failing, members_only",
+    [("bag", 90, 59, 0), ("wreductions", 1, 1, 1), ("omega_tree", 7, 3, 3), ("ordinals", 5, 3, 3)],
+)
+def test_check_rec_hom_fails_where_the_layer_walk_or_the_member_walk_does(
+    fixtures, case, cases, failing, members_only
+):
+    # forced wrong merges into copies of a state, under models: the check
+    # fails exactly where the walk over the layers over the fragment or the
+    # walk over every member does.  Merging two generators, or a countable
+    # layer with a table entry past the probe into another class, breaks
+    # only the law on members that no layer over the fragment is.  An
+    # unforced state passes all three.
+    make, merges, algebras, gens = _forced_cases(fixtures, case)
+    seen = Counter()
+    for alg in algebras:
+        for merge in [None, *merges]:
+            st = _forced(make, merge)
+            target = RecTarget(alg, st.system, SatReport(True))
+            step = lambda s, kids: _interp(alg, s.op, kids)
+            values = lambda: _rec_values(st, alg, gens)
+            layers = _reference_law_walk(st, st.roots(), values, step)[0] is None
+            members = _reference_member_walk(st, alg, gens)
+            report = check_rec_hom(st, target, gen_env=gens)
+            assert report.ok == (layers and members)
+            if merge is None:
+                assert report.ok
+                continue
+            seen["cases"] += 1
+            seen["failing"] += not report.ok
+            seen["members_only"] += layers and not members
+    assert seen == Counter(cases=cases, failing=failing, members_only=members_only)
+
+
+def test_a_generator_leaf_that_breaks_the_law_is_the_counterexample(fixtures):
+    # v and w forced into one class, whose value is v's: w's leaf breaks
+    # the law after every layer over the fragment holds
+    make, (merge,), (alg,), gens = _forced_cases(fixtures, "wreductions")
+    st = _forced(make, merge)
+    report = check_rec_hom(st, RecTarget(alg, st.system, SatReport(True)), gen_env=gens)
+    assert report == initiality.FragmentHomReport(False, None, 1, 0, "w")
+    assert report.to_json() == {
+        "verdict": "counterexample", "checked": 1, "skipped": 0, "generator": "w",
+    }
+    # a generator with no given value is not checked
+    assert check_rec_hom(
+        st, RecTarget(alg, st.system, SatReport(True)), gen_env={"v": 1}
+    ).ok
+
+
+def test_a_layer_past_the_probe_is_checked_over_the_fragment(fixtures):
+    # the wide layer's class wrongly merged: the layer breaks the law where
+    # its class and children are in the fragment, and is not read where a
+    # child is not, nor counted either way
+    make, merges, (alg,), _ = _forced_cases(fixtures, "omega_tree")
+    target = RecTarget(alg, make().system, SatReport(True))
+    for merge in merges:
+        st = _forced(make, merge)
+        report = check_rec_hom(st, target)
+        if not report.ok:
+            break
+    wide = st.canonical(ClassId(merge[0]))
+    (kids,) = [k for k in st._enodes()["node(a)"][wide.index] if k.support()[-1:] >= (st.probe,)]
+    over = list(dict.fromkeys([wide, *map(ClassId, branch_values(kids))]))
+    assert len(over) == 2
+    assert report == initiality.FragmentHomReport(
+        False, OpNode("node(a)", map_branches(ClassId, kids)), report.checked, report.skipped
+    )
+    assert not check_rec_hom(st, target, classes=over).ok
+    apart = check_rec_hom(st, target, classes=over[:1])
+    assert apart.ok
+    assert apart.checked + apart.skipped == count_opnodes(st.signature, 1, st.probe)
 
 
 # -- the coherence premise on the compiled plans ------------------------------------
