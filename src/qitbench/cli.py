@@ -380,6 +380,7 @@ def _count(text: str) -> int:
 
 
 _OPTIONS = {
+    "--probe": dict(type=_count, default=2, help="probe depth for countable branching"),
     "--max-rounds": dict(type=_count, default=40, help="saturation round budget"),
     "--size-bound": dict(type=_count, default=4, help="closed term size bound"),
     "--carrier-bound": dict(
@@ -390,9 +391,8 @@ _OPTIONS = {
 
 
 def _add_common(p: argparse.ArgumentParser, *options: str) -> None:
-    """``--format`` and ``--probe``, then the named ``_OPTIONS`` the command reads."""
+    """``--format``, then the named ``_OPTIONS`` the command reads."""
     p.add_argument("--format", choices=("human", "json"), default="human")
-    p.add_argument("--probe", type=_count, default=2, help="probe depth for countable branching")
     for name in options:
         p.add_argument(name, **_OPTIONS[name])
 
@@ -408,45 +408,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("elaborate", help="compile a declaration to signature plus equations")
     p.add_argument("path")
-    _add_common(p)
+    _add_common(p, "--probe")
     p.set_defaults(func=cmd_elaborate)
 
     p = sub.add_parser("eq", help="decide equality of two terms")
     p.add_argument("path")
     p.add_argument("term1")
     p.add_argument("term2")
-    _add_common(p, "--max-rounds", "--carrier-bound", "--free")
+    _add_common(p, "--probe", "--max-rounds", "--carrier-bound", "--free")
     p.set_defaults(func=cmd_eq)
 
     p = sub.add_parser("enumerate", help="classes of closed terms up to a size bound")
     p.add_argument("path")
-    _add_common(p, "--max-rounds", "--size-bound", "--free")
+    _add_common(p, "--probe", "--max-rounds", "--size-bound", "--free")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("sat", help="check an algebra satisfies the equations")
     p.add_argument("path")
     p.add_argument("--algebra", help="algebra JSON file")
-    _add_common(p)
+    _add_common(p, "--probe")
     p.set_defaults(func=cmd_sat)
 
     p = sub.add_parser("rec", help="recurse a term's class into an algebra")
     p.add_argument("path")
     p.add_argument("term")
     p.add_argument("--algebra", help="algebra JSON file")
-    _add_common(p, "--max-rounds", "--free")
+    _add_common(p, "--probe", "--max-rounds", "--free")
     p.set_defaults(func=cmd_rec)
 
     p = sub.add_parser("separate", help="search for a separating algebra")
     p.add_argument("path")
     p.add_argument("term1")
     p.add_argument("term2")
-    _add_common(p, "--max-rounds", "--carrier-bound", "--free")
+    _add_common(p, "--probe", "--max-rounds", "--carrier-bound", "--free")
     p.set_defaults(func=cmd_separate, carrier_bound=3)
 
     p = sub.add_parser("selftest", help="run the initiality suite on an instance")
     p.add_argument("path")
     p.add_argument("--algebra", help="algebra JSON file (default: one-point)")
-    _add_common(p, "--max-rounds", "--size-bound", "--free")
+    _add_common(p, "--probe", "--max-rounds", "--size-bound", "--free")
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -126,10 +126,6 @@ def omega_tree_of(
     return EncodedInstance("omega-tree", sig, system)
 
 
-def leaf() -> Node:
-    return Node("leaf", ())
-
-
 # -- ordinal notations -----------------------------------------------------------------
 
 

@@ -42,7 +42,6 @@ ever "proved" or "unknown".
 
 from __future__ import annotations
 
-import bisect
 import functools
 import heapq
 import itertools
@@ -235,10 +234,12 @@ class QWState:
         self._key: dict[int, tuple] = {}
         self._chosen: dict[int, tuple[str, Any]] = {}
         self._unanalysed: dict[int, None] = {}
-        # the operator index once built (a relation per head operator), and
-        # the payloads whose class entries it must refresh at the next
-        # ``_enodes()``
-        self._index: dict[str, dict[int, dict[Any, None]]] | None = None
+        # the operator index (a relation per head operator), and the
+        # payloads whose class entries it must refresh at the next
+        # ``_enodes()``: each new payload and those a merge touches
+        self._index: dict[str, dict[int, dict[Any, None]]] = {
+            name: {} for name in signature.names()
+        }
         self._unindexed: list[int] = []
 
     # -- union-find ---------------------------------------------------------
@@ -493,24 +494,20 @@ class QWState:
         payloads collapse to one layer, and a countable map drops entries
         whose class is the default's.
 
-        The index is built once and then refreshed in place, here only, for
-        the classes touched since the last call: those that gained a payload
-        or a member, or hold a layer over a class that lost its root.  The
-        refreshed roots, and the roots that lost their root, are queued for
-        the next ``_analysis()``."""
+        The index is refreshed in place, here only, for the classes touched
+        since the last call: those that gained a payload or a member, or
+        hold a layer over a class that lost its root.  Interning files every
+        new payload as touched, so the first call fills the index by the
+        same refresh.  The refreshed roots, and the roots that lost their
+        root, are queued for the next ``_analysis()``."""
         index = self._index
-        if index is None:
-            index = self._index = {name: {} for name in self.signature.names()}
-            todo: Iterable[int] = self._members
-            self._unanalysed.update(dict.fromkeys(todo))
-        else:
-            todo = {self._find(i) for i in self._unindexed}
-            # classes that lost their root, and those refreshed below, leave
-            # every relation
-            for i in todo.union(self._unindexed):
-                for rel in index.values():
-                    rel.pop(i, None)
-                self._unanalysed[i] = None
+        todo = {self._find(i) for i in self._unindexed}
+        # classes that lost their root, and those refreshed below, leave
+        # every relation
+        for i in todo.union(self._unindexed):
+            for rel in index.values():
+                rel.pop(i, None)
+            self._unanalysed[i] = None
         self._unindexed.clear()
         for root in todo:
             for mid in self._members[root]:
@@ -546,8 +543,9 @@ class QWState:
         """Environments worth instantiating, ascending and each once: those
         under which at least one side's instance already exists in
         ``index`` (an ``_enodes()``), completed over ``roots`` for the
-        variables the matched side does not bind.  Given ``after``, only
-        the environments above it.
+        variables the matched side does not bind.  Given ``after``, the
+        same stream resumed past it: the environments up to ``after`` are
+        skipped.
 
         Each side's join runs at once over the relation of its head, at the
         keys that were among ``roots`` (those up to the last of them: later
@@ -599,12 +597,11 @@ class QWState:
                     tail = [touched.cold] * i + [touched.hot] + [roots] * (k - 1 - i)
                     products.append(side.domains(bound, tail))
         ordered = sorted(complete)
-        if after is not None:
-            ordered = ordered[bisect.bisect_right(ordered, after) :]
-        if not products:
-            return iter(ordered)
-        runs = [_product_after(domains, after) for domains in products]
-        return (env for env, _ in itertools.groupby(heapq.merge(ordered, *runs)))
+        envs = iter(ordered)
+        if products:
+            runs = [itertools.product(*domains) for domains in products]
+            envs = (env for env, _ in itertools.groupby(heapq.merge(ordered, *runs)))
+        return envs if after is None else itertools.dropwhile(after.__ge__, envs)
 
     def _instantiate(self, side: _Side, env: tuple[int, ...]) -> int:
         """Intern a side's instance under an environment of class roots:
@@ -745,8 +742,6 @@ class QWState:
         ra, rb = self._live_root(a), self._live_root(b)
         if ra != rb:
             return Decision(False)
-        if a.index == b.index:
-            return Decision(True, ())
         return Decision(True, tuple(self._explain(a.index, b.index)))
 
     def _explain(self, a: int, b: int) -> list[ProofStep]:
@@ -1179,23 +1174,6 @@ def _holds(tpl: Any, root: int, regs: list, index: dict) -> bool:
         all(_holds(s, c, regs, index) for s, c in branch_pairs(tpl.branches, kids))
         for kids in index[tpl.op].get(root, ())
     )
-
-
-def _product_after(domains: list, after: tuple[int, ...] | None) -> Iterator[tuple]:
-    """The product of ascending ``domains`` in lexicographic order; given
-    ``after``, only the tuples above it: those that keep a prefix of
-    ``after`` lying in the product and go above it at the next position,
-    the longest prefix first."""
-    if after is None:
-        return itertools.product(*domains)
-    blocks = []
-    for i, (dom, v) in enumerate(zip(domains, after)):
-        j = bisect.bisect_right(dom, v)
-        if j < len(dom):
-            blocks.append(itertools.product(*[(u,) for u in after[:i]], dom[j:], *domains[i + 1 :]))
-        if not (j and dom[j - 1] == v):
-            break
-    return itertools.chain.from_iterable(reversed(blocks))
 
 
 # a fresh empty construction state with its recorded budgets

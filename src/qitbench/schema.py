@@ -335,9 +335,6 @@ def parse_decl(source: str) -> QITDecl:
     element: list[ElementCtor] = []
     equality: list[EqualityCtor] = []
     while not cur.done():
-        cur.skip_ends()
-        if cur.done():
-            break
         ctor = _parse_ctor(cur, decl_name)
         if isinstance(ctor, ElementCtor):
             element.append(ctor)

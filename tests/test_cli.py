@@ -20,7 +20,7 @@ from qitbench.cli import (
 )
 from qitbench.encodings import bag_term, length_algebra
 from qitbench.equations import sat_check
-from qitbench.errors import WorkbenchError
+from qitbench.errors import ReplayError, WorkbenchError
 from qitbench.schema import MAX_TERM_DEPTH
 
 
@@ -460,6 +460,27 @@ def test_repeated_carrier_fixture_is_a_semantic_error(capsys, fixtures):
 
 
 @pytest.mark.parametrize(
+    "qit, row, message",
+    [
+        ("bag.qit", {"op": "cons(a)", "branches": [0, 0], "value": 0},
+         "row for 'cons(a)' needs 1 branch values, got 2"),
+        # at probe 2 a countable branch reads indices 0 and 1, then the default
+        ("omega_tree.qit", {"op": "node(a)", "branches": [0, 0], "value": 0},
+         "row for 'node(a)' needs 3 branch values, got 2"),
+    ],
+    ids=["finite", "countable"],
+)
+def test_an_algebra_row_with_the_wrong_branch_count_is_a_semantic_error(
+    capsys, fixtures, tmp_path, qit, row, message
+):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"carrier": [0], "table": [row]}))
+    code, out, err = run(capsys, "sat", str(fixtures / qit), "--algebra", str(path))
+    assert (code, out) == (EXIT_SEMANTIC, "")
+    assert json.loads(err) == {"error": "WorkbenchError", "message": message}
+
+
+@pytest.mark.parametrize(
     "value,verdict,code",
     [
         (lambda g: sum(g) % 2, "satisfied", EXIT_OK),
@@ -495,7 +516,7 @@ def test_out_of_carrier_algebra_is_refused_by_every_command(capsys, fixtures, co
     assert "not in the carrier" in json.loads(err)["message"]
 
 
-# each command's options beyond --format and --probe that it does not read
+# each command's options beyond --format that it does not read
 UNREAD_OPTIONS = [
     ("sat", "--max-rounds"),
     ("sat", "--size-bound"),
@@ -507,6 +528,7 @@ UNREAD_OPTIONS = [
     ("separate", "--size-bound"),
     ("enumerate", "--carrier-bound"),
     ("selftest", "--carrier-bound"),
+    ("check", "--probe"),
 ]
 
 
@@ -534,7 +556,7 @@ BOUND_OPTIONS = [
     ("eq", ["a::[]", "b::[]"], "--carrier-bound"),
     ("enumerate", [], "--size-bound"),
     ("enumerate", [], "--max-rounds"),
-    ("check", [], "--probe"),
+    ("elaborate", [], "--probe"),
 ]
 
 
@@ -663,6 +685,29 @@ def test_selftest_uniqueness_reads_the_evaluated_representatives(capsys, fixture
     assert bag_term(["a", "b"]) in terms
     assert wrong["uniqueness"]["verdict"] == "premise-counterexample"
     assert wrong == {**right, "uniqueness": wrong["uniqueness"], "verdict": "failed"}
+
+
+def test_selftest_reports_a_replay_failure(capsys, fixtures, monkeypatch):
+    # a merge that does not re-derive fails the replay line and the verdict,
+    # and only those
+    from qitbench import cli
+
+    argv = ["selftest", str(fixtures / "bag.qit"), "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    right = json.loads(out)
+
+    def refuse(state):
+        raise ReplayError("congruence merge 3 ~ 7 does not re-derive")
+
+    monkeypatch.setattr(cli, "replay_merges", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_CHECK_FAILED, "")
+    wrong = json.loads(out)
+    assert wrong["replay"] == {
+        "verdict": "failed", "message": "congruence merge 3 ~ 7 does not re-derive"
+    }
+    assert wrong == {**right, "replay": wrong["replay"], "verdict": "failed"}
 
 
 @pytest.mark.parametrize(

@@ -607,6 +607,20 @@ def test_replay_rejects_a_countable_instance_altered_at_the_default(omega_tree):
         replay_merges(st)
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [(NIL, cons("a", NIL)), (Var("u"), Var("v")), (Var("u"), NIL)],
+    ids=["two-operators", "two-generators", "generator-and-operator"],
+)
+def test_replay_rejects_a_congruence_that_no_layers_can_give(bag, left, right):
+    # congruence only relates two layers of one operator
+    st = new_qw(bag.signature, bag.system, generators=("u", "v"))
+    a, b = st.intern_term(left).index, st.intern_term(right).index
+    st._log.append(("merge", a, b, Justification("cong")))
+    with pytest.raises(ReplayError, match=f"congruence merge {a} ~ {b} does not re-derive"):
+        replay_merges(st)
+
+
 @pytest.mark.parametrize("tag", ["sqeta", "sqsigma"])
 def test_replay_rejects_a_retired_tag(bag, tag):
     st = fresh(bag)
@@ -1322,6 +1336,24 @@ def test_plans_stream_the_reference_environments_on_countable_patterns(
         else:
             st.intern_term(pool[op % len(pool)])
         _assert_plans_stream_the_reference(st, picks)
+
+
+@pytest.mark.parametrize("merged", [False, True])
+def test_an_operator_default_holds_at_the_layers_other_entries(merged):
+    # s({0 -> a, 1 -> f(z)}; f(a)) matches s({0 -> x}; f(x)) only if the
+    # entry f(z) holds f(a)'s instance: once a ~ z is merged and before the
+    # rebuild merges the congruent f(a) and f(z), it does from its own class
+    st = new_qw(SUP_SIG, make_system(SUP_SIG, [FAMILY_OF_F]))
+    st.intern_term(Node("s", omega_table([(0, node("a")), (1, node("f", node("z")))], node("f", node("a")))))
+    a, z = st.intern_term(node("a")).index, st.intern_term(node("z")).index
+    fa, fz = st.intern_term(node("f", node("a"))), st.intern_term(node("f", node("z")))
+    if merged:
+        st._union(a, z, Justification("sqeq", "collapse", ()))
+        assert not st.same_class(fa, fz)
+    _assert_plans_stream_the_reference(st, picks=[0, 2])
+    roots = sorted(st._members)
+    got = list(st._instance_envs(st._plans["fam"], roots, st._enodes()))
+    assert got == ([(st._find(a),)] if merged else [])
 
 
 # the countable pools that are shipped encodings

@@ -20,6 +20,7 @@ from qitbench.errors import (
     UnsupportedSchemeError,
     WorkbenchError,
 )
+from qitbench.cli import main
 from qitbench.engine import closed_terms
 from qitbench.schema import (
     _SYMBOLS,
@@ -346,6 +347,79 @@ def test_elaborate_family_without_index_rejected(fixtures):
     src = read_fixture(fixtures, "wreductions.qit").replace("f(i0)", "f()")
     with pytest.raises(ScopeError):
         elaborate(parse_decl(src))
+
+
+_ONE_NODE = "data T : Set where\n  z : T\n  node : (g : Nat -> T) -> T\n"
+
+
+@pytest.mark.parametrize(
+    "src, error, message, line, col",
+    [
+        ("data T : Type where\n  z : T\n",
+         DeclSyntaxError, "the declared type lives in 'Set'", 1, 10),
+        ("data T : Set with X = {a} there\n  z : T\n",
+         DeclSyntaxError, "expected 'where'", 1, 27),
+        ("data T : Set with X = {a, ->} where\n  z : T\n",
+         DeclSyntaxError, "enumeration values are names or numbers", 1, 27),
+        # at the token after the list: the list is checked once read
+        ("data T : Set with X = {a, b, a} where\n  z : T\n",
+         DeclSyntaxError, "duplicate enumeration value", 1, 33),
+        ("data T : Set with F = perms {{a->1}} where\n  z : T\n",
+         DeclSyntaxError, "permutation entries map numbers", 1, 31),
+        ("data T : Set with F = perms {{0->b}} where\n  z : T\n",
+         DeclSyntaxError, "permutation entries map numbers", 1, 34),
+        (_ONE_NODE + "  e : node({z; a -> z}) == z\n",
+         DeclSyntaxError, "table entries are indexed by numbers", 4, 16),
+        # checked on the whole declaration, without a position
+        ("data T : Set with X = {a}, X = perms {{}} where\n  z : T\n",
+         DeclSyntaxError, "duplicate parameter set name", 0, 0),
+        ("data T : Set where\n  z : T\n  e : z == y(z)\n",
+         ScopeError, "unknown constructor 'y'", 3, 12),
+        ("data T : Set with X = {a} where\n  z : T\n  c : (f : X -> X) -> T\n",
+         UnsupportedSchemeError, "function entries must land in the declared type", 3, 14),
+        ("data T : Set where\n  z : T\n  c : (f : Nat -> Nat -> T) -> T\n",
+         UnsupportedSchemeError, "countable branching cannot mix with other domains", 3, 16),
+        ("data T : Set with F = perms {{}} where\n  z : T\n  c : (f : F -> T) -> T\n",
+         UnsupportedSchemeError, "branch domains must be declared finite sets or Nat", 3, 14),
+        ("data T : Set with X = {a} where\n  c : (f : X -> T) -> T\n"
+         "  e : (f : X -> T) -> c(f) == f\n",
+         ScopeError, "branch family 'f' is not a term by itself", 3, 31),
+        (_ONE_NODE + "  e : (g : Nat -> T) -> node(g) == g(0, 1)\n",
+         ScopeError, "'g' takes one index", 4, 36),
+        ("data T : Set with X = {a}, Y = {a, b} where\n  c : (f : X -> T) -> T\n"
+         "  e : (f : Y -> T) -> c(f) == c(f)\n",
+         ScopeError, "expected a branch family of matching shape", 3, 25),
+        ("data T : Set with X = {a}, F = perms {{}} where\n  z : T\n"
+         "  node : (g : Nat -> T) -> T\n  e : (f : X -> T) (p : F) -> node(f . p) == z\n",
+         ScopeError, "'f' is not a countable branch family", 4, 36),
+    ],
+    ids=[
+        "not-set", "no-where", "enumeration-value", "enumeration-repeat", "permutation-source",
+        "permutation-target", "table-index", "parameter-set-repeat", "unknown-constructor",
+        "function-codomain", "countable-and-more", "function-domain", "family-as-term",
+        "countable-family-arguments", "family-shape", "composed-finite-family",
+    ],
+)
+def test_declaration_errors_are_positioned(src, error, message, line, col):
+    with pytest.raises(SchemaError) as err:
+        elaborate(parse_decl(src), probe=2)
+    assert (type(err.value), err.value.args[0], err.value.line, err.value.col) == (
+        error, message, line, col
+    )
+
+
+def test_a_countable_family_read_at_an_index_elaborates(capsys, tmp_path):
+    # node(g) == g(0): the family's probed entries and default are three
+    # variables, and the right side is the first
+    src = _ONE_NODE + "  first : (g : Nat -> T) -> node(g) == g(0)\n"
+    _, system = elaborate(parse_decl(src), probe=2)
+    (eq,) = system.equations
+    assert (eq.var_count, eq.rhs) == (3, Var(0))
+    assert eq.lhs == Node("node", OmegaTable(((0, Var(0)), (1, Var(1))), Var(2)))
+    path = tmp_path / "first.qit"
+    path.write_text(src)
+    assert main(["selftest", str(path), "--size-bound", "4"]) == 0
+    assert capsys.readouterr().out.endswith('verdict: "ok"\n')
 
 
 def test_endpoint_list_sugar(fixtures):
