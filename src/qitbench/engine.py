@@ -596,11 +596,10 @@ class QWState:
                 for i in range(k):
                     tail = [touched.cold] * i + [touched.hot] + [roots] * (k - 1 - i)
                     products.append(side.domains(bound, tail))
-        ordered = sorted(complete)
-        envs = iter(ordered)
+        envs = iter(sorted(complete))
         if products:
             runs = [itertools.product(*domains) for domains in products]
-            envs = (env for env, _ in itertools.groupby(heapq.merge(ordered, *runs)))
+            envs = (env for env, _ in itertools.groupby(heapq.merge(envs, *runs)))
         return envs if after is None else itertools.dropwhile(after.__ge__, envs)
 
     def _instantiate(self, side: _Side, env: tuple[int, ...]) -> int:
