@@ -91,15 +91,17 @@ class ConditionType(_Syntax):
 
 class PatName(_Syntax):
     def __init__(self, name: Any, pos: SrcPos = SrcPos()):
-        object.__setattr__(self, "name", name)  # identifier or integer literal
-        object.__setattr__(self, "pos", pos)
+        d = self.__dict__
+        d["name"] = name  # identifier or integer literal
+        d["pos"] = pos
 
 
 class PatApply(_Syntax):
     def __init__(self, head: str, args: tuple, pos: SrcPos = SrcPos()):
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "pos", pos)
+        d = self.__dict__
+        d["head"] = head
+        d["args"] = args
+        d["pos"] = pos
 
 
 class PatCompose(_Syntax):
@@ -285,7 +287,7 @@ class _Cursor:
 
 
 def _pos(t: _Tok) -> SrcPos:
-    return SrcPos(t.line, t.col)
+    return tuple.__new__(SrcPos, (t.line, t.col))  # SrcPos(t.line, t.col), without its __new__
 
 
 # -- parser ------------------------------------------------------------------------
@@ -314,7 +316,10 @@ def parse_decl(source: str) -> QITDecl:
         cur.next()
         while True:
             cur.skip_ends()
-            pname = cur.expect_name("a parameter set name").text
+            ptok = cur.expect_name("a parameter set name")
+            pname = ptok.text
+            if any(n == pname for n, _ in enums + perms):
+                raise DeclSyntaxError("duplicate parameter set name", ptok.line, ptok.col)
             cur.expect_sym("=")
             cur.skip_ends()
             if cur.at_name("perms"):
@@ -503,44 +508,50 @@ def _parse_type_atom(cur: _Cursor, decl_name: str):
 def _parse_pattern(cur: _Cursor, depth: int = 0):
     """A pattern, where ``x :: t`` stands for ``cons(x, t)``.  An argument,
     a table entry or a list cell's tail lies one level below its parent, and
-    a pattern more than MAX_TERM_DEPTH levels deep is refused."""
-    heads = [_parse_pattern_atom(cur, depth)]
-    cells = []  # the "::" of each list cell, outermost first
-    while cur.at_sym("::"):
-        cells.append(cur.next())
-        heads.append(_parse_pattern_atom(cur, depth + len(cells)))
-    pat = heads.pop()
-    while cells:
-        pat = PatApply("cons", (heads.pop(), pat), _pos(cells.pop()))
+    a pattern more than MAX_TERM_DEPTH levels deep is refused.  The pattern
+    readers test a token by its text alone: no other kind of token spells a
+    symbol."""
+    toks = cur.toks
+    pat = _parse_pattern_atom(cur, depth)
+    cells = []  # (the "::", the head) of each list cell, outermost first
+    while toks[cur.i].text == "::":
+        cells.append((toks[cur.i], pat))
+        cur.i += 1
+        pat = _parse_pattern_atom(cur, depth + len(cells))
+    for t, head in reversed(cells):
+        pat = PatApply("cons", (head, pat), _pos(t))
     return pat
 
 
 def _parse_pattern_atom(cur: _Cursor, depth: int):
-    t = cur.next()
+    toks = cur.toks
+    t = toks[cur.i]
+    cur.i += 1
     if depth > MAX_TERM_DEPTH:
         raise DeclSyntaxError(
             f"term nested more than {MAX_TERM_DEPTH} levels deep", t.line, t.col
         )
     if t.kind == "name":
-        if cur.at_sym("."):
-            cur.next()
+        after = toks[cur.i].text
+        if after == ".":
+            cur.i += 1
             f = cur.expect_name("a permutation parameter")
             return PatCompose(t.text, f.text, _pos(t))
-        if not cur.at_sym("("):
+        if after != "(":
             return PatName(t.text, _pos(t))
-        cur.next()
+        cur.i += 1
         args: list[Any] = []
-        while not cur.at_sym(")"):
+        while toks[cur.i].text != ")":
             args.append(_parse_pattern(cur, depth + 1))
-            if not cur.at_sym(")"):
+            if toks[cur.i].text != ")":
                 cur.expect_sym(",")
-        cur.expect_sym(")")
+        cur.i += 1
         return PatApply(t.text, tuple(args), _pos(t))
     if t.kind == "int":
         return PatName(_numeral(t), _pos(t))
-    if t.kind == "sym" and t.text == "[]":
+    if t.text == "[]":
         return PatApply("nil", (), _pos(t))
-    if t.kind == "sym" and t.text == "{":  # a countable branch map
+    if t.text == "{":  # a countable branch map
         default = _parse_pattern(cur, depth + 1)
         entries: list[tuple[int, Any]] = []
         if cur.at_sym(";"):
@@ -562,24 +573,17 @@ def _parse_pattern_atom(cur: _Cursor, depth: int):
 
 
 def _validate_decl(decl: QITDecl) -> None:
-    set_names = {n for n, _ in decl.enums} | {n for n, _ in decl.perms}
-    if len(set_names) != len(decl.enums) + len(decl.perms):
-        raise DeclSyntaxError("duplicate parameter set name")
     ctor_names = set()
     for ctor in decl.element_ctors + decl.equality_ctors:
         if ctor.name in ctor_names:
-            raise DuplicateConstructorError(
-                f"duplicate constructor {ctor.name!r}", ctor.pos.line, ctor.pos.col
-            )
+            raise DuplicateConstructorError(f"duplicate constructor {ctor.name!r}", *ctor.pos)
         ctor_names.add(ctor.name)
     for ctor in decl.element_ctors + decl.equality_ctors:
         binder_names = set()
         is_equality = isinstance(ctor, EqualityCtor)
         for b in ctor.telescope:
             if b.name in binder_names:
-                raise DuplicateBinderError(
-                    f"binder {b.name!r} reused in the telescope", b.pos.line, b.pos.col
-                )
+                raise DuplicateBinderError(f"binder {b.name!r} reused in the telescope", *b.pos)
             binder_names.add(b.name)
             _validate_type(decl, b.type, allow_condition=is_equality)
         if is_equality:
@@ -616,16 +620,12 @@ def _validate_type(decl: QITDecl, tp, *, allow_condition: bool) -> None:
                 decl.enum(part.name) is None and decl.perm_set(part.name) is None
             ):
                 raise ScopeError(
-                    f"unknown type {part.name!r} (declare it in the with-clause)",
-                    part.pos.line,
-                    part.pos.col,
+                    f"unknown type {part.name!r} (declare it in the with-clause)", *part.pos
                 )
         elif isinstance(part, ConditionType):
             if not (allow_condition and part is tp):
                 raise DeclSyntaxError(
-                    "condition entries may only appear in equality constructors",
-                    part.pos.line,
-                    part.pos.col,
+                    "condition entries may only appear in equality constructors", *part.pos
                 )
         elif not isinstance(part, (SelfType, PiType, SigmaType)):
             raise DeclSyntaxError(f"unrecognised type form {part!r}")
@@ -637,37 +637,28 @@ def _validate_pattern(decl: QITDecl, binders: dict, pat) -> None:
     for part in _parts(pat):
         if isinstance(part, PatName):
             if not (isinstance(part.name, int) or part.name in names):
-                raise ScopeError(
-                    f"unbound name {part.name!r} in pattern", part.pos.line, part.pos.col
-                )
+                raise ScopeError(f"unbound name {part.name!r} in pattern", *part.pos)
         elif isinstance(part, PatCompose):
             if part.fun not in binders:
-                raise ScopeError(f"unbound name {part.fun!r}", part.pos.line, part.pos.col)
+                raise ScopeError(f"unbound name {part.fun!r}", *part.pos)
             if part.perm not in binders:
-                raise ScopeError(f"unbound name {part.perm!r}", part.pos.line, part.pos.col)
+                raise ScopeError(f"unbound name {part.perm!r}", *part.pos)
             tp = binders[part.perm]
             if not (isinstance(tp, ConstType) and decl.perm_set(tp.name) is not None):
-                raise ScopeError(
-                    f"{part.perm!r} is not a permutation parameter", part.pos.line, part.pos.col
-                )
+                raise ScopeError(f"{part.perm!r} is not a permutation parameter", *part.pos)
         elif isinstance(part, PatApply):
             if part.head in binders:
                 tp = binders[part.head]
                 if not (isinstance(tp, PiType) and isinstance(tp.codomain, SelfType)):
                     raise ScopeError(
                         f"{part.head!r} cannot be applied: only branch families may be indexed",
-                        part.pos.line,
-                        part.pos.col,
+                        *part.pos,
                     )
             elif part.head not in ctor_names:
-                raise ScopeError(
-                    f"unknown constructor {part.head!r}", part.pos.line, part.pos.col
-                )
+                raise ScopeError(f"unknown constructor {part.head!r}", *part.pos)
         else:
             raise DeclSyntaxError(
-                "not an equation pattern (branch tables belong to ground terms)",
-                part.pos.line,
-                part.pos.col,
+                "not an equation pattern (branch tables belong to ground terms)", *part.pos
             )
 
 
@@ -688,9 +679,7 @@ def check_positivity(decl: QITDecl) -> None:
             for part in _parts(b.type):
                 if isinstance(part, PiType) and _occurs_self(part.domain):
                     raise PositivityError(
-                        "the declared type occurs in a function argument position",
-                        part.pos.line,
-                        part.pos.col,
+                        "the declared type occurs in a function argument position", *part.pos
                     )
 
 
@@ -745,9 +734,7 @@ def _classify_entry(decl: QITDecl, b: Binder) -> _Slot:
         if ts is not None:
             return _Slot(b.name, "param", tuple(ts), b.pos)
         raise NonFinitaryConstantError(
-            f"constant type {tp.name!r} has no finite instantiation",
-            tp.pos.line,
-            tp.pos.col,
+            f"constant type {tp.name!r} has no finite instantiation", *tp.pos
         )
     if isinstance(tp, SelfType):
         return _Slot(b.name, "self", (), b.pos)
@@ -758,37 +745,27 @@ def _classify_entry(decl: QITDecl, b: Binder) -> _Slot:
             domains.append(cod.domain)
             cod = cod.codomain
         if not isinstance(cod, SelfType):
-            raise UnsupportedSchemeError(
-                "function entries must land in the declared type",
-                tp.pos.line,
-                tp.pos.col,
-            )
+            raise UnsupportedSchemeError("function entries must land in the declared type", *tp.pos)
         if any(isinstance(d, ConstType) and d.name == "Nat" for d in domains):
             if len(domains) != 1:
                 raise UnsupportedSchemeError(
-                    "countable branching cannot mix with other domains",
-                    tp.pos.line,
-                    tp.pos.col,
+                    "countable branching cannot mix with other domains", *tp.pos
                 )
             return _Slot(b.name, "selfomega", (), b.pos)
         value_lists = []
         for d in domains:
             if not isinstance(d, ConstType) or decl.enum(d.name) is None:
                 raise UnsupportedSchemeError(
-                    "branch domains must be declared finite sets or Nat",
-                    tp.pos.line,
-                    tp.pos.col,
+                    "branch domains must be declared finite sets or Nat", *tp.pos
                 )
             value_lists.append(decl.enum(d.name))
         values = tuple(itertools.product(*value_lists))
         return _Slot(b.name, "selffun", values, b.pos)
     if isinstance(tp, SigmaType):
         raise UnsupportedSchemeError(
-            "pair entries are not elaborated; curry them into separate binders",
-            tp.pos.line,
-            tp.pos.col,
+            "pair entries are not elaborated; curry them into separate binders", *tp.pos
         )
-    raise UnsupportedSchemeError(f"cannot elaborate entry {tp!r}", b.pos.line, b.pos.col)
+    raise UnsupportedSchemeError(f"cannot elaborate entry {tp!r}", *b.pos)
 
 
 def _value_repr(v: Any) -> str:
@@ -807,27 +784,28 @@ def _op_name(ctor: str, combo: tuple) -> str:
     return f"{ctor}({','.join(_value_repr(v) for v in combo)})"
 
 
-def _ctor_shapes(decl: QITDecl) -> dict[str, tuple[tuple[_Slot, ...], Arity, tuple]]:
-    """Each element constructor's classified telescope, operator arity and
+def _ctor_shapes(decl: QITDecl) -> dict[str, tuple[tuple[_Slot, ...], Arity, tuple, bool]]:
+    """Each element constructor's classified telescope, operator arity,
     operator names, one per choice of parameters in ``itertools.product``
-    order.  Read it as ``decl._shapes``, which is built once."""
-    shapes: dict[str, tuple[tuple[_Slot, ...], Arity, tuple]] = {}
+    order, and whether a finite branch family makes ``_slot_args`` pair
+    its slots with their arguments (else the n-th argument fills the n-th
+    slot).  Read it as ``decl._shapes``, which is built once."""
+    shapes: dict[str, tuple[tuple[_Slot, ...], Arity, tuple, bool]] = {}
     for ctor in decl.element_ctors:
         slots = tuple(_classify_entry(decl, b) for b in ctor.telescope)
         self_like = [s for s in slots if s.kind != "param"]
         if any(s.arity.is_omega for s in self_like):
             if len(self_like) != 1:
                 raise UnsupportedSchemeError(
-                    "a countably branching argument must be the only recursive argument",
-                    ctor.pos.line,
-                    ctor.pos.col,
+                    "a countably branching argument must be the only recursive argument", *ctor.pos
                 )
             arity = OMEGA
         else:
             arity = Arity(sum(s.arity.finite for s in self_like))
         params = [s.values for s in slots if s.kind == "param"]
         names = tuple(_op_name(ctor.name, combo) for combo in itertools.product(*params))
-        shapes[ctor.name] = (slots, arity, names)
+        paired = any(s.kind == "selffun" for s in slots)
+        shapes[ctor.name] = (slots, arity, names, paired)
     return shapes
 
 
@@ -848,7 +826,7 @@ def elaborate(decl: QITDecl, *, probe: int = 2) -> tuple[Signature, EquationSyst
         )
 
     shapes = decl._shapes
-    sig = Signature(tuple((n, arity) for _, arity, names in shapes.values() for n in names))
+    sig = Signature(tuple((n, arity) for _, arity, names, _ in shapes.values() for n in names))
 
     eqs = []
     for ctor in decl.equality_ctors:
@@ -870,19 +848,19 @@ def elaborate(decl: QITDecl, *, probe: int = 2) -> tuple[Signature, EquationSyst
     return sig, make_system(sig, eqs, probe=probe)
 
 
-def _is_value(decl: QITDecl, pat) -> bool:
+def _is_value(decl: QITDecl, name) -> bool:
     """A numeral or a declared enumeration value."""
-    return isinstance(pat, PatName) and (isinstance(pat.name, int) or pat.name in decl._values)
+    return isinstance(name, int) or name in decl._values
 
 
 def _resolve_value(decl: QITDecl, env: dict, pat) -> Any:
     """A pattern argument standing for a parameter value."""
-    if isinstance(pat, PatName):
+    if pat.__class__ is PatName:
         if pat.name in env:
             return env[pat.name]
-        if _is_value(decl, pat):
+        if _is_value(decl, pat.name):
             return pat.name
-    raise ScopeError("expected a parameter value here", pat.pos.line, pat.pos.col)
+    raise ScopeError("expected a parameter value here", *pat.pos)
 
 
 def _block(var_blocks: dict, pat, kind: str):
@@ -899,90 +877,93 @@ def _pattern_term(decl, shapes, env, var_blocks, pat, probe: int) -> Term:
     stand for variables (an equation's recursive binders, a ground term's
     generators) to their first variable and slot; ``env`` gives the
     parameter binders' values."""
-    if isinstance(pat, PatName) and pat.name in var_blocks:
-        offset, slot = var_blocks[pat.name]
-        if slot.kind != "self":
-            raise ScopeError(
-                f"branch family {pat.name!r} is not a term by itself",
-                pat.pos.line,
-                pat.pos.col,
-            )
-        return Var(offset)
-    head = pat.head if isinstance(pat, PatApply) else (
-        pat.name if isinstance(pat, PatName) else None
-    )
-    if isinstance(pat, PatApply) and head in var_blocks:
+    cls = pat.__class__
+    if cls is PatApply:
+        head, args = pat.head, pat.args
+    else:
+        head, args = (pat.name if cls is PatName else None), ()
+    if var_blocks and head in var_blocks:
         offset, slot = var_blocks[head]
+        if cls is PatName:
+            if slot.kind != "self":
+                raise ScopeError(f"branch family {head!r} is not a term by itself", *pat.pos)
+            return Var(offset)
         if slot.kind == "selffun":
-            key = tuple(_resolve_value(decl, env, a) for a in pat.args)
+            key = tuple(_resolve_value(decl, env, a) for a in args)
             if key not in slot.values:
-                raise ScopeError(
-                    f"{head!r} has no branch at {key!r}", pat.pos.line, pat.pos.col
-                )
+                raise ScopeError(f"{head!r} has no branch at {key!r}", *pat.pos)
             return Var(offset + slot.values.index(key))
         if slot.kind == "selfomega":
-            if len(pat.args) != 1:
-                raise ScopeError(
-                    f"{head!r} takes one index", pat.pos.line, pat.pos.col
-                )
-            i = _resolve_value(decl, env, pat.args[0])
+            if len(args) != 1:
+                raise ScopeError(f"{head!r} takes one index", *pat.pos)
+            i = _resolve_value(decl, env, args[0])
             if not isinstance(i, int) or i < 0 or i >= probe:
                 raise ScopeError(
-                    f"index {i!r} is outside the probed range 0..{probe - 1}",
-                    pat.pos.line,
-                    pat.pos.col,
+                    f"index {i!r} is outside the probed range 0..{probe - 1}", *pat.pos
                 )
             return Var(offset + i)
-    if head in shapes:
-        slots, arity, names = shapes[head]
+    plan = shapes.get(head)
+    if plan is not None:
+        slots, arity, names, paired = plan
         index = 0  # of the choice of parameters among the names
         branches: list[Term] = []
         omega_branch = None
-        for slot, args in _slot_args(pat, head, slots, var_blocks):
-            if slot.kind == "param":
-                value = _resolve_value(decl, env, args[0])
-                if value not in slot.values:
+        if paired:
+            pairs, count = _slot_args(args, slots, var_blocks)
+        else:  # the n-th argument fills the n-th slot
+            pairs, count = zip(slots, args), len(slots)
+        for slot, arg in pairs:
+            kind = slot.kind
+            if kind == "self":  # one frame per level of a deep term
+                branches.append(_pattern_term(decl, shapes, env, var_blocks, arg, probe))
+            elif kind == "param":
+                try:
+                    at = slot.values.index(_resolve_value(decl, env, arg))
+                except ValueError:
                     raise ScopeError(
-                        f"{head!r} takes one of {list(slot.values)} here", pat.pos.line, pat.pos.col
-                    )
-                index = index * len(slot.values) + slot.values.index(value)
-            elif slot.kind == "selfomega":
-                omega_branch = _omega_branches(decl, shapes, env, var_blocks, args[0], probe)
-            elif slot.kind == "selffun" and (block := _block(var_blocks, args[0], "selffun")):
-                offset, family = block
-                if len(family.values) != len(slot.values):
-                    pos = args[0].pos
-                    raise ScopeError("expected a branch family of matching shape", pos.line, pos.col)
-                branches.extend(var_block(family.arity, offset, probe))
-            else:  # a loop, not a generator: one frame per level of a deep term
-                for a in args:
+                        f"{head!r} takes one of {list(slot.values)} here", *pat.pos
+                    ) from None
+                index = index * len(slot.values) + at
+            elif kind == "selfomega":
+                omega_branch = _omega_branches(decl, shapes, env, var_blocks, arg, probe)
+            elif arg.__class__ is tuple:  # a finite family, one term per branch
+                for a in arg:
                     branches.append(_pattern_term(decl, shapes, env, var_blocks, a, probe))
+            else:  # a finite family binder used whole
+                offset, family = var_blocks[arg.name]
+                if len(family.values) != len(slot.values):
+                    raise ScopeError("expected a branch family of matching shape", *arg.pos)
+                branches.extend(var_block(family.arity, offset, probe))
+        if count != len(args):  # raised after the errors inside the arguments
+            raise DeclSyntaxError(f"{head!r} expects {count} arguments, got {len(args)}", *pat.pos)
         if arity.is_omega:
             return Node(names[index], omega_branch)
         return Node(names[index], tuple(branches))
-    if isinstance(pat, PatTable) or _is_value(decl, pat):
-        raise DeclSyntaxError("expected a term here", pat.pos.line, pat.pos.col)
+    if cls is PatTable or (cls is PatName and _is_value(decl, head)):
+        raise DeclSyntaxError("expected a term here", *pat.pos)
     what = "pattern" if head is None else repr(head)
-    raise ScopeError(f"{what} is not a term of the declared type", pat.pos.line, pat.pos.col)
+    raise ScopeError(f"{what} is not a term of the declared type", *pat.pos)
 
 
-def _slot_args(pat, head: str, slots: tuple[_Slot, ...], var_blocks: dict):
-    """Pair each telescope slot with its arguments: a finite branch family
-    takes one family binder or one term per branch, any other slot one
-    argument.  A miscount is raised last, after errors inside arguments."""
-    args = pat.args if isinstance(pat, PatApply) else ()
+def _slot_args(args: tuple, slots: tuple[_Slot, ...], var_blocks: dict) -> tuple[list, int]:
+    """Pair each telescope slot with its argument: a finite branch family
+    takes one family binder or a tuple of one term per branch, any other
+    slot one argument.  Slots past the last argument are left out.  Also
+    gives the number of arguments the slots take."""
+    pairs = []
     i = 0
     for slot in slots:
         first = args[i] if i < len(args) else None
-        flattened = slot.kind == "selffun" and not _block(var_blocks, first, "selffun")
-        width = len(slot.values) if flattened else 1
-        if i + width <= len(args):
-            yield slot, args[i : i + width]
+        if slot.kind == "selffun" and not _block(var_blocks, first, "selffun"):
+            width = len(slot.values)
+            if i + width <= len(args):
+                pairs.append((slot, args[i : i + width]))
+        else:
+            width = 1
+            if first is not None:
+                pairs.append((slot, first))
         i += width
-    if i != len(args):
-        raise DeclSyntaxError(
-            f"{head!r} expects {i} arguments, got {len(args)}", pat.pos.line, pat.pos.col
-        )
+    return pairs, i
 
 
 def _omega_branches(decl, shapes, env, var_blocks, arg, probe: int):
@@ -993,30 +974,20 @@ def _omega_branches(decl, shapes, env, var_blocks, arg, probe: int):
     if isinstance(arg, PatCompose):
         if arg.fun not in var_blocks or arg.perm not in env:
             raise ScopeError(
-                "composition needs a branch family and a permutation parameter",
-                arg.pos.line,
-                arg.pos.col,
+                "composition needs a branch family and a permutation parameter", *arg.pos
             )
         block = var_blocks[arg.fun]
         if block[1].kind != "selfomega":
-            raise ScopeError(
-                f"{arg.fun!r} is not a countable branch family", arg.pos.line, arg.pos.col
-            )
+            raise ScopeError(f"{arg.fun!r} is not a countable branch family", *arg.pos)
         table = dict(env[arg.perm])
         if any(i >= probe or j >= probe for i, j in table.items()):
-            raise ScopeError(
-                "permutation support must lie inside the probed range",
-                arg.pos.line,
-                arg.pos.col,
-            )
+            raise ScopeError("permutation support must lie inside the probed range", *arg.pos)
     if block is not None:
         return var_block(OMEGA, block[0], probe, table)
     if isinstance(arg, PatTable):
         if any(i >= probe for i, _ in arg.entries):
             raise DeclSyntaxError(
-                f"table entries must stay below the probe depth {probe}",
-                arg.pos.line,
-                arg.pos.col,
+                f"table entries must stay below the probe depth {probe}", *arg.pos
             )
         entries = [
             (i, _pattern_term(decl, shapes, env, var_blocks, t, probe))
@@ -1049,7 +1020,6 @@ def parse_ground_term(
     cur = _Cursor(_lex(text))
     cur.skip_ends()
     pat = _parse_pattern(cur)
-    cur.skip_ends()
     if not cur.done():
         t = cur.peek()
         raise DeclSyntaxError(f"unexpected {t.text!r} after the term", t.line, t.col)

@@ -370,9 +370,9 @@ _ONE_NODE = "data T : Set where\n  z : T\n  node : (g : Nat -> T) -> T\n"
          DeclSyntaxError, "permutation entries map numbers", 1, 34),
         (_ONE_NODE + "  e : node({z; a -> z}) == z\n",
          DeclSyntaxError, "table entries are indexed by numbers", 4, 16),
-        # checked on the whole declaration, without a position
+        # at the repeated name
         ("data T : Set with X = {a}, X = perms {{}} where\n  z : T\n",
-         DeclSyntaxError, "duplicate parameter set name", 0, 0),
+         DeclSyntaxError, "duplicate parameter set name", 1, 28),
         ("data T : Set where\n  z : T\n  e : z == y(z)\n",
          ScopeError, "unknown constructor 'y'", 3, 12),
         ("data T : Set with X = {a} where\n  z : T\n  c : (f : X -> X) -> T\n",
@@ -485,28 +485,52 @@ def test_ground_term_omega_table(fixtures):
     assert constant.branches.entries == ()
 
 
-# (fixture, generators, input, error class, line, col)
+# (fixture, generators, input, error class, message, line, col)
 GROUND_TERM_ERRORS = [
-    ("bag.qit", (), "mystery", ScopeError, 1, 1),
-    ("bag.qit", (), "cons(a)", DeclSyntaxError, 1, 1),
-    ("bag.qit", (), "cons(c, nil)", ScopeError, 1, 6),
-    ("bag.qit", (), "a::b", DeclSyntaxError, 1, 4),
-    ("bag.qit", (), "a", DeclSyntaxError, 1, 1),
-    ("bag.qit", (), "3", DeclSyntaxError, 1, 1),
-    ("bag.qit", (), "cons(nil, nil)", ScopeError, 1, 6),
-    ("bag.qit", (), "cons(a, a)", DeclSyntaxError, 1, 9),
-    ("bag.qit", (), "nil(nil)", DeclSyntaxError, 1, 1),
-    ("bag.qit", (), "nil::[]", ScopeError, 1, 1),
-    ("bag.qit", (), "cons(3, nil)", ScopeError, 1, 1),
-    ("omega_tree.qit", (), "node(a, {leaf; 5 -> leaf})", DeclSyntaxError, 1, 9),
-    ("omega_tree.qit", (), "node(a, g . f)", ScopeError, 1, 9),
-    ("omega_tree.qit", (), "[]", ScopeError, 1, 1),
-    ("wreductions.qit", ("v", "w"), "mk(v)", DeclSyntaxError, 1, 1),
-    ("wreductions.qit", ("v", "w"), "mk(i0, i1)", DeclSyntaxError, 1, 4),
+    ("bag.qit", (), "mystery", ScopeError, "'mystery' is not a term of the declared type", 1, 1),
+    ("bag.qit", (), "cons(a)", DeclSyntaxError, "'cons' expects 2 arguments, got 1", 1, 1),
+    ("bag.qit", (), "cons(c, nil)", ScopeError, "expected a parameter value here", 1, 6),
+    ("bag.qit", (), "a::b", DeclSyntaxError, "expected a term here", 1, 4),
+    ("bag.qit", (), "a", DeclSyntaxError, "expected a term here", 1, 1),
+    ("bag.qit", (), "3", DeclSyntaxError, "expected a term here", 1, 1),
+    ("bag.qit", (), "cons(nil, nil)", ScopeError, "expected a parameter value here", 1, 6),
+    ("bag.qit", (), "cons(a, a)", DeclSyntaxError, "expected a term here", 1, 9),
+    ("bag.qit", (), "nil(nil)", DeclSyntaxError, "'nil' expects 0 arguments, got 1", 1, 1),
+    ("bag.qit", (), "nil::[]", ScopeError, "expected a parameter value here", 1, 1),
+    ("bag.qit", (), "cons(3, nil)", ScopeError, "'cons' takes one of ['a', 'b'] here", 1, 1),
+    # an argument's error comes before the miscount, and an argument past
+    # the telescope is not read
+    ("bag.qit", (), "cons(c, nil, nil)", ScopeError, "expected a parameter value here", 1, 6),
+    (
+        "bag.qit", (), "cons(a, mystery, nil)",
+        ScopeError, "'mystery' is not a term of the declared type", 1, 9,
+    ),
+    (
+        "bag.qit", (), "cons(a, nil, mystery)",
+        DeclSyntaxError, "'cons' expects 2 arguments, got 3", 1, 1,
+    ),
+    ("bag.qit", (), "a::b::c::[]", ScopeError, "expected a parameter value here", 1, 7),
+    (
+        "omega_tree.qit", (), "node(a, {leaf; 5 -> leaf})",
+        DeclSyntaxError, "table entries must stay below the probe depth 2", 1, 9,
+    ),
+    (
+        "omega_tree.qit", (), "node(a, g . f)",
+        ScopeError, "composition needs a branch family and a permutation parameter", 1, 9,
+    ),
+    ("omega_tree.qit", (), "[]", ScopeError, "'nil' is not a term of the declared type", 1, 1),
+    (
+        "wreductions.qit", ("v", "w"), "mk(v)",
+        DeclSyntaxError, "'mk' expects 2 arguments, got 1", 1, 1,
+    ),
+    ("wreductions.qit", ("v", "w"), "mk(i0, i1)", DeclSyntaxError, "expected a term here", 1, 4),
     # a digit int() refuses is no numeral, nor is one past the digit limit
-    ("bag.qit", (), "cons(²)", DeclSyntaxError, 1, 6),
-    ("bag.qit", (), "cons(" + "9" * 5000 + ", nil)", DeclSyntaxError, 1, 6),
-    ("bag.qit", (), "", DeclSyntaxError, 1, 1),
+    ("bag.qit", (), "cons(²)", DeclSyntaxError, "stray character '²'", 1, 6),
+    (
+        "bag.qit", (), "cons(" + "9" * 5000 + ", nil)",
+        DeclSyntaxError, "numeral of 5000 digits is too long", 1, 6,
+    ),
+    ("bag.qit", (), "", DeclSyntaxError, "expected a pattern, found ''", 1, 1),
 ]
 
 
@@ -535,14 +559,14 @@ def test_ground_term_list_items_are_comma_separated(fixtures, name, text, messag
 
 def test_ground_term_errors(fixtures):
     mismatches = []
-    for name, generators, text, exc, line, col in GROUND_TERM_ERRORS:
+    for name, generators, text, exc, message, line, col in GROUND_TERM_ERRORS:
         decl = parse_decl(read_fixture(fixtures, name))
         try:
             parse_ground_term(text, decl, generators=generators)
             got = None
         except SchemaError as err:
-            got = (type(err), err.line, err.col)
-        if got != (exc, line, col):
+            got = (type(err), err.args[0], err.line, err.col)
+        if got != (exc, message, line, col):
             mismatches.append((name, text, got))
     assert not mismatches
 
@@ -580,6 +604,25 @@ def test_ground_term_round_trip(fixtures, name, size, probe, generators):
     for t in terms:
         text = surface(t)
         assert parse_ground_term(text, decl, probe=probe, generators=generators) == t, text
+
+
+def sugared(t) -> str:
+    """A closed list term in the list sugar, ``x::...::[]``."""
+    cells = []
+    while t.op != "nil":
+        cells.append(t.op.partition("(")[2].rstrip(")"))
+        (t,) = t.branches
+    return "::".join(cells + ["[]"])
+
+
+def test_ground_term_list_sugar_round_trip(fixtures):
+    decl = parse_decl(read_fixture(fixtures, "bag.qit"))
+    sig, _ = elaborate(decl)
+    terms = closed_terms(sig, 6)
+    assert len(terms) == 63  # the lists of up to five cells over {a, b}
+    for t in terms:
+        text = sugared(t)
+        assert parse_ground_term(text, decl) == parse_ground_term(surface(t), decl) == t, text
 
 
 # -- the declaration's constructor table ------------------------------------------------------
