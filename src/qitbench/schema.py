@@ -245,6 +245,8 @@ def _numeral(t: _Tok) -> int:
 
 
 class _Cursor:
+    __slots__ = ("toks", "i")
+
     def __init__(self, toks: list[_Tok]):
         self.toks = toks
         self.i = 0
