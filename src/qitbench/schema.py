@@ -289,7 +289,8 @@ class _Cursor:
 
 
 def _pos(t: _Tok) -> SrcPos:
-    return tuple.__new__(SrcPos, (t.line, t.col))  # SrcPos(t.line, t.col), without its __new__
+    # SrcPos(t.line, t.col), without a call to the Python-level SrcPos.__new__
+    return tuple.__new__(SrcPos, (t.line, t.col))
 
 
 # -- parser ------------------------------------------------------------------------
