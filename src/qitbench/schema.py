@@ -89,6 +89,10 @@ class ConditionType(_Syntax):
         object.__setattr__(self, "pos", pos)
 
 
+# A parsed term makes a PatName or a PatApply per node, so these two write
+# their fields into ``__dict__`` and skip the calls to object.__setattr__.
+# The dict makes their attribute reads slower, which a pattern (read a few
+# times, then dropped) does not feel; ``terms.Node`` keeps the setter.
 class PatName(_Syntax):
     def __init__(self, name: Any, pos: SrcPos = SrcPos()):
         d = self.__dict__
@@ -857,12 +861,14 @@ def _is_value(decl: QITDecl, name) -> bool:
 
 
 def _resolve_value(decl: QITDecl, env: dict, pat) -> Any:
-    """A pattern argument standing for a parameter value."""
+    """A pattern argument standing for a parameter value: a parameter
+    binder or a value (``_is_value``, inlined on this per-argument path)."""
     if pat.__class__ is PatName:
-        if pat.name in env:
-            return env[pat.name]
-        if _is_value(decl, pat.name):
-            return pat.name
+        name = pat.name
+        if name in env:
+            return env[name]
+        if isinstance(name, int) or name in decl._values:
+            return name
     raise ScopeError("expected a parameter value here", *pat.pos)
 
 

@@ -37,12 +37,10 @@ from .errors import (
 class Record:
     """Base of the package's immutable records.  A record declares its fields
     once, as its ``__init__`` parameters, and sets each with
-    ``object.__setattr__``; the records a parsed term makes one of per node
-    (``Node``, ``schema.PatName`` and ``schema.PatApply``) write their
-    ``__dict__`` instead, which halves their construction time.  Records
-    of one class are equal, and hash, as the tuple of their fields except
-    those in ``_uncompared``; ``repr`` writes every field.  Assigning or
-    deleting an attribute raises."""
+    ``object.__setattr__`` (``schema.PatName`` and ``schema.PatApply`` write
+    their ``__dict__``; see there).  Records of one class are equal, and
+    hash, as the tuple of their fields except those in ``_uncompared``;
+    ``repr`` writes every field.  Assigning or deleting an attribute raises."""
 
     __slots__ = ()
     _uncompared: tuple[str, ...] = ()
@@ -267,9 +265,8 @@ class Node(Record):
     """An operator applied to a branch map of subterms."""
 
     def __init__(self, op: str, branches: Any):
-        d = self.__dict__
-        d["op"] = op
-        d["branches"] = branches  # tuple[Term, ...] | OmegaTable of Term
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "branches", branches)  # tuple[Term, ...] | OmegaTable of Term
 
 
 Term = Any  # Var | Node
